@@ -12,7 +12,8 @@ exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Tuple
+from itertools import product
+from typing import Sequence, Tuple
 
 from sympy import factorint, isprime
 
@@ -60,6 +61,23 @@ def _seed_table(a: int, b: int):
     return mul
 
 
+#: exponents (i, j, k) of c0^i * c1^j * c2^k: the coefficient order of a cubic form
+CUBIC_MONOMIALS = (
+    (3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
+    (1, 0, 2), (0, 3, 0), (0, 2, 1), (0, 1, 2), (0, 0, 3),
+)
+_UNIT_VECTORS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _det3(u, v, w) -> int:
+    """Determinant of the 3x3 matrix with columns u, v, w."""
+    return (
+        u[0] * (v[1] * w[2] - v[2] * w[1])
+        + u[1] * (v[2] * w[0] - v[0] * w[2])
+        + u[2] * (v[0] * w[1] - v[1] * w[0])
+    )
+
+
 @dataclass(frozen=True)
 class PureCubicField:
     d: int
@@ -72,6 +90,11 @@ class PureCubicField:
     basis_theta_repr: Tuple[Tuple[int, int, int, int], ...]
     #: integer structure constants: table[i][j] = coords of w_i * w_j
     table: Tuple[Tuple[Tuple[int, int, int], ...], ...]
+    #: the norm as a cubic form in integral-basis coordinates, over CUBIC_MONOMIALS
+    form: Tuple[int, ...] = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "form", self.norm_form(_UNIT_VECTORS))
 
     def mul_coords(self, u, v) -> Tuple[int, int, int]:
         out = [0, 0, 0]
@@ -89,11 +112,32 @@ class PureCubicField:
         return (out[0], out[1], out[2])
 
     def regular_representation(self, coords) -> IntMatrix:
-        cols = [self.mul_coords(coords, basis_vec) for basis_vec in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        cols = [self.mul_coords(coords, w) for w in _UNIT_VECTORS]
         return IntMatrix.from_rows([[cols[j][i] for j in range(3)] for i in range(3)])
 
+    def norm_form(self, vectors: Sequence[Sequence[int]]) -> Tuple[int, ...]:
+        """N(c0*v0 + c1*v1 + c2*v2) as a cubic form in (c0, c1, c2), over CUBIC_MONOMIALS.
+
+        The norm is the determinant of the regular representation, which is
+        linear in the element.  Expanding det(sum c_i M(v_i)) column by column
+        makes the mixed determinant det[M(v_i) w0 | M(v_j) w1 | M(v_k) w2]
+        the coefficient of c_i * c_j * c_k, exactly.
+        """
+        cols = [[self.mul_coords(v, w) for w in _UNIT_VECTORS] for v in vectors]
+        coeffs = dict.fromkeys(CUBIC_MONOMIALS, 0)
+        for ijk in product(range(3), repeat=3):
+            i, j, k = ijk
+            coeffs[tuple(ijk.count(t) for t in range(3))] += _det3(cols[i][0], cols[j][1], cols[k][2])
+        return tuple(coeffs[m] for m in CUBIC_MONOMIALS)
+
     def element_norm(self, x: int, y: int, z: int) -> int:
-        return det(self.regular_representation((x, y, z)))
+        f = self.form
+        return (
+            x * x * (f[0] * x + f[1] * y + f[2] * z)
+            + y * y * (f[3] * x + f[6] * y + f[7] * z)
+            + z * z * (f[5] * x + f[8] * y + f[9] * z)
+            + f[4] * x * y * z
+        )
 
     def element_trace(self, coords) -> int:
         m = self.regular_representation(coords)
@@ -185,9 +229,8 @@ def classify(d: int) -> PureCubicField:
     basis, table = built
     fld = PureCubicField(d, a, b, kind, expected_disc, basis, table)
     # verify the discriminant from the trace form, not the formula alone
-    basis_vecs = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     gram = [
-        [fld.element_trace(fld.mul_coords(u, v)) for v in basis_vecs] for u in basis_vecs
+        [fld.element_trace(fld.mul_coords(u, v)) for v in _UNIT_VECTORS] for u in _UNIT_VECTORS
     ]
     got = det(IntMatrix.from_rows(gram))
     if got != expected_disc:

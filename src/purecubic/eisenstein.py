@@ -214,12 +214,14 @@ def factor_rational_prime(q: int) -> EisensteinFactorization:
         pi1, pi2 = split_primaries(q)
         prod = pi1 * pi2
         u = exact_div(Eisenstein(q, 0), prod)
-        assert is_unit(u)
+        if not is_unit(u):
+            raise ArithmeticError(f"split factors of {q} leave a non-unit cofactor")
         return EisensteinFactorization(u, 0, ((pi1, 1), (pi2, 1)))
     # inert: q == 2 (mod 3), primary-normalized
     _, prim = primary_associate(Eisenstein(q, 0))
     cof = exact_div(Eisenstein(q, 0), prim)
-    assert is_unit(cof)
+    if not is_unit(cof):
+        raise ArithmeticError(f"primary associate of {q} leaves a non-unit cofactor")
     return EisensteinFactorization(cof, 0, ((prim, 1),))
 
 

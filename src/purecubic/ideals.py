@@ -234,22 +234,35 @@ def is_principal_bounded(I: IdealHNF, search_bound: int = 8) -> Optional[Element
     """One-sided principality test.
 
     Searches coefficient boxes over an LLL-reduced basis of the ideal
-    lattice; a miss within the bound proves nothing.
+    lattice; a miss within the bound proves nothing.  The norm of
+    c0*r0 + c1*r1 + c2*r2 is composed once into a cubic form in
+    (c0, c1, c2), so each box point costs one Horner step in c2.
     """
+    field = I.field
     target = I.norm()
     red = lll_reduce([list(r) for r in I.basis])
+    f = field.norm_form(red)
+    # for fixed (c0, c1) the norm is a3*c2^3 + a2*c2^2 + a1*c2 + a0 (see CUBIC_MONOMIALS)
+    a3 = f[9]
     B = search_bound
     for c0 in range(-B, B + 1):
         for c1 in range(-B, B + 1):
-            for c2 in range(0, B + 1):  # sign symmetry: -alpha generates the same ideal
-                if c0 == 0 and c1 == 0 and c2 == 0:
-                    continue
-                v = tuple(
-                    c0 * red[0][i] + c1 * red[1][i] + c2 * red[2][i] for i in range(3)
-                )
-                alpha = ElementGamma(I.field, *v)
-                if abs(alpha.norm()) == target:
+            a2 = f[5] * c0 + f[8] * c1
+            a1 = (f[2] * c0 + f[4] * c1) * c0 + f[7] * c1 * c1
+            a0 = ((f[0] * c0 + f[1] * c1) * c0 + f[3] * c1 * c1) * c0 + f[6] * c1 * c1 * c1
+            # sign symmetry: -alpha generates the same ideal; skip the origin
+            for c2 in range(1 if c0 == 0 and c1 == 0 else 0, B + 1):
+                n = ((a3 * c2 + a2) * c2 + a1) * c2 + a0
+                if n == target or n == -target:
                     # alpha lies in I and generates a sublattice of equal norm
+                    alpha = ElementGamma(
+                        field, *(c0 * red[0][i] + c1 * red[1][i] + c2 * red[2][i] for i in range(3))
+                    )
+                    if alpha.norm() != n:
+                        raise ArithmeticError(
+                            f"composed norm form gives {n} at {alpha.coords()}, "
+                            f"element_norm gives {alpha.norm()}"
+                        )
                     return alpha
     return None
 
@@ -265,7 +278,7 @@ def ideal_quotient(A: IdealHNF, B: IdealHNF) -> IdealHNF:
     adj = _adjugate3(HA)
     rows = []
     for b in B.basis:
-        Mb = _mul_matrix(field, b)
+        Mb = field.regular_representation(b)
         prod = adj @ Mb
         for i in range(3):
             rows.append([prod[i, j] % n for j in range(3)])
@@ -288,10 +301,6 @@ def _congruence_kernel(rows: List[List[int]], n: int) -> List[Tuple[int, int, in
     # the solution lattice always contains n*Z^3
     vecs.extend([(n, 0, 0), (0, n, 0), (0, 0, n)])
     return vecs
-
-
-def _mul_matrix(field: PureCubicField, coords) -> IntMatrix:
-    return field.regular_representation(coords)
 
 
 def _adjugate3(M: IntMatrix) -> IntMatrix:

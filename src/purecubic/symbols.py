@@ -24,6 +24,7 @@ from .eisenstein import (
     conj,
     divides,
     factor,
+    gcd,
     is_primary,
     is_prime_element,
     norm,
@@ -109,7 +110,8 @@ def _inert_rational(pi: Eisenstein) -> int:
     from math import isqrt
 
     q = isqrt(norm(pi))
-    assert q * q == norm(pi)
+    if q * q != norm(pi):
+        raise ArithmeticError("norm of an inert prime is not a square")
     return q
 
 
@@ -209,16 +211,10 @@ def reciprocity_check(alpha: Eisenstein, beta: Eisenstein) -> bool:
         raise ValueError("both arguments must be primary")
     if norm(alpha) % 3 == 0 or norm(beta) % 3 == 0:
         raise ValueError("arguments must be coprime to 3")
-    g = norm(gcd_norm(alpha, beta))
+    g = norm(gcd(alpha, beta))
     if g != 1:
         raise ValueError("arguments must be coprime")
     return _symbol_over_ideal(alpha, beta).e == _symbol_over_ideal(beta, alpha).e
-
-
-def gcd_norm(x: Eisenstein, y: Eisenstein) -> Eisenstein:
-    from .eisenstein import gcd
-
-    return gcd(x, y)
 
 
 def norm_compatibility_check(a_coords, b: Eisenstein, pi: Eisenstein, field) -> bool:
@@ -232,7 +228,8 @@ def norm_compatibility_check(a_coords, b: Eisenstein, pi: Eisenstein, field) -> 
     """
     from .cubicfield import PureCubicField  # local import to avoid a cycle
 
-    assert isinstance(field, PureCubicField)
+    if not isinstance(field, PureCubicField):
+        raise TypeError("field must be a PureCubicField")
     _check_tame_prime(pi)
     n = norm(pi)
     if not isprime(n):
@@ -260,7 +257,8 @@ def norm_compatibility_check(a_coords, b: Eisenstein, pi: Eisenstein, field) -> 
     # right-hand side: the relative norm of a lands in Z inside Q(zeta)
     rel_norm = field.element_norm(x, y, z)
     rhs = hilbert_tame(Eisenstein(rel_norm, 0), b, pi)
-    assert norm_residues == rel_norm % p  # product of local values is the norm
+    if norm_residues != rel_norm % p:  # product of local values is the norm
+        raise ArithmeticError("local values do not multiply to the relative norm")
     return CubeRoot(lhs).e == rhs.e
 
 

@@ -20,6 +20,7 @@ from purecubic.classgroup import (
     decide_k_structure,
 )
 from purecubic.classgroup import ClassGroupStructure
+from purecubic.cli import TABLE1_PRIMES
 from purecubic.cubicfield import brute_split, classify, split_in_gamma
 from purecubic.eisenstein import (
     Eisenstein,
@@ -41,11 +42,6 @@ from purecubic.symbols import (
     cubic_residue_rational,
     hilbert_tame,
     zeta_norm_test,
-)
-
-TABLE1_PRIMES = (
-    199, 487, 1297, 1693, 1747, 1999, 2017, 2143, 2377, 2467, 2593, 2917,
-    3511, 3673, 3727, 4159, 4519, 4591, 4789, 5347, 5437, 6949, 8209, 8821,
 )
 
 

@@ -1,5 +1,7 @@
 """Pure cubic field construction and splitting laws."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from purecubic.cubicfield import (
     split_in_gamma,
     split_in_k,
 )
+from purecubic.zlinalg import det
 
 coords = st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9))
 
@@ -43,6 +46,17 @@ def test_classify_exponent_two_part():
     F28 = classify(28)  # 28 = 7 * 2^2, second kind
     assert F28.kind == "second"
     assert F28.disc == -3 * 14 ** 2
+
+
+@pytest.mark.parametrize("d", [2, 7, 12, 10, 19, 28])
+def test_element_norm_matches_regular_representation_det(d):
+    # first kind: 2, 7, 12; second kind: 10, 19, 28
+    F = classify(d)
+    rng = random.Random(d)
+    points = [(0, 0, 0), (1, 0, 0), (0, -1, 0), (0, 0, -1), (-3, 0, 2), (0, 5, -7)]
+    points += [tuple(rng.randint(-40, 40) for _ in range(3)) for _ in range(300)]
+    for v in points:
+        assert F.element_norm(*v) == det(F.regular_representation(v)), v
 
 
 def test_classify_rejects_bad_d():

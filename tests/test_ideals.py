@@ -3,7 +3,8 @@
 import pytest
 from sympy import primerange
 
-from purecubic.cubicfield import classify, split_in_gamma
+from purecubic import classgroup
+from purecubic.cubicfield import PureCubicField, classify, split_in_gamma
 from purecubic.ideals import (
     ElementGamma,
     IdealHNF,
@@ -16,6 +17,7 @@ from purecubic.ideals import (
     primes_above,
     valuation,
 )
+from purecubic.zlinalg import lll_reduce
 
 
 def test_unit_ideal():
@@ -91,6 +93,55 @@ def test_nonprincipal_with_principal_cube():
     P5 = next(P for P, _, f in primes_above(F, 5) if f == 1)
     assert is_principal_bounded(P5, 10) is None
     assert is_principal_bounded(ideal_power(P5, 3), 10) is not None
+
+
+def _box_search(I, search_bound):
+    """Reference principality search: one element norm per box point."""
+    target = I.norm()
+    red = lll_reduce([list(r) for r in I.basis])
+    B = search_bound
+    for c0 in range(-B, B + 1):
+        for c1 in range(-B, B + 1):
+            for c2 in range(0, B + 1):
+                if c0 == 0 and c1 == 0 and c2 == 0:
+                    continue
+                v = tuple(c0 * red[0][i] + c1 * red[1][i] + c2 * red[2][i] for i in range(3))
+                alpha = ElementGamma(I.field, *v)
+                if abs(alpha.norm()) == target:
+                    return alpha
+    return None
+
+
+@pytest.mark.parametrize("d", [7, 11])
+def test_is_principal_bounded_matches_box_search_on_oracle_ideals(d, monkeypatch):
+    calls = []
+
+    def recording(I, search_bound=8):
+        gen = is_principal_bounded(I, search_bound)
+        calls.append((I, search_bound, gen))
+        return gen
+
+    monkeypatch.setattr(classgroup, "is_principal_bounded", recording)
+    F = classify(d)
+    fb = classgroup.build_factor_base(F)
+    classgroup._oracle_class_number(F, fb, search_bound=12, deadline=float("inf"))
+    assert len(calls) > 20
+    assert any(gen is None for _, _, gen in calls)
+    assert any(gen is not None for _, _, gen in calls)
+    for I, B, gen in calls:
+        ref = _box_search(I, B)
+        if ref is None:
+            assert gen is None
+        else:
+            assert gen is not None and gen.coords() == ref.coords()
+
+
+def test_is_principal_bounded_rechecks_the_norm_of_a_hit(monkeypatch):
+    F = classify(7)
+    I = ideal_of_element(ElementGamma(F, 0, 1, 0))
+    monkeypatch.setattr(PureCubicField, "element_norm", lambda self, x, y, z: 0)
+    with pytest.raises(ArithmeticError):
+        is_principal_bounded(I)
 
 
 def test_ideal_quotient_identities():

@@ -158,6 +158,12 @@ def test_norm_compatibility_split_place():
     assert checked >= 5
 
 
+def test_norm_compatibility_rejects_non_field():
+    pi1, _ = split_primaries(7)
+    with pytest.raises(TypeError):
+        norm_compatibility_check((1, 1, 0), Eisenstein(7, 0), pi1, 2)
+
+
 def test_symbol_argument_validation():
     pi1, _ = split_primaries(7)
     with pytest.raises(ValueError):
