@@ -2,10 +2,11 @@
 
 The class group is presented on the factor base of all prime ideals of
 norm below the Minkowski bound.  Relations are principal ideals (alpha)
-factored over the base; the cokernel of the relation matrix is read off
-its Smith normal form.  Stabilization is heuristic, so for small bounds
-the result is certified against an independent brute-force enumeration
-of ideal classes.
+factored over the base; their lattice is kept in Hermite normal form as
+rows arrive, and the cokernel is read off the Smith normal form of that
+square basis whenever it changes.  Stabilization is heuristic, so for
+small bounds the result is certified against an independent brute-force
+enumeration of ideal classes.
 
 The sextic-closure structure decision takes the unit index u as an
 *input*: computing u would need the unit group of a degree-6 field,
@@ -34,11 +35,26 @@ from .ideals import (
     primes_above,
     valuation,
 )
-from .zlinalg import IntMatrix, snf
+from .zlinalg import HNFLattice, snf
 
 
 class BudgetExhausted(RuntimeError):
-    """Raised when class_group cannot stabilize within its time budget."""
+    """Raised when class_group cannot stabilize within its time budget.
+
+    It says how far the relation search got: `rows` relations found, their
+    lattice of rank `rank` out of the factor-base size `n`, and the
+    lattice's determinant `det` once the rank is full (None before).
+    """
+
+    def __init__(self, d: int, rows: int, rank: int, n: int, det: Optional[int] = None):
+        self.d, self.rows, self.rank, self.n, self.det = d, rows, rank, n, det
+        msg = (
+            f"class group for d={d} did not stabilize in budget: "
+            f"{rows} relation rows, lattice rank {rank} of {n}"
+        )
+        if det is not None:
+            msg += f", determinant {det}"
+        super().__init__(msg)
 
 
 @dataclass(frozen=True)
@@ -158,35 +174,6 @@ def _element_stream(F: PureCubicField) -> Iterator[ElementGamma]:
         radius += 1
 
 
-def collect_relations(
-    F: PureCubicField,
-    fb: FactorBase,
-    max_rows: int = 64,
-    deadline: Optional[float] = None,
-) -> List[List[int]]:
-    rows = []
-    for alpha in _element_stream(F):
-        if deadline is not None and time.monotonic() > deadline:
-            break
-        row = relation_row(F, fb, alpha)
-        if row is not None:
-            rows.append(row)
-            if len(rows) >= max_rows:
-                break
-    return rows
-
-
-def _cokernel_divisors(rows: List[List[int]], ncols: int) -> Optional[List[int]]:
-    """Elementary divisors of Z^ncols / rowspan, or None while of infinite order."""
-    if not rows:
-        return None
-    d, _, _ = snf(IntMatrix.from_rows(rows))
-    d = list(d) + [0] * (ncols - len(d))
-    if any(x == 0 for x in d[:ncols]):
-        return None
-    return d[:ncols]
-
-
 def _three_part(n: int) -> int:
     h3 = 1
     while n % 3 == 0:
@@ -203,38 +190,36 @@ def class_group(
     oracle_search_bound: int = 12,
 ) -> ClassGroupStructure:
     """Class group structure by relation search + SNF, oracle-certified when feasible."""
+    deadline = time.monotonic() + budget_seconds
     fb = build_factor_base(F)
     n = len(fb.primes)
-    deadline = time.monotonic() + budget_seconds
     if n == 0:
         return ClassGroupStructure(F.d, (), 1, 1, (), True)
 
-    rows: List[List[int]] = []
+    # Below full rank the cokernel is infinite.  At full rank the lattice
+    # changes exactly when its determinant h drops, and the divisors with it,
+    # so a row that leaves the lattice unchanged repeats the last divisors.
+    lattice = HNFLattice(n)
+    rows = 0
     stable = 0
     last: Optional[List[int]] = None
     for alpha in _element_stream(F):
         if time.monotonic() > deadline:
-            raise BudgetExhausted(f"class group for d={F.d} did not stabilize in budget")
+            raise BudgetExhausted(F.d, rows, lattice.rank, n, lattice.determinant())
         row = relation_row(F, fb, alpha)
         if row is None:
             continue
-        rows.append(row)
-        divisors = _cokernel_divisors(rows, n)
-        if divisors is None:
-            stable = 0
-            last = None
+        rows += 1
+        changed = lattice.insert(row)
+        if lattice.rank < n:
             continue
-        if divisors == last:
-            stable += 1
-        else:
+        if changed:
+            last = snf(lattice.matrix())
             stable = 1
-            last = divisors
+        else:
+            stable += 1
         if stable >= stable_window:
             break
-    else:  # pragma: no cover - stream is infinite
-        raise AssertionError
-    if last is None:
-        raise BudgetExhausted(f"class group for d={F.d} did not reach full rank")
 
     h = 1
     for x in last:

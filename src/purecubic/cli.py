@@ -145,9 +145,13 @@ def cmd_table1(args, u_map) -> Tuple[List[Dict[str, Any]], str, int]:
                     any_mismatch = True
                 else:
                     row["status"] = "ok"
-            except BudgetExhausted:
+            except BudgetExhausted as e:
                 row["status"] = "unverified"
-                row["problems"] = ["class-group budget exhausted"]
+                row["problems"] = [str(e)]
+            except ArithmeticError as e:
+                row["status"] = "mismatch"
+                row["reason"] = str(e)
+                any_mismatch = True
         results.append(row)
     status = "mismatch" if any_mismatch else "ok"
     return results, status, 1 if any_mismatch else 0
@@ -200,6 +204,8 @@ def cmd_classgroup(args, u_map) -> Tuple[List[Dict[str, Any]], str, int]:
         cg = class_group(F, budget_seconds=args.budget)
     except BudgetExhausted as e:
         return [{"d": args.d, "status": "unverified", "reason": str(e)}], "unverified", 0
+    except ArithmeticError as e:
+        return [{"d": args.d, "status": "mismatch", "reason": str(e)}], "mismatch", 1
     res: Dict[str, Any] = {
         "d": args.d,
         "kind": F.kind,

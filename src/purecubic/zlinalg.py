@@ -1,15 +1,18 @@
 """Exact integer linear algebra: HNF, SNF, kernels and small-lattice reduction.
 
 Everything here works on plain Python integers, so no precision is ever
-lost during the reductions.  Matrices are small (relation matrices stay
-below roughly 200 x 50), so the quadratic pivoting strategies are fine.
+lost during the reductions.  A class group's relation lattice is kept in
+Hermite normal form one row at a time (`HNFLattice`, up to a few hundred
+columns for the catalogued fields), and `snf` runs on its square basis;
+the other matrices are tiny.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -163,91 +166,170 @@ def kernel(M: IntMatrix) -> List[Tuple[int, ...]]:
     return out
 
 
-def snf(M: IntMatrix) -> Tuple[List[int], IntMatrix, IntMatrix]:
-    """Smith normal form: U*M*V = diag(d) with d_i | d_{i+1}, U,V unimodular."""
+def snf(M: IntMatrix) -> List[int]:
+    """Elementary divisors of M: the diagonal d of its Smith normal form.
+
+    d has min(rows, cols) entries, d_i | d_{i+1}, and the zeros at the end
+    count the rank deficit.  Only the divisors are computed; the unimodular
+    transforms are not.
+    """
     rows, cols = M.rows, M.cols
     a = M.to_lists()
-    u = IntMatrix.identity(rows).to_lists()
-    v = IntMatrix.identity(cols).to_lists()
 
-    def row_op(i, k, q):  # row_i -= q * row_k
-        for j in range(cols):
-            a[i][j] -= q * a[k][j]
-        for j in range(rows):
-            u[i][j] -= q * u[k][j]
+    def smallest(t):
+        # first nonzero entry of least absolute value in the trailing block
+        best, pos = 0, None
+        for i in range(t, rows):
+            row = a[i]
+            for j in range(t, cols):
+                w = abs(row[j])
+                if w and (pos is None or w < best):
+                    best, pos = w, (i, j)
+                    if w == 1:
+                        return pos
+        return pos
 
-    def col_op(j, k, q):  # col_j -= q * col_k
-        for i in range(rows):
-            a[i][j] -= q * a[i][k]
-        for i in range(cols):
-            v[i][j] -= q * v[i][k]
-
-    def swap_rows(i, k):
-        a[i], a[k] = a[k], a[i]
-        u[i], u[k] = u[k], u[i]
-
-    def swap_cols(j, k):
-        for i in range(rows):
-            a[i][j], a[i][k] = a[i][k], a[i][j]
-        for i in range(cols):
-            v[i][j], v[i][k] = v[i][k], v[i][j]
-
+    d: List[int] = []
     n = min(rows, cols)
     for t in range(n):
-        # find the smallest nonzero entry in the trailing block
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                w = abs(a[i][j])
-                if w != 0 and (best is None or w < best):
-                    best, pivot = w, (i, j)
+        pivot = smallest(t)
         if pivot is None:
             break
         while True:
             i0, j0 = pivot
             if i0 != t:
-                swap_rows(t, i0)
+                a[t], a[i0] = a[i0], a[t]
             if j0 != t:
-                swap_cols(t, j0)
+                for row in a:
+                    row[t], row[j0] = row[j0], row[t]
+            p = a[t][t]
             dirty = False
             for i in range(t + 1, rows):
                 if a[i][t] != 0:
-                    row_op(i, t, a[i][t] // a[t][t])
+                    q = a[i][t] // p
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
                     dirty = dirty or a[i][t] != 0
             for j in range(t + 1, cols):
                 if a[t][j] != 0:
-                    col_op(j, t, a[t][j] // a[t][t])
+                    q = a[t][j] // p
+                    for row in a:
+                        row[j] -= q * row[t]
                     dirty = dirty or a[t][j] != 0
             # the pivot must divide every remaining entry
             if not dirty:
-                offender = None
-                for i in range(t + 1, rows):
-                    for j in range(t + 1, cols):
-                        if a[i][j] % a[t][t] != 0:
-                            offender = (i, j)
-                            break
-                    if offender:
-                        break
+                if abs(p) == 1:
+                    break
+                offender = next(
+                    (i for i in range(t + 1, rows) if any(x % p for x in a[i][t + 1 :])), None
+                )
                 if offender is None:
                     break
-                i0, j0 = offender
-                row_op(t, i0, -1)  # fold the offending row into the pivot row
-                dirty = True
-            # re-pick the smallest entry and continue
-            pivot = None
-            best = None
-            for i in range(t, rows):
-                for j in range(t, cols):
-                    w = abs(a[i][j])
-                    if w != 0 and (best is None or w < best):
-                        best, pivot = w, (i, j)
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
+                # fold the offending row into the pivot row
+                a[t] = [x + y for x, y in zip(a[t], a[offender])]
+            pivot = smallest(t)
+        d.append(abs(a[t][t]))
+    return d + [0] * (n - len(d))
 
-    d = [a[i][i] if i < rows and i < cols else 0 for i in range(n)]
-    return d, IntMatrix.from_rows(u), IntMatrix.from_rows(v)
+
+def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b and g >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if a < 0:
+        return -a, -s0, -t0
+    return a, s0, t0
+
+
+class HNFLattice:
+    """A sublattice of Z^ncols kept in reduced Hermite normal form as rows arrive.
+
+    The basis is keyed by pivot column: the row for pivot column c is zero
+    before c, has a positive entry at c, and every other basis row has an
+    entry in [0, pivot) at c.  That basis is unique, so two lattices are
+    equal exactly when their bases are.  `insert` adds one row by
+    extended-gcd elimination (Hafner--McCurley; Cohen, GTM 138, 2.4.3).
+    """
+
+    def __init__(self, ncols: int):
+        if ncols <= 0:
+            raise ValueError("lattice dimension must be positive")
+        self.ncols = ncols
+        self._basis: Dict[int, List[int]] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self._basis)
+
+    def determinant(self) -> Optional[int]:
+        """Index of the lattice in Z^ncols (product of pivots); None below full rank."""
+        if self.rank < self.ncols:
+            return None
+        out = 1
+        for c, row in self._basis.items():
+            out *= row[c]
+        return out
+
+    def matrix(self) -> IntMatrix:
+        """The basis rows in pivot order, as a rank x ncols matrix."""
+        if not self._basis:
+            raise ValueError("the zero lattice has no basis rows")
+        return IntMatrix.from_rows([self._basis[c] for c in sorted(self._basis)])
+
+    def insert(self, row: Sequence[int]) -> bool:
+        """Add `row` to the lattice; return whether the lattice changed."""
+        n = self.ncols
+        if len(row) != n:
+            raise ValueError("row length does not match the lattice dimension")
+        v = [int(x) for x in row]
+        changed: List[int] = []
+        for j in range(n):
+            x = v[j]
+            if x == 0:
+                continue
+            h = self._basis.get(j)
+            if h is None:
+                # v leads in a column with no pivot yet: it becomes one
+                self._basis[j] = v if x > 0 else [-y for y in v]
+                changed.append(j)
+                break
+            p = h[j]
+            if x % p == 0:
+                q = x // p
+                v[j:] = [z - q * y for y, z in zip(h[j:], v[j:])]
+                continue
+            # unimodular [[s, t], [-x/g, p/g]] on (h, v): new pivot g, v gets 0 at j
+            g, s, t = _xgcd(p, x)
+            a, b = p // g, x // g
+            self._basis[j] = h[:j] + [s * y + t * z for y, z in zip(h[j:], v[j:])]
+            v = v[:j] + [a * z - b * y for y, z in zip(h[j:], v[j:])]
+            changed.append(j)
+        if changed:
+            self._reduce(changed)
+        return bool(changed)
+
+    def _reduce(self, changed: List[int]) -> None:
+        """Restore 0 <= entry < pivot above every pivot after the rows in `changed`
+        (ascending pivot columns) moved."""
+        cols = sorted(self._basis)
+        for c in cols:
+            r = self._basis[c]
+            # a changed row is reduced in full; an unchanged one is already
+            # reduced up to the first changed pivot column where it is not
+            if c in changed:
+                start = c + 1
+            else:
+                start = next((k for k in changed if k > c and not 0 <= r[k] < self._basis[k][k]), None)
+                if start is None:
+                    continue
+            for k in cols[bisect_left(cols, start) :]:
+                h = self._basis[k]
+                q = r[k] // h[k]
+                if q:
+                    r[k:] = [y - q * z for y, z in zip(r[k:], h[k:])]
 
 
 def lll_reduce(basis: Sequence[Sequence[int]]) -> List[List[int]]:

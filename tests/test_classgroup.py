@@ -10,8 +10,8 @@ from purecubic.classgroup import (
     ClassGroupStructure,
     ambiguous_order,
     build_factor_base,
+    _element_stream,
     class_group,
-    collect_relations,
     decide_k_structure,
     minkowski_bound,
     relation_row,
@@ -52,7 +52,13 @@ def test_relation_rows_reassemble():
     row = relation_row(F, fb, theta)  # norm 2, supported above 2
     assert row is not None
     assert sum(row) > 0
-    rows = collect_relations(F, fb, max_rows=10)
+    rows = []
+    for alpha in _element_stream(F):
+        row = relation_row(F, fb, alpha)
+        if row is not None:
+            rows.append(row)
+            if len(rows) == 10:
+                break
     assert len(rows) == 10
 
 
@@ -77,8 +83,19 @@ def test_class_group_deterministic():
 
 
 def test_budget_exhaustion_signal():
-    with pytest.raises(BudgetExhausted):
+    with pytest.raises(BudgetExhausted) as exc:
         class_group(classify(199), budget_seconds=0.01)
+    e = exc.value
+    assert (e.d, e.rows, e.rank, e.n, e.det) == (199, 0, 0, 26, None)
+    assert "0 relation rows, lattice rank 0 of 26" in str(e)
+
+
+@pytest.mark.parametrize("d", [487, 1297])
+def test_catalog_class_groups_beyond_the_oracle(d):
+    # bounds 239 and 636 (56 and 112 factor-base primes) are above the
+    # oracle's limit of 100, so these answers are heuristic, not certified
+    cg = class_group(classify(d))
+    assert (cg.h, cg.divisors, cg.p3_type, cg.certified) == (18, (18,), (9,), False)
 
 
 def test_ambiguous_order_examples():

@@ -95,6 +95,39 @@ def test_classgroup_command(capsys):
     assert rec["h"] == 3 and rec["certified"] is True
 
 
+def test_arithmetic_error_is_a_mismatch_row(capsys, monkeypatch):
+    def contradiction(*args, **kwargs):
+        raise ArithmeticError("relation does not reassemble")
+
+    monkeypatch.setattr("purecubic.cli.class_group", contradiction)
+    code, doc = run_json(capsys, "classgroup", "--d", "7")
+    assert code == 1
+    assert doc["status"] == "mismatch"
+    rec = doc["results"][0]
+    assert rec["status"] == "mismatch"
+    assert rec["reason"] == "relation does not reassemble"
+    code, doc = run_json(capsys, "--budget", "60", "table1", "--primes", "199", "487")
+    assert code == 1
+    assert doc["status"] == "mismatch"
+    assert [r["status"] for r in doc["results"]] == ["mismatch", "mismatch"]
+    assert all(r["reason"] == "relation does not reassemble" for r in doc["results"])
+
+
+def test_budget_exhaustion_reports_progress_in_cli(capsys):
+    code, doc = run_json(capsys, "--budget", "0.01", "classgroup", "--d", "199")
+    assert code == 0
+    rec = doc["results"][0]
+    assert rec["status"] == "unverified"
+    assert "0 relation rows, lattice rank 0 of 26" in rec["reason"]
+    # 8821 has 603 factor-base primes and needs far more than a second
+    code, doc = run_json(capsys, "--budget", "1.5", "table1", "--primes", "8821")
+    assert code == 0
+    rec = doc["results"][0]
+    assert rec["status"] == "unverified"
+    assert "did not stabilize in budget" in rec["problems"][0]
+    assert "of 603" in rec["problems"][0]
+
+
 def test_model_check(capsys, tmp_path):
     out = tmp_path / "report.json"
     code, doc = run_json(capsys, "model-check", "--out", str(out))

@@ -1,11 +1,13 @@
 """Exact integer linear algebra: HNF, SNF, kernels, LLL."""
 
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from purecubic.zlinalg import IntMatrix, det, hnf, kernel, lll_reduce, snf
+from purecubic.zlinalg import HNFLattice, IntMatrix, det, hnf, kernel, lll_reduce, snf
 
 small_entries = st.integers(min_value=-30, max_value=30)
 
@@ -29,12 +31,12 @@ def test_hnf_known_example():
 
 
 def test_snf_known_example():
-    d, U, V = snf(IntMatrix.from_rows([[2, 4], [4, 4]]))
+    d = snf(IntMatrix.from_rows([[2, 4], [4, 4]]))
     assert list(d) == [2, 4]
 
 
 def test_snf_zero_matrix():
-    d, _, _ = snf(IntMatrix.from_rows([[0, 0], [0, 0]]))
+    d = snf(IntMatrix.from_rows([[0, 0], [0, 0]]))
     assert list(d) == [0, 0]
 
 
@@ -69,15 +71,90 @@ def test_hnf_shape(M):
 @given(matrices())
 @settings(max_examples=80, deadline=None)
 def test_snf_divisibility_chain(M):
-    d, U, V = snf(M)
+    d = snf(M)
+    assert len(d) == min(M.rows, M.cols)
     positive = [x for x in d if x != 0]
+    assert d == positive + [0] * (len(d) - len(positive))
     for a, b in zip(positive, positive[1:]):
         assert b % a == 0
-    prod = U @ M @ V
-    for i in range(prod.rows):
-        for j in range(prod.cols):
-            expect = d[i] if i == j and i < len(d) else 0
-            assert prod[i, j] == expect
+    # d_1 ... d_k is the gcd of all k x k minors (the k-th determinantal divisor)
+    prod = 1
+    for k in range(1, len(d) + 1):
+        prod *= d[k - 1]
+        assert prod == _determinantal_divisor(M, k)
+
+
+def _determinantal_divisor(M, k):
+    g = 0
+    for rs in combinations(range(M.rows), k):
+        for cs in combinations(range(M.cols), k):
+            g = gcd(g, det(IntMatrix.from_rows([[M[i, j] for j in cs] for i in rs])))
+    return g
+
+
+def _direct_divisors(rows, n):
+    """Elementary divisors of Z^n / rowspan from one SNF of every row, or None below full rank."""
+    d = snf(IntMatrix.from_rows(rows)) + [0] * n
+    return None if 0 in d[:n] else d[:n]
+
+
+def _rank_and_gram_det(rows):
+    """(rank, det(H H^T)) for the nonzero rows H of the HNF of `rows`.
+
+    A lattice contains another exactly when it contains its rows, and then
+    the two are equal exactly when rank and Gram determinant both agree.
+    """
+    H, _ = hnf(IntMatrix.from_rows(rows))
+    basis = [H.row(i) for i in range(H.rows) if any(H.row(i))]
+    if not basis:
+        return 0, 1
+    gram = [[sum(x * y for x, y in zip(a, b)) for b in basis] for a in basis]
+    return len(basis), det(IntMatrix.from_rows(gram))
+
+
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=1, max_size=10),
+    )
+))
+@settings(max_examples=150, deadline=None)
+def test_hnf_lattice_matches_direct_snf(case):
+    n, rows = case
+    lat = HNFLattice(n)
+    seen = []
+    for row in rows:
+        before = _rank_and_gram_det(seen) if seen else (0, 1)
+        changed = lat.insert(row)
+        seen.append(row)
+        assert changed == (_rank_and_gram_det(seen) != before)
+        expect = _direct_divisors(seen, n)
+        assert (lat.rank == n) == (expect is not None)
+        if lat.rank:
+            # the reduced HNF is unique: the nonzero rows of a batch HNF
+            H, _ = hnf(IntMatrix.from_rows(seen))
+            assert lat.matrix() == IntMatrix.from_rows([H.row(i) for i in range(lat.rank)])
+        if expect is not None:
+            assert snf(lat.matrix()) == expect
+            h = 1
+            for x in expect:
+                h *= x
+            assert lat.determinant() == h
+        else:
+            assert lat.determinant() is None
+
+
+def test_hnf_lattice_known_example():
+    lat = HNFLattice(2)
+    assert lat.insert([4, 6]) is True
+    assert lat.insert([8, 12]) is False  # already in the lattice
+    assert lat.rank == 1 and lat.determinant() is None
+    assert lat.insert([2, 2]) is True
+    assert lat.matrix() == IntMatrix.from_rows([[2, 0], [0, 2]])
+    assert lat.determinant() == 4
+    assert lat.insert([0, -2]) is False
+    assert lat.insert([0, 1]) is True
+    assert snf(lat.matrix()) == [1, 2]
 
 
 @given(matrices())
