@@ -16,7 +16,7 @@ which is out of scope, so callers supply it with provenance.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -29,11 +29,9 @@ from .ideals import (
     IdealHNF,
     class_inverse_representative,
     ideal_of_element,
-    ideal_power,
     is_principal_bounded,
     mul,
     primes_above,
-    valuation,
 )
 from .zlinalg import HNFLattice, snf
 
@@ -59,20 +57,34 @@ class BudgetExhausted(RuntimeError):
 
 @dataclass(frozen=True)
 class FactorBasePrime:
+    """A prime ideal P of norm q^f, with the powers of P built so far.
+
+    `power(k)` extends the list of powers on demand, so each power is built
+    once per factor base and freed with it.
+    """
+
     q: int
     ideal: IdealHNF
     e: int
     f: int
+    norm: int
+    _powers: List[IdealHNF] = field(default_factory=list, init=False, repr=False, compare=False)
 
-    @property
-    def norm(self) -> int:
-        return self.q ** self.f
+    def power(self, k: int) -> IdealHNF:
+        """P^k for k >= 1."""
+        powers = self._powers
+        if not powers:
+            powers.append(self.ideal)
+        while len(powers) < k:
+            powers.append(mul(powers[-1], self.ideal))
+        return powers[k - 1]
 
 
 @dataclass(frozen=True)
 class FactorBase:
     bound: int
     primes: Tuple[FactorBasePrime, ...]
+    qs: Tuple[int, ...]  # the rational primes below the factor-base primes, ascending
 
 
 @dataclass(frozen=True)
@@ -114,8 +126,8 @@ def build_factor_base(F: PureCubicField) -> FactorBase:
     for q in primerange(2, top + 1):
         for P, e, f in primes_above(F, q):
             if q ** f <= top:
-                primes.append(FactorBasePrime(q, P, e, f))
-    return FactorBase(top, tuple(primes))
+                primes.append(FactorBasePrime(q, P, e, f, q ** f))
+    return FactorBase(top, tuple(primes), tuple(sorted({p.q for p in primes})))
 
 
 def _smooth_exponents(n: int, qs: Sequence[int]) -> Optional[Dict[int, int]]:
@@ -134,14 +146,18 @@ def relation_row(F: PureCubicField, fb: FactorBase, alpha: ElementGamma) -> Opti
     n = alpha.norm()
     if n == 0:
         return None
-    qs = sorted({p.q for p in fb.primes})
-    sm = _smooth_exponents(n, qs)
+    sm = _smooth_exponents(n, fb.qs)
     if sm is None:
         return None
     ideal = ideal_of_element(alpha)
     row = []
     for p in fb.primes:
-        row.append(valuation(ideal, p.ideal) if p.q in sm else 0)
+        # P^k contains (alpha) exactly for k <= v_P(alpha), and N(P)^v_P
+        # divides N(alpha), so v_P is at most v_q(N(alpha)) // f
+        k, top = 0, sm.get(p.q, 0) // p.f
+        while k < top and p.power(k + 1).contains(ideal):
+            k += 1
+        row.append(k)
     # the norm must be fully accounted for by factor-base primes
     acc = 1
     for p, r in zip(fb.primes, row):
@@ -149,10 +165,10 @@ def relation_row(F: PureCubicField, fb: FactorBase, alpha: ElementGamma) -> Opti
     if acc != abs(n):
         return None  # some prime above q has norm beyond the bound
     # exact reassembly check, never sampled
-    prod = IdealHNF.unit_ideal(F)
-    for p, r in zip(fb.primes, row):
-        if r:
-            prod = mul(prod, ideal_power(p.ideal, r))
+    factors = [p.power(r) for p, r in zip(fb.primes, row) if r]
+    prod = factors[0] if factors else IdealHNF.unit_ideal(F)
+    for J in factors[1:]:
+        prod = mul(prod, J)
     if prod != ideal:
         raise ArithmeticError(f"relation for {alpha.coords()} does not reassemble")
     return row

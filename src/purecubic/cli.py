@@ -3,7 +3,7 @@
 Every subcommand emits one report document with the same top-level shape
 {tool_version, command, inputs, results, status} as JSON (default) or
 flattened CSV.  Exit codes: 0 success, 1 verification mismatch, 2 usage
-or environment error.
+or environment error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .classgroup import (
     class_group,
     decide_k_structure,
 )
-from .cubicfield import brute_split, classify, split_in_gamma, split_in_k
+from .cubicfield import PureCubicField, brute_split, classify, split_in_gamma, split_in_k
 from .eisenstein import LAMBDA, split_primaries
 from .galoismodel import ModelConstraints, full_report
 from .symbols import cubic_residue, cubic_residue_rational, zeta_norm_test
@@ -81,7 +81,15 @@ def cmd_scan(args, u_map) -> Tuple[List[Dict[str, Any]], str, int]:
     candidates = [p for p in primerange(19, args.max_p + 1) if p % 9 == 1]
 
     def compute(p: int) -> Dict[str, Any]:
-        return known[p] if p in known else scan_record(p, u_map)
+        # a cached record is reused only if it carries the u and the version
+        # that scan_record would write now
+        rec = known.get(p)
+        u, prov = u_map.get(p, (1, "default-assumption"))
+        if rec is not None and (rec.get("u"), rec.get("u_provenance"), rec.get("tool_version")) == (
+            u, prov, __version__
+        ):
+            return rec
+        return scan_record(p, u_map)
 
     if args.threads > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -96,7 +104,7 @@ def cmd_scan(args, u_map) -> Tuple[List[Dict[str, Any]], str, int]:
     if cache is not None:
         try:
             for r in records:
-                if r["p"] not in known:
+                if known.get(r["p"]) is not r:
                     cache.append(r)
         except OSError as e:
             raise UsageError(f"cannot write cache: {e}")
@@ -157,8 +165,16 @@ def cmd_table1(args, u_map) -> Tuple[List[Dict[str, Any]], str, int]:
     return results, status, 1 if any_mismatch else 0
 
 
+def _classify_arg(d: int) -> PureCubicField:
+    """classify(d) for a --d argument; a d that names no pure cubic field is a usage error."""
+    try:
+        return classify(d)
+    except ValueError as e:
+        raise UsageError(f"--d {d}: {e}")
+
+
 def cmd_split(args, u_map) -> Tuple[List[Dict[str, Any]], str, int]:
-    F = classify(args.d)
+    F = _classify_arg(args.d)
     q = args.q
     if not isprime(q):
         raise UsageError("--q must be prime")
@@ -199,7 +215,7 @@ def cmd_symbols(args, u_map) -> Tuple[List[Dict[str, Any]], str, int]:
 
 
 def cmd_classgroup(args, u_map) -> Tuple[List[Dict[str, Any]], str, int]:
-    F = classify(args.d)
+    F = _classify_arg(args.d)
     try:
         cg = class_group(F, budget_seconds=args.budget)
     except BudgetExhausted as e:
@@ -329,14 +345,17 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        u_map = load_u_assignments(args.u_file)
+        try:
+            u_map = load_u_assignments(args.u_file)
+        except (OSError, ValueError, KeyError, TypeError) as e:
+            raise UsageError(f"cannot read u assignments: {type(e).__name__}: {e}")
         results, status, code = args.func(args, u_map)
-    except UsageError as e:
+    except (UsageError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    except ValueError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
     doc = {
         "tool_version": __version__,
         "command": args.command,

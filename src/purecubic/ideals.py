@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 from sympy import isprime
 
 from .cubicfield import PureCubicField, split_in_gamma
-from .zlinalg import IntMatrix, hnf, lll_reduce
+from .zlinalg import IntMatrix, _xgcd, lll_reduce
 
 
 @dataclass(frozen=True)
@@ -46,12 +46,44 @@ class ElementGamma:
 
 
 def _lattice_hnf(vectors: List[Tuple[int, int, int]]) -> Tuple[Tuple[int, ...], ...]:
-    M = IntMatrix.from_rows([list(v) for v in vectors])
-    H, _ = hnf(M)
-    rows = [H.row(i) for i in range(H.rows) if any(H.row(i))]
-    if len(rows) != 3:
-        raise ValueError("generators do not span a full-rank lattice")
-    return tuple(rows)
+    """Canonical row HNF of the Z-span of `vectors`: upper triangular, positive
+    pivots, entries above a pivot in [0, pivot) -- the nonzero rows of
+    `zlinalg.hnf`, found by extended-gcd elimination one column at a time
+    with no transform (Cohen, GTM 138, 2.4.3)."""
+    rows = [list(v) for v in vectors]
+    basis: List[List[int]] = []
+    for c in range(3):
+        piv: Optional[List[int]] = None
+        rest = []
+        for v in rows:
+            x = v[c]
+            if x and piv is None:
+                piv = v
+                continue
+            if x and x % piv[c] == 0:
+                q = x // piv[c]
+                v = [z - q * y for y, z in zip(piv, v)]
+            elif x:
+                # unimodular [[s, t], [-x/g, p/g]] on (piv, v): piv gets g, v gets 0
+                g, s, t = _xgcd(piv[c], x)
+                a, b = piv[c] // g, x // g
+                piv, v = (
+                    [s * y + t * z for y, z in zip(piv, v)],
+                    [a * z - b * y for y, z in zip(piv, v)],
+                )
+            if any(v):
+                rest.append(v)
+        if piv is None:
+            raise ValueError("generators do not span a full-rank lattice")
+        basis.append(piv if piv[c] > 0 else [-y for y in piv])
+        rows = rest
+    for j in (1, 2):
+        h = basis[j]
+        for i in range(j):
+            q = basis[i][j] // h[j]
+            if q:
+                basis[i] = [y - q * z for y, z in zip(basis[i], h)]
+    return tuple(tuple(r) for r in basis)
 
 
 @dataclass(frozen=True)

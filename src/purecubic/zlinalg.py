@@ -333,32 +333,31 @@ class HNFLattice:
 
 
 def lll_reduce(basis: Sequence[Sequence[int]]) -> List[List[int]]:
-    """LLL-reduce a basis of row vectors (standard inner product, delta=3/4).
+    """LLL-reduce a basis of linearly independent row vectors (standard inner
+    product, delta=3/4).
 
-    Exact rational Gram-Schmidt; intended for the tiny (3-dimensional)
-    ideal lattices, where it keeps generator searches over small boxes.
+    Exact rational Gram-Schmidt coefficients mu and squared lengths of the
+    Gram-Schmidt vectors, computed once and then updated after each
+    size-reduction step and swap (Cohen, GTM 138, Alg. 2.6.3); intended for
+    the tiny (3-dimensional) ideal lattices, where it keeps generator
+    searches over small boxes.
     """
     b = [list(map(int, row)) for row in basis]
     n = len(b)
-
-    def gso():
-        mu = [[Fraction(0) for _ in range(n)] for _ in range(n)]
-        bs = []
-        norms = []
-        for i in range(n):
-            v = [Fraction(x) for x in b[i]]
-            for j in range(i):
-                if norms[j] == 0:
-                    mu[i][j] = Fraction(0)
-                    continue
-                mu[i][j] = sum(Fraction(b[i][k]) * bs[j][k] for k in range(len(v))) / norms[j]
-                v = [v[k] - mu[i][j] * bs[j][k] for k in range(len(v))]
-            bs.append(v)
-            norms.append(sum(x * x for x in v))
-        return mu, norms
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    norms: List[Fraction] = []
+    bs: List[List[Fraction]] = []
+    for i in range(n):
+        v = [Fraction(x) for x in b[i]]
+        for j in range(i):
+            mu[i][j] = sum(x * y for x, y in zip(b[i], bs[j])) / norms[j]
+            v = [x - mu[i][j] * y for x, y in zip(v, bs[j])]
+        bs.append(v)
+        norms.append(sum(x * x for x in v))
+        if norms[i] == 0:
+            raise ValueError("basis rows are linearly dependent")
 
     k = 1
-    mu, norms = gso()
     guard = 0
     while k < n:
         guard += 1
@@ -368,11 +367,23 @@ def lll_reduce(basis: Sequence[Sequence[int]]) -> List[List[int]]:
             q = round(mu[k][j])
             if q:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                mu, norms = gso()
-        if norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]:
+                mu[k][j] -= q
+                for i in range(j):
+                    mu[k][i] -= q * mu[j][i]
+        m = mu[k][k - 1]
+        if norms[k] >= (Fraction(3, 4) - m ** 2) * norms[k - 1]:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]
-            mu, norms = gso()
+            for j in range(k - 1):
+                mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
+            B = norms[k] + m * m * norms[k - 1]
+            mu[k][k - 1] = m * norms[k - 1] / B
+            norms[k] = norms[k - 1] * norms[k] / B
+            norms[k - 1] = B
+            for i in range(k + 1, n):
+                t = mu[i][k]
+                mu[i][k] = mu[i][k - 1] - m * t
+                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
             k = max(k - 1, 1)
     return b

@@ -1,6 +1,8 @@
 """Class group computation and the sextic-closure structure decision."""
 
+import gc
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from sympy import primerange
@@ -17,7 +19,7 @@ from purecubic.classgroup import (
     relation_row,
 )
 from purecubic.cubicfield import classify
-from purecubic.ideals import ElementGamma
+from purecubic.ideals import ElementGamma, IdealHNF, ideal_of_element, ideal_power, mul, valuation
 
 
 def test_minkowski_bound_values():
@@ -67,6 +69,60 @@ def test_relation_row_rejects_rough_norm():
     fb = build_factor_base(F)
     # 101 is prime and beyond the bound, so (101, 0, 0) is not smooth
     assert relation_row(F, fb, ElementGamma(F, 101, 0, 0)) is None
+
+
+def _valuation_row(F, fb, alpha):
+    """Reference relation row: a full valuation per smooth prime, no cached powers."""
+    n = alpha.norm()
+    if n == 0:
+        return None
+    rest = abs(n)
+    for q in sorted({p.q for p in fb.primes}):
+        while rest % q == 0:
+            rest //= q
+    if rest != 1:
+        return None
+    ideal = ideal_of_element(alpha)
+    row = [valuation(ideal, p.ideal) if abs(n) % p.q == 0 else 0 for p in fb.primes]
+    acc = 1
+    for p, r in zip(fb.primes, row):
+        acc *= (p.q ** p.f) ** r
+    if acc != abs(n):
+        return None
+    prod = IdealHNF.unit_ideal(F)
+    for p, r in zip(fb.primes, row):
+        if r:
+            prod = mul(prod, ideal_power(p.ideal, r))
+    assert prod == ideal
+    return row
+
+
+@pytest.mark.parametrize("d", [7, 487])
+def test_relation_row_matches_valuation_loop(d):
+    F = classify(d)
+    fb = build_factor_base(F)
+    rows = 0
+    for alpha in islice(_element_stream(F), 200):
+        row = relation_row(F, fb, alpha)
+        assert row == _valuation_row(F, fb, alpha), alpha.coords()
+        rows += row is not None
+    assert rows > 20
+
+
+def test_factor_bases_built_alternately_give_fresh_rows():
+    # each factor base owns its prime powers; a cache that outlived one (say,
+    # keyed on its id) would hand stale powers to the next
+    fields = [classify(28), classify(487)]
+    fresh = {}
+    for F in fields:
+        fb = build_factor_base(F)
+        fresh[F.d] = [relation_row(F, fb, a) for a in islice(_element_stream(F), 120)]
+        del fb
+    for F in fields * 3:
+        gc.collect()
+        fb = build_factor_base(F)
+        assert [relation_row(F, fb, a) for a in islice(_element_stream(F), 120)] == fresh[F.d]
+        del fb
 
 
 @pytest.mark.parametrize("d,h", [(2, 1), (3, 1), (5, 1), (7, 3)])

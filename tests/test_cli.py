@@ -62,6 +62,26 @@ def test_scan_cache_resume(capsys, tmp_path):
     assert len(open(cache).read().splitlines()) == n_lines  # no duplicates
 
 
+def test_scan_cache_recomputes_records_with_another_u(capsys, tmp_path):
+    cache = str(tmp_path / "scan.jsonl")
+    _, doc = run_json(capsys, "--cache", cache, "scan", "--max-p", "500")
+    n_lines = len(open(cache).read().splitlines())
+    rec = next(r for r in doc["results"] if r["p"] == 487)
+    assert (rec["u"], rec["u_provenance"]) == (1, "literature")
+    ufile = tmp_path / "u.json"
+    ufile.write_text(json.dumps({"records": [{"p": 487, "u": 3, "provenance": "override"}]}))
+    _, doc2 = run_json(capsys, "--cache", cache, "--u-file", str(ufile), "scan", "--max-p", "500")
+    rec2 = next(r for r in doc2["results"] if r["p"] == 487)
+    assert (rec2["u"], rec2["u_provenance"]) == (3, "override")
+    # every other kept prime defaults now instead of reading the bundled file
+    changed = [r["p"] for r in doc["results"] if r["u_provenance"] != "default-assumption"]
+    assert len(open(cache).read().splitlines()) == n_lines + len(changed)
+    # the appended records win when the cache is read back
+    _, doc3 = run_json(capsys, "--cache", cache, "--u-file", str(ufile), "scan", "--max-p", "500")
+    assert doc3["results"] == doc2["results"]
+    assert len(open(cache).read().splitlines()) == n_lines + len(changed)
+
+
 def test_scan_threads_deterministic(capsys, tmp_path):
     _, doc1 = run_json(capsys, "scan", "--max-p", "400")
     _, doc4 = run_json(capsys, "--threads", "4", "scan", "--max-p", "400")
@@ -173,3 +193,26 @@ def test_unreadable_cache_is_usage_error(capsys, tmp_path):
     bad.write_text('{"p": 19}\nnot json\n{"p": 37}\n')
     code = main(["--cache", str(bad), "scan", "--max-p", "100"])
     assert code == 2
+
+
+def test_field_that_is_not_cube_free_is_usage_error(capsys):
+    assert main(["classgroup", "--d", "8"]) == 2
+    assert main(["split", "--d", "54", "--q", "5"]) == 2
+    assert "not cube-free" in capsys.readouterr().err
+
+
+def test_malformed_u_file_is_usage_error(capsys, tmp_path):
+    ufile = tmp_path / "u.json"
+    for text in ("not json", '{"records": [{"p": 199}]}', '{"records": [{"p": 199, "u": "x"}]}'):
+        ufile.write_text(text)
+        assert main(["--u-file", str(ufile), "symbols", "--p", "199"]) == 2
+    assert main(["--u-file", str(tmp_path / "missing.json"), "symbols", "--p", "199"]) == 2
+
+
+def test_internal_value_error_exits_3(capsys, monkeypatch):
+    def fault(*args, **kwargs):
+        raise ValueError("lattice dimension must be positive")
+
+    monkeypatch.setattr("purecubic.cli.class_group", fault)
+    assert main(["classgroup", "--d", "7"]) == 3
+    assert "internal error: lattice dimension must be positive" in capsys.readouterr().err

@@ -1,6 +1,8 @@
 """Ideal arithmetic in HNF representation: primes above q, valuations, quotients."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import primerange
 
 from purecubic import classgroup
@@ -8,6 +10,7 @@ from purecubic.cubicfield import PureCubicField, classify, split_in_gamma
 from purecubic.ideals import (
     ElementGamma,
     IdealHNF,
+    _lattice_hnf,
     class_inverse_representative,
     ideal_of_element,
     ideal_power,
@@ -17,7 +20,7 @@ from purecubic.ideals import (
     primes_above,
     valuation,
 )
-from purecubic.zlinalg import lll_reduce
+from purecubic.zlinalg import IntMatrix, hnf, lll_reduce
 
 
 def test_unit_ideal():
@@ -172,3 +175,34 @@ def test_from_generators_rejects_degenerate():
     F = classify(2)
     with pytest.raises(ValueError):
         ideal_of_element(ElementGamma(F, 0, 0, 0))
+
+
+def _hnf_rows(vectors):
+    """Reference: the nonzero rows of zlinalg.hnf, which also builds the transform."""
+    H, _ = hnf(IntMatrix.from_rows([list(v) for v in vectors]))
+    rows = tuple(H.row(i) for i in range(H.rows) if any(H.row(i)))
+    if len(rows) != 3:
+        raise ValueError("generators do not span a full-rank lattice")
+    return rows
+
+
+vec3 = st.tuples(*[st.integers(-40, 40)] * 3)
+
+
+@given(
+    st.lists(vec3, min_size=1, max_size=9),
+    st.sampled_from([None, (0, 0), (1, -2), (3, 1)]),
+)
+@settings(max_examples=300, deadline=None)
+def test_lattice_hnf_matches_zlinalg_hnf(vectors, plane):
+    if plane is not None:
+        # force rank <= 2: every vector in the plane z = a*x + b*y
+        a, b = plane
+        vectors = [(x, y, a * x + b * y) for x, y, _ in vectors]
+    try:
+        expected = _hnf_rows(vectors)
+    except ValueError:
+        with pytest.raises(ValueError):
+            _lattice_hnf(vectors)
+        return
+    assert _lattice_hnf(vectors) == expected

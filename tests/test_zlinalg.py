@@ -4,9 +4,12 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from purecubic import classgroup, ideals
+from purecubic.cubicfield import classify
 from purecubic.zlinalg import HNFLattice, IntMatrix, det, hnf, kernel, lll_reduce, snf
 
 small_entries = st.integers(min_value=-30, max_value=30)
@@ -184,6 +187,73 @@ def test_lll_preserves_lattice(rows):
         assert _in_lattice(rows, v)
     for v in rows:
         assert _in_lattice(red, v)
+
+
+def _gso_lll(basis):
+    """Reference LLL: the whole Gram-Schmidt recomputed after every step."""
+    b = [list(map(int, row)) for row in basis]
+    n = len(b)
+
+    def gso():
+        mu = [[Fraction(0) for _ in range(n)] for _ in range(n)]
+        bs = []
+        norms = []
+        for i in range(n):
+            v = [Fraction(x) for x in b[i]]
+            for j in range(i):
+                mu[i][j] = sum(Fraction(b[i][k]) * bs[j][k] for k in range(len(v))) / norms[j]
+                v = [v[k] - mu[i][j] * bs[j][k] for k in range(len(v))]
+            bs.append(v)
+            norms.append(sum(x * x for x in v))
+        return mu, norms
+
+    k = 1
+    mu, norms = gso()
+    guard = 0
+    while k < n:
+        guard += 1
+        if guard > 10000:
+            break
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                mu, norms = gso()
+        if norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            mu, norms = gso()
+            k = max(k - 1, 1)
+    return b
+
+
+@given(st.lists(st.lists(st.integers(-300, 300), min_size=3, max_size=3),
+                min_size=3, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_lll_matches_gso_recomputation(rows):
+    if det(IntMatrix.from_rows(rows)) == 0:
+        with pytest.raises(ValueError):
+            lll_reduce(rows)
+        return
+    assert lll_reduce(rows) == _gso_lll(rows)
+
+
+@pytest.mark.parametrize("d", [7, 11])
+def test_lll_matches_gso_recomputation_on_oracle_ideals(d, monkeypatch):
+    bases = []
+
+    def recording(basis):
+        bases.append([list(r) for r in basis])
+        return lll_reduce(basis)
+
+    monkeypatch.setattr(ideals, "lll_reduce", recording)
+    F = classify(d)
+    fb = classgroup.build_factor_base(F)
+    classgroup._oracle_class_number(F, fb, search_bound=12, deadline=float("inf"))
+    assert len(bases) > 20
+    for basis in bases:
+        assert lll_reduce(basis) == _gso_lll(basis)
 
 
 def _in_lattice(basis, v):
