@@ -248,7 +248,12 @@ def cmd_model_check(args, u_map) -> Tuple[List[Dict[str, Any]], str, int]:
         if name not in toggles:
             raise UsageError(f"unknown constraint: {name}")
         toggles[name] = False
-    rep = full_report(ModelConstraints(**toggles))
+    constraints = ModelConstraints(**toggles)
+    try:
+        rep = full_report(constraints)
+    except ArithmeticError as e:
+        row = {"constraints": asdict(constraints), "status": "mismatch", "reason": str(e)}
+        return [row], "mismatch", 1
     doc: Dict[str, Any] = {
         "constraints": asdict(rep.constraints),
         "model_count": rep.model_count,

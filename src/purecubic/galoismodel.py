@@ -11,8 +11,8 @@ harness is to see which constraints force which conclusions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product as iproduct
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 
@@ -40,7 +40,7 @@ class Elem93:
         for n in (1, 3, 9):
             if (self.x * n) % 9 == 0 and (self.y * n) % 3 == 0:
                 return n
-        raise AssertionError
+        raise ArithmeticError(f"{self} has no order dividing 9")
 
 
 ZERO93 = Elem93(0, 0)
@@ -49,20 +49,53 @@ E2 = Elem93(0, 1)
 ALL_ELEMS: Tuple[Elem93, ...] = tuple(Elem93(x, y) for x in range(9) for y in range(3))
 
 
-def span(gens: Iterable[Elem93]) -> FrozenSet[Elem93]:
-    out = {ZERO93}
-    frontier = [ZERO93]
+# The integer kernel: element (x, y) is index 3x + y, its position in
+# ALL_ELEMS and in sorted(ALL_ELEMS); a subset is a 27-bit mask over the
+# indices.  Every internal loop runs on these tables.
+def _index(x: int, y: int) -> int:
+    return 3 * (x % 9) + y % 3
+
+
+_INDEX: Dict[Elem93, int] = {g: i for i, g in enumerate(ALL_ELEMS)}
+_IDENTITY = tuple(range(27))
+_XY = tuple(divmod(i, 3) for i in _IDENTITY)
+_ADD = tuple(tuple(_index(x + u, y + v) for u, v in _XY) for x, y in _XY)
+_NEG = tuple(_index(-x, -y) for x, y in _XY)
+_SCALE = tuple(tuple(_index(k * x, k * y) for x, y in _XY) for k in range(9))
+_ORDER = tuple(g.order() for g in ALL_ELEMS)
+_WHOLE = (1 << 27) - 1
+
+
+def _mask(indices: Iterable[int]) -> int:
+    out = 0
+    for i in indices:
+        out |= 1 << i
+    return out
+
+
+def _members(mask: int) -> List[int]:
+    return [i for i in _IDENTITY if mask >> i & 1]
+
+
+def _elems(mask: int) -> FrozenSet[Elem93]:
+    return frozenset(ALL_ELEMS[i] for i in _members(mask))
+
+
+def _span_mask(gens: Iterable[int]) -> int:
     gl = list(gens)
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gl:
-                s = g + h
-                if s not in out:
-                    out.add(s)
-                    nxt.append(s)
-        frontier = nxt
-    return frozenset(out)
+    out, frontier = 1, [0]
+    for g in frontier:  # grows while it is walked: a breadth-first closure
+        row = _ADD[g]
+        for h in gl:
+            s = row[h]
+            if not out >> s & 1:
+                out |= 1 << s
+                frontier.append(s)
+    return out
+
+
+def span(gens: Iterable[Elem93]) -> FrozenSet[Elem93]:
+    return _elems(_span_mask(_INDEX[g] for g in gens))
 
 
 @dataclass(frozen=True, order=True)
@@ -70,36 +103,55 @@ class Endo93:
     """Endomorphism of Z/9 x Z/3 given by generator images.
 
     Well-definedness requires 3 * image(e2) = 0, i.e. the x-component of
-    e2_img lies in {0, 3, 6}.
+    e2_img lies in {0, 3, 6}.  `images` is the image of every element
+    index, computed once; it takes no part in equality, order or hashing.
     """
 
     e1_img: Elem93
     e2_img: Elem93
+    images: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.e2_img.x % 3 != 0:
             raise ValueError("image of e2 must be killed by 3")
+        a, b = _INDEX[self.e1_img], _INDEX[self.e2_img]
+        object.__setattr__(self, "images", tuple(
+            _ADD[_SCALE[x][a]][_SCALE[y][b]] for x, y in _XY))
 
     def apply(self, g: Elem93) -> Elem93:
-        return self.e1_img.scale(g.x) + self.e2_img.scale(g.y)
+        return ALL_ELEMS[self.images[_INDEX[g]]]
 
     def compose(self, other: "Endo93") -> "Endo93":
         return Endo93(self.apply(other.e1_img), self.apply(other.e2_img))
 
     def is_automorphism(self) -> bool:
-        return len({self.apply(g) for g in ALL_ELEMS}) == 27
+        return len(set(self.images)) == 27
 
 
 IDENTITY93 = Endo93(E1, E2)
 
 
+@lru_cache(maxsize=None)
+def _all_endos() -> Tuple[Endo93, ...]:
+    return tuple(Endo93(e1, e2) for e1 in ALL_ELEMS for e2 in ALL_ELEMS if e2.x % 3 == 0)
+
+
 def all_endos() -> List[Endo93]:
-    out = []
-    for e1 in ALL_ELEMS:
-        for e2 in ALL_ELEMS:
-            if e2.x % 3 == 0:
-                out.append(Endo93(e1, e2))
-    return out
+    """The 243 endomorphisms, built once on first use."""
+    return list(_all_endos())
+
+
+def _after(phi: Tuple[int, ...], psi: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Image table of phi o psi (psi first)."""
+    return tuple(phi[i] for i in psi)
+
+
+def _fixed_mask(phi: Tuple[int, ...]) -> int:
+    return _mask(i for i in _IDENTITY if phi[i] == i)
+
+
+def _negated_mask(phi: Tuple[int, ...]) -> int:
+    return _mask(i for i in _IDENTITY if phi[i] == _NEG[i])
 
 
 @dataclass(frozen=True)
@@ -127,6 +179,13 @@ class GaloisModel:
     csigma: FrozenSet[Elem93]  # ker(sigma - 1)
     genus: FrozenSet[Elem93]  # im(1 - sigma)
     s_invariant: int
+    # (cplus, cminus, csigma, genus) as index masks, for the claim checks
+    masks: Tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "masks", tuple(
+            _mask(_INDEX[g] for g in sub)
+            for sub in (self.cplus, self.cminus, self.csigma, self.genus)))
 
     def encoding(self) -> Tuple[int, ...]:
         return (
@@ -137,35 +196,27 @@ class GaloisModel:
         )
 
 
-def _one_minus(phi: Endo93) -> Endo93:
-    return Endo93(E1 + (-phi.e1_img), E2 + (-phi.e2_img))
+def _one_minus(phi: Tuple[int, ...]) -> Tuple[int, ...]:
+    return tuple(_ADD[i][_NEG[phi[i]]] for i in _IDENTITY)
 
 
-def _image(phi: Endo93) -> FrozenSet[Elem93]:
-    return frozenset(phi.apply(g) for g in ALL_ELEMS)
-
-
-def _s_invariant(sigma: Endo93, csigma: FrozenSet[Elem93]) -> int:
+def _s_invariant(sigma: Tuple[int, ...], csigma: int) -> int:
     """Largest s with ker(sigma-1) contained in im((1-sigma)^(s-1))."""
     one_minus = _one_minus(sigma)
-    power = IDENTITY93
-    s = 0
-    while True:
-        if not csigma <= _image(power):
+    power = _IDENTITY
+    for s in range(28):  # images stabilize long before this
+        if csigma & ~_mask(power):
             return s
-        s += 1
-        power = one_minus.compose(power)
-        if s > 27:  # images stabilize long before this
-            raise AssertionError("s-invariant did not terminate")
+        power = _after(one_minus, power)
+    raise ArithmeticError("s-invariant did not terminate")
 
 
 def _derive(sigma: Endo93, tau: Endo93) -> GaloisModel:
-    cplus = frozenset(g for g in ALL_ELEMS if tau.apply(g) == g)
-    cminus = frozenset(g for g in ALL_ELEMS if tau.apply(g) == -g)
-    csigma = frozenset(g for g in ALL_ELEMS if sigma.apply(g) == g)
-    genus = _image(_one_minus(sigma))
-    return GaloisModel(sigma, tau, cplus, cminus, csigma, genus,
-                       _s_invariant(sigma, csigma))
+    S, T = sigma.images, tau.images
+    csigma = _fixed_mask(S)
+    return GaloisModel(sigma, tau, _elems(_fixed_mask(T)), _elems(_negated_mask(T)),
+                       _elems(csigma), _elems(_mask(_one_minus(S))),
+                       _s_invariant(S, csigma))
 
 
 def _is_cyclic(sub: FrozenSet[Elem93]) -> bool:
@@ -176,27 +227,20 @@ def _is_cyclic(sub: FrozenSet[Elem93]) -> bool:
 def verify_model(m: GaloisModel, c: ModelConstraints) -> bool:
     """Element-by-element re-check of every toggled constraint.
 
-    Deliberately independent of the shortcuts used during enumeration.
+    Deliberately independent of the shortcuts used during enumeration: the
+    identities are checked on all 27 elements, not on generators only.
     """
-    s, t = m.sigma, m.tau
-    if c.sigma_cubed_identity:
-        for g in ALL_ELEMS:
-            if s.apply(s.apply(s.apply(g))) != g:
-                return False
-    if c.tau_squared_identity:
-        for g in ALL_ELEMS:
-            if t.apply(t.apply(g)) != g:
-                return False
-    if c.automorphisms and not (s.is_automorphism() and t.is_automorphism()):
+    S, T = m.sigma.images, m.tau.images
+    if c.sigma_cubed_identity and any(S[S[S[g]]] != g for g in _IDENTITY):
         return False
-    if c.dihedral_relation:
-        for g in ALL_ELEMS:
-            if t.apply(s.apply(t.apply(g))) != s.apply(s.apply(g)):
-                return False
-    if c.norm_annihilates:
-        for g in ALL_ELEMS:
-            if g + s.apply(g) + s.apply(s.apply(g)) != ZERO93:
-                return False
+    if c.tau_squared_identity and any(T[T[g]] != g for g in _IDENTITY):
+        return False
+    if c.automorphisms and not (m.sigma.is_automorphism() and m.tau.is_automorphism()):
+        return False
+    if c.dihedral_relation and any(T[S[T[g]]] != S[S[g]] for g in _IDENTITY):
+        return False
+    if c.norm_annihilates and any(_ADD[_ADD[g][S[g]]][S[S[g]]] for g in _IDENTITY):
+        return False
     if c.ambiguous_order_3 and len(m.csigma) != 3:
         return False
     if c.cplus_cyclic_9 and not (len(m.cplus) == 9 and _is_cyclic(m.cplus)):
@@ -213,53 +257,55 @@ def verify_model(m: GaloisModel, c: ModelConstraints) -> bool:
 def enumerate_models(constraints: Optional[ModelConstraints] = None) -> List[GaloisModel]:
     """All consistent (sigma, tau) pairs, sorted by canonical encoding."""
     c = constraints if constraints is not None else ModelConstraints()
-    endos = all_endos()
+    endos = _all_endos()
 
-    def sigma_ok(s: Endo93) -> bool:
-        if c.sigma_cubed_identity and s.compose(s).compose(s) != IDENTITY93:
+    def sigma_ok(S: Tuple[int, ...]) -> bool:
+        S2 = _after(S, S)
+        if c.sigma_cubed_identity and _after(S, S2) != _IDENTITY:
             return False
-        if c.automorphisms and not s.is_automorphism():
+        if c.automorphisms and len(set(S)) != 27:
             return False
         if c.norm_annihilates:
-            s2 = s.compose(s)
-            for g in (E1, E2):  # additive identities extend from generators
-                if g + s.apply(g) + s2.apply(g) != ZERO93:
+            for g in (3, 1):  # E1, E2: additive identities extend from generators
+                if _ADD[_ADD[g][S[g]]][S2[g]]:
                     return False
-        if c.ambiguous_order_3:
-            if sum(1 for g in ALL_ELEMS if s.apply(g) == g) != 3:
-                return False
+        if c.ambiguous_order_3 and _fixed_mask(S).bit_count() != 3:
+            return False
         return True
 
-    def tau_ok(t: Endo93) -> bool:
-        if c.tau_squared_identity and t.compose(t) != IDENTITY93:
+    def tau_ok(T: Tuple[int, ...]) -> bool:
+        if c.tau_squared_identity and _after(T, T) != _IDENTITY:
             return False
-        if c.automorphisms and not t.is_automorphism():
+        if c.automorphisms and len(set(T)) != 27:
             return False
         if c.cplus_cyclic_9:
-            fix = frozenset(g for g in ALL_ELEMS if t.apply(g) == g)
-            if not (len(fix) == 9 and _is_cyclic(fix)):
+            fix = _members(_fixed_mask(T))
+            if not (len(fix) == 9 and any(_ORDER[g] == 9 for g in fix)):
                 return False
-        if c.cminus_order_3:
-            if sum(1 for g in ALL_ELEMS if t.apply(g) == -g) != 3:
-                return False
+        if c.cminus_order_3 and _negated_mask(T).bit_count() != 3:
+            return False
         return True
 
-    sigmas = [s for s in endos if sigma_ok(s)]
-    taus = [t for t in endos if tau_ok(t)]
+    sigmas = [s for s in endos if sigma_ok(s.images)]
+    taus = [(t, t.images, _fixed_mask(t.images), _negated_mask(t.images))
+            for t in endos if tau_ok(t.images)]
     out = []
     for s in sigmas:
-        s2 = s.compose(s)
-        for t in taus:
-            if c.dihedral_relation and t.compose(s).compose(t) != s2:
+        S = s.images
+        s2 = _after(S, S)
+        csigma = _fixed_mask(S)
+        for t, T, cplus, cminus in taus:
+            if c.dihedral_relation and _after(T, _after(S, T)) != s2:
+                continue
+            if c.csigma_in_cplus and csigma & ~cplus:
+                continue
+            if c.csigma_meets_cminus_trivially and csigma & cminus != 1:
                 continue
             m = _derive(s, t)
-            if c.csigma_in_cplus and not m.csigma <= m.cplus:
-                continue
-            if c.csigma_meets_cminus_trivially and m.csigma & m.cminus != {ZERO93}:
-                continue
             # double-entry: the independent checker must agree
             if not verify_model(m, c):
-                raise AssertionError("enumeration filter and verifier disagree")
+                raise ArithmeticError(
+                    f"enumeration filter and verifier disagree on model {m.encoding()}")
             out.append(m)
     out.sort(key=GaloisModel.encoding)
     return out
@@ -277,10 +323,6 @@ def explicit_model() -> GaloisModel:
     return _derive(sigma, tau)
 
 
-def _order9_generators(cplus: FrozenSet[Elem93]) -> List[Elem93]:
-    return sorted(g for g in cplus if g.order() == 9)
-
-
 def check_prop_claims(m: GaloisModel) -> Dict[str, bool]:
     """Exact evaluation of the ambiguous-subgroup / genus claims.
 
@@ -290,36 +332,37 @@ def check_prop_claims(m: GaloisModel) -> Dict[str, bool]:
     (each exponent, universally or existentially quantified over A) are
     evaluated separately.
     """
-    sigma = m.sigma
+    sigma = m.sigma.images
     one_minus = _one_minus(sigma)
-    gens9 = _order9_generators(m.cplus)
-    cminus_gens = [g for g in m.cminus if g != ZERO93]
+    cplus, cminus, csigma, genus = m.masks
+    gens9 = [g for g in _members(cplus) if _ORDER[g] == 9]
+    cminus_gens = [b for b in _members(cminus) if b]  # index 0 is the zero element
 
     claims: Dict[str, bool] = {}
-    claims["i_csigma_in_cplus"] = m.csigma <= m.cplus
+    claims["i_csigma_in_cplus"] = not csigma & ~cplus
     claims["ii_csigma_is_cube_of_any_cplus_generator"] = bool(gens9) and all(
-        span([a.scale(3)]) == m.csigma for a in gens9
+        _span_mask([_SCALE[3][a]]) == csigma for a in gens9
     )
     claims["iii_csigma_from_any_cminus_generator"] = bool(cminus_gens) and all(
-        span([one_minus.apply(b)]) == m.csigma for b in cminus_gens
+        _span_mask([one_minus[b]]) == csigma for b in cminus_gens
     )
 
-    def minus_one_reading(a: Elem93) -> Elem93:
-        return sigma.apply(a.scale(2)) + (-a.scale(2))
+    def minus_one_reading(a: int) -> int:
+        a2 = _SCALE[2][a]
+        return _ADD[sigma[a2]][_NEG[a2]]
 
-    def one_minus_reading(a: Elem93) -> Elem93:
-        return one_minus.apply(a.scale(2))
+    def one_minus_reading(a: int) -> int:
+        return one_minus[_SCALE[2][a]]
 
     for label, f in (("sigma_minus_1", minus_one_reading), ("1_minus_sigma", one_minus_reading)):
-        hits = [span([f(a)]) == m.cminus for a in gens9]
+        hits = [_span_mask([f(a)]) == cminus for a in gens9]
         claims[f"iv_{label}_forall_A"] = bool(hits) and all(hits)
         claims[f"iv_{label}_exists_A"] = any(hits)
 
-    prod = span(list(m.csigma) + list(m.cminus))
     claims["v_genus_is_csigma_times_cminus_type_3_3"] = (
-        m.genus == prod
+        genus == _span_mask(_members(csigma | cminus))
         and len(m.genus) == 9
-        and all(g.scale(3) == ZERO93 for g in m.genus)
+        and all(_SCALE[3][g] == 0 for g in _members(genus))
     )
     claims["vi_s_equals_3"] = m.s_invariant == 3
     return claims
@@ -335,35 +378,33 @@ class Frame:
 
 
 def enumerate_frames(m: GaloisModel) -> List[Frame]:
+    S, T = m.sigma.images, m.tau.images
     out = []
-    for x in sorted(ALL_ELEMS):
-        if x.order() != 9 or m.tau.apply(x) != x:
+    for x in _IDENTITY:  # index order is sorted(ALL_ELEMS) order
+        if _ORDER[x] != 9 or T[x] != x:
             continue
-        y = m.sigma.apply(x)
-        w = m.sigma.apply(y)
+        y = S[x]
+        w = S[y]
         # forced by 1 + sigma + sigma^2 = 0, but verified rather than assumed
-        if x + y + w != ZERO93:
+        if _ADD[_ADD[x][y]][w]:
             continue
-        out.append(Frame(x, y, w))
+        out.append(Frame(ALL_ELEMS[x], ALL_ELEMS[y], ALL_ELEMS[w]))
     return out
 
 
 def check_theorem_claims(m: GaloisModel, f: Frame) -> Dict[str, bool]:
     """The main generator claims and their corollary companions, in a frame."""
-    x, y, w = f.X, f.Y, f.W
-    xy2 = x + y.scale(2)
-    whole = frozenset(ALL_ELEMS)
+    x, y, w = _INDEX[f.X], _INDEX[f.Y], _INDEX[f.W]
+    cplus, cminus, csigma, genus = m.masks
+    xy2 = _ADD[x][_SCALE[2][y]]
+    cube = _SCALE[3]
     c3 = {
-        "a_X_generates_cplus": x.order() == 9 and span([x]) == m.cplus,
-        "b_XY2_order_3_in_cminus": xy2.order() == 3 and xy2 in m.cminus,
-        "c_X_and_XY2_generate_group": span([x, xy2]) == whole,
-        "cor5_Y_and_YW2_generate_group": span([y, y + w.scale(2)]) == whole,
-        "cor6_csigma_is_cubes": (
-            span([x.scale(3)]) == m.csigma
-            and span([y.scale(3)]) == m.csigma
-            and span([w.scale(3)]) == m.csigma
-        ),
-        "cor7_genus_from_X3_and_XY2": span([x.scale(3), xy2]) == m.genus,
+        "a_X_generates_cplus": _ORDER[x] == 9 and _span_mask([x]) == cplus,
+        "b_XY2_order_3_in_cminus": _ORDER[xy2] == 3 and bool(cminus >> xy2 & 1),
+        "c_X_and_XY2_generate_group": _span_mask([x, xy2]) == _WHOLE,
+        "cor5_Y_and_YW2_generate_group": _span_mask([y, _ADD[y][_SCALE[2][w]]]) == _WHOLE,
+        "cor6_csigma_is_cubes": all(_span_mask([cube[g]]) == csigma for g in (x, y, w)),
+        "cor7_genus_from_X3_and_XY2": _span_mask([cube[x], xy2]) == genus,
     }
     return c3
 

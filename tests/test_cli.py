@@ -170,6 +170,18 @@ def test_model_check_relaxed(capsys):
     assert rec["model_count"] >= 18
 
 
+def test_model_check_verifier_disagreement_is_a_mismatch_row(capsys, monkeypatch):
+    monkeypatch.setattr("purecubic.galoismodel.verify_model", lambda m, c: False)
+    code, out = run(capsys, "model-check")
+    assert code == 1
+    doc = json.loads(out)  # a report document, not a traceback
+    assert doc["status"] == "mismatch"
+    rec = doc["results"][0]
+    assert rec["status"] == "mismatch"
+    assert "enumeration filter and verifier disagree" in rec["reason"]
+    assert rec["constraints"]["dihedral_relation"] is True
+
+
 def test_csv_output(capsys):
     code, out = run(capsys, "--csv", "symbols", "--p", "199")
     assert code == 0
