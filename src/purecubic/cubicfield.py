@@ -17,7 +17,7 @@ from typing import Sequence, Tuple
 
 from sympy import factorint, isprime
 
-from .zlinalg import IntMatrix, det
+from .zlinalg import IntMatrix
 
 
 @dataclass(frozen=True)
@@ -140,63 +140,36 @@ class PureCubicField:
         )
 
     def element_trace(self, coords) -> int:
-        m = self.regular_representation(coords)
-        return m[0, 0] + m[1, 1] + m[2, 2]
+        return sum(self.mul_coords(coords, w)[i] for i, w in enumerate(_UNIT_VECTORS))
 
 
-def _build_table(a: int, b: int, glue: Tuple[int, int, int] | None):
+def _build_table(a: int, b: int, glue: Tuple[int, int] | None):
     """Multiplication table over the basis (1, theta, w2).
 
-    w2 = thetabar for the first kind, (g0 + g1*theta + g2*thetabar)/3 for
-    the second.  Returns (basis over (1,theta,theta^2), integer table) or
-    None if the glue lattice is not multiplicatively closed.
+    w2 = thetabar for the first kind, (g0 + g1*theta + thetabar)/3 for the
+    second.  Returns (basis over (1,theta,theta^2), integer table) or None
+    if the glue lattice is not multiplicatively closed.
     """
-    from fractions import Fraction
-
     mul_seed = _seed_table(a, b)
-    if glue is None:
-        basis = [(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, b)]
-        change = [[Fraction(1), 0, 0], [0, Fraction(1), 0], [0, 0, Fraction(1)]]
-    else:
-        g0, g1, g2 = glue
-        basis = [(1, 0, 0, 1), (0, 1, 0, 1), (b * g0, b * g1, g2, 3 * b)]
-        change = [
-            [Fraction(1), 0, 0],
-            [0, Fraction(1), 0],
-            [Fraction(g0, 3), Fraction(g1, 3), Fraction(g2, 3)],
-        ]
-    # coords over the new basis solve: sum_r c_r * change[r] = prod
-    inv_t = _invert3([[change[r][k] for r in range(3)] for k in range(3)])
+    # w2 = (g0 + g1*theta + thetabar)/m with m = 1 (first kind) or 3, so a
+    # product p over (1, theta, thetabar) has coords (p0 - g0*p2,
+    # p1 - g1*p2, m*p2) over (1, theta, w2).  `scaled` holds m*w_i over
+    # (1, theta, thetabar), which makes every product m^2 times too large.
+    (g0, g1), m = ((0, 0), 1) if glue is None else (glue, 3)
+    basis = ((1, 0, 0, 1), (0, 1, 0, 1), (b * g0, b * g1, 1, m * b))
+    scaled = ((m, 0, 0), (0, m, 0), (g0, g1, 1))
+    mm = m * m
     table = []
-    for i in range(3):
+    for u in scaled:
         row = []
-        for j in range(3):
-            prod = mul_seed(change[i], change[j])  # over (1, theta, thetabar)
-            coords = [sum(inv_t[r][c] * prod[c] for c in range(3)) for r in range(3)]
-            if any(x.denominator != 1 for x in coords):
+        for v in scaled:
+            p0, p1, p2 = mul_seed(u, v)
+            coords = (p0 - g0 * p2, p1 - g1 * p2, m * p2)
+            if any(c % mm for c in coords):
                 return None
-            row.append(tuple(int(x) for x in coords))
+            row.append(tuple(c // mm for c in coords))
         table.append(tuple(row))
-    return tuple(basis), tuple(table)
-
-
-def _invert3(m):
-    from fractions import Fraction
-
-    a = [[Fraction(m[i][j]) for j in range(3)] + [Fraction(int(i == j)) for j in range(3)]
-         for i in range(3)]
-    for c in range(3):
-        piv = next((r for r in range(c, 3) if a[r][c] != 0), None)
-        if piv is None:
-            raise ArithmeticError("singular change of basis")
-        a[c], a[piv] = a[piv], a[c]
-        inv_p = 1 / a[c][c]
-        a[c] = [x * inv_p for x in a[c]]
-        for r in range(3):
-            if r != c and a[r][c] != 0:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return [row[3:] for row in a]
+    return basis, tuple(table)
 
 
 def classify(d: int) -> PureCubicField:
@@ -218,7 +191,7 @@ def classify(d: int) -> PureCubicField:
         built = None
         for g0 in range(3):
             for g1 in range(3):
-                candidate = _build_table(a, b, (g0, g1, 1))
+                candidate = _build_table(a, b, (g0, g1))
                 if candidate is not None:
                     built = candidate
                     break
@@ -232,7 +205,7 @@ def classify(d: int) -> PureCubicField:
     gram = [
         [fld.element_trace(fld.mul_coords(u, v)) for v in _UNIT_VECTORS] for u in _UNIT_VECTORS
     ]
-    got = det(IntMatrix.from_rows(gram))
+    got = _det3(*gram)
     if got != expected_disc:
         raise ArithmeticError(f"discriminant mismatch for d={d}: {got} != {expected_disc}")
     return fld

@@ -16,8 +16,8 @@ from typing import List, Optional, Tuple
 
 from sympy import isprime
 
-from .cubicfield import PureCubicField, split_in_gamma
-from .zlinalg import IntMatrix, _xgcd, lll_reduce
+from .cubicfield import _UNIT_VECTORS, PureCubicField, split_in_gamma
+from .zlinalg import _xgcd, lll_reduce
 
 
 @dataclass(frozen=True)
@@ -93,16 +93,15 @@ class IdealHNF:
 
     @classmethod
     def from_generators(cls, field: PureCubicField, gens: List[ElementGamma]) -> "IdealHNF":
-        unit_vecs = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         vecs = []
         for g in gens:
-            for w in unit_vecs:
+            for w in _UNIT_VECTORS:
                 vecs.append(field.mul_coords(g.coords(), w))
         return cls(field, _lattice_hnf(vecs))
 
     @classmethod
     def unit_ideal(cls, field: PureCubicField) -> "IdealHNF":
-        return cls(field, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        return cls(field, _UNIT_VECTORS)
 
     @classmethod
     def from_integer(cls, field: PureCubicField, n: int) -> "IdealHNF":
@@ -177,7 +176,6 @@ def _poly_eval_theta(field: PureCubicField, coeffs: List[int]) -> ElementGamma:
 def _primes_above_generic(field: PureCubicField, q: int) -> List[Tuple[IdealHNF, int, int]]:
     """Primes above q via maximal ideals of O/qO; only used for tiny q | 3b."""
     q_ideal = IdealHNF.from_integer(field, q)
-    unit_vecs = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
     def span_closed(vectors):
         """HNF lattice of q*O + Z-span(vectors), closed under the ring action."""
@@ -188,7 +186,7 @@ def _primes_above_generic(field: PureCubicField, q: int) -> List[Tuple[IdealHNF,
             basis = _lattice_hnf(vecs)
             new = []
             for row in basis:
-                for w in unit_vecs:
+                for w in _UNIT_VECTORS:
                     prod = field.mul_coords(row, w)
                     tmp = IdealHNF(field, basis)
                     if not tmp.contains_vector(prod):
@@ -300,43 +298,38 @@ def is_principal_bounded(I: IdealHNF, search_bound: int = 8) -> Optional[Element
 
 
 def ideal_quotient(A: IdealHNF, B: IdealHNF) -> IdealHNF:
-    """(A : B) = {x in O : x*B within A}, as an ideal of O (assumes it is integral)."""
+    """(A : B) = {x in O : x*B within A}, as an ideal of O (assumes it is integral).
+
+    With n = N(A), x*b lies in A exactly when adj(H_A^T) * M_b * x == 0
+    (mod n), H_A the basis rows of A and M_b the matrix of multiplication by
+    b.  Those rows r, together with n*e_i, span a lattice L, and the
+    solutions are the x with r.x in nZ for every r in L: that is n*L*, the
+    columns of n*adj(H)/det(H) for the HNF H of L (Cohen, GTM 138, 4.8).
+    """
     if A.field != B.field:
         raise ValueError("ambient mismatch")
     field = A.field
     n = A.norm()
-    # x*b_j in A  <=>  adj(H_A) * M_j * x == 0 (mod det H_A)
-    HA = IntMatrix.from_rows([list(r) for r in A.basis]).transpose()  # columns = basis
-    adj = _adjugate3(HA)
-    rows = []
+    adj_a = _adjugate3([[A.basis[j][i] for j in range(3)] for i in range(3)])
+    rows = [(n, 0, 0), (0, n, 0), (0, 0, n)]
     for b in B.basis:
-        Mb = field.regular_representation(b)
-        prod = adj @ Mb
-        for i in range(3):
-            rows.append([prod[i, j] % n for j in range(3)])
-    K = _congruence_kernel(rows, n)
-    return IdealHNF(field, _lattice_hnf(K))
+        cols = [field.mul_coords(b, w) for w in _UNIT_VECTORS]
+        for a in adj_a:
+            rows.append(tuple(sum(x * y for x, y in zip(a, c)) % n for c in cols))
+    H = _lattice_hnf(rows)
+    det_h = H[0][0] * H[1][1] * H[2][2]
+    adj_h = _adjugate3(H)
+    vecs = []
+    for j in range(3):
+        col = [divmod(n * adj_h[i][j], det_h) for i in range(3)]
+        if any(r for _, r in col):
+            raise ArithmeticError(f"n*adj(H)/det(H) is not integral (n={n}, det(H)={det_h})")
+        vecs.append(tuple(q for q, _ in col))
+    return IdealHNF(field, _lattice_hnf(vecs))
 
 
-def _congruence_kernel(rows: List[List[int]], n: int) -> List[Tuple[int, int, int]]:
-    """Lattice of x in Z^3 with rows @ x == 0 mod n."""
-    from .zlinalg import kernel
-
-    m = len(rows)
-    # unknowns: x (3) and slack y (m); constraint rows @ x + n*y = 0
-    M = IntMatrix.from_rows(
-        [rows[i] + [n if j == i else 0 for j in range(m)] for i in range(m)]
-    )
-    ker = kernel(M)
-    vecs = [tuple(v[:3]) for v in ker]
-    vecs = [v for v in vecs if any(v)]
-    # the solution lattice always contains n*Z^3
-    vecs.extend([(n, 0, 0), (0, n, 0), (0, 0, n)])
-    return vecs
-
-
-def _adjugate3(M: IntMatrix) -> IntMatrix:
-    m = M.to_lists()
+def _adjugate3(m) -> List[List[int]]:
+    """adj(m) for a 3x3 matrix given as rows: adj(m) * m = det(m) * I."""
     adj = [[0] * 3 for _ in range(3)]
     for i in range(3):
         for j in range(3):
@@ -345,7 +338,7 @@ def _adjugate3(M: IntMatrix) -> IntMatrix:
             ]
             sgn = -1 if (i + j) % 2 else 1
             adj[i][j] = sgn * (sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0])
-    return IntMatrix.from_rows(adj)
+    return adj
 
 
 def class_inverse_representative(J: IdealHNF) -> IdealHNF:

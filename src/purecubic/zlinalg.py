@@ -1,10 +1,12 @@
-"""Exact integer linear algebra: HNF, SNF, kernels and small-lattice reduction.
+"""Exact integer linear algebra: HNF, SNF, determinants and small-lattice reduction.
 
 Everything here works on plain Python integers, so no precision is ever
 lost during the reductions.  A class group's relation lattice is kept in
 Hermite normal form one row at a time (`HNFLattice`, up to a few hundred
 columns for the catalogued fields), and `snf` runs on its square basis;
-the other matrices are tiny.
+the other matrices are tiny.  There is no integer-kernel routine: the
+ideal quotient's congruence system is solved through a dual lattice in
+`ideals`.
 """
 
 from __future__ import annotations
@@ -63,11 +65,6 @@ class IntMatrix:
             for i in range(self.rows)
         ]
         return IntMatrix.from_rows(out)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_rows(
-            [[self[i, j] for i in range(self.rows)] for j in range(self.cols)]
-        )
 
 
 def det(M: IntMatrix) -> int:
@@ -154,16 +151,6 @@ def hnf(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
     u = IntMatrix.identity(M.rows).to_lists()
     _hnf_inplace(a, u)
     return IntMatrix.from_rows(a), IntMatrix.from_rows(u)
-
-
-def kernel(M: IntMatrix) -> List[Tuple[int, ...]]:
-    """Basis of the integer (right) kernel {x : M x = 0}."""
-    H, U = hnf(M.transpose())
-    out = []
-    for i in range(H.rows):
-        if all(v == 0 for v in H.row(i)):
-            out.append(U.row(i))
-    return out
 
 
 def snf(M: IntMatrix) -> List[int]:

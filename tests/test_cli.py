@@ -6,6 +6,7 @@ import pytest
 
 from purecubic import __version__
 from purecubic.cli import TABLE1_PRIMES, load_u_assignments, main
+from purecubic.galoismodel import ModelConstraints, full_report
 
 
 def run(capsys, *argv):
@@ -95,6 +96,7 @@ def test_table1_predicates_only(capsys):
     assert code == 0
     assert len(doc["results"]) == 24
     assert {r["status"] for r in doc["results"]} == {"unverified"}
+    assert all(r["ambiguous_order"] == 3 for r in doc["results"])
 
 
 def test_table1_negative_control_u(capsys, tmp_path):
@@ -166,8 +168,33 @@ def test_model_check_unknown_constraint(capsys):
 
 def test_model_check_relaxed(capsys):
     code, doc = run_json(capsys, "model-check", "--drop", "ambiguous_order_3")
+    assert code == 0
+    assert doc["status"] == "ok"
     rec = doc["results"][0]
     assert rec["model_count"] >= 18
+    code, doc = run_json(capsys, "model-check", "--drop", "dihedral_relation")
+    assert code == 0
+    assert doc["status"] == "claims-not-universal"
+    claims = doc["results"][0]["theorem_claims"]
+    assert claims["b_XY2_order_3_in_cminus"]["status"] == "holds-in-some"
+
+
+@pytest.mark.parametrize("name", list(ModelConstraints.__dataclass_fields__))
+def test_model_check_every_drop_is_a_finding_not_a_fault(capsys, name):
+    code, doc = run_json(capsys, "model-check", "--drop", name)
+    assert code == 0
+    rec = doc["results"][0]
+    assert rec["constraints"][name] is False
+    universal = all(v["status"] == "holds-universally" for v in rec["theorem_claims"].values())
+    assert doc["status"] == ("ok" if universal else "claims-not-universal")
+
+
+def test_model_check_unrelaxed_claims_not_universal_is_a_mismatch(capsys, monkeypatch):
+    relaxed = full_report(ModelConstraints(dihedral_relation=False))
+    monkeypatch.setattr("purecubic.cli.full_report", lambda c: relaxed)
+    code, doc = run_json(capsys, "model-check")
+    assert code == 1
+    assert doc["status"] == "mismatch"
 
 
 def test_model_check_verifier_disagreement_is_a_mismatch_row(capsys, monkeypatch):

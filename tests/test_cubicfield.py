@@ -1,6 +1,7 @@
 """Pure cubic field construction and splitting laws."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -82,6 +83,27 @@ class TestRingStructure:
         # theta has coords (0, 1, 0) in every constructed basis
         th3 = F.mul_coords(F.mul_coords((0, 1, 0), (0, 1, 0)), (0, 1, 0))
         assert th3 == (d, 0, 0)
+
+
+def _theta_poly_mul(u, v, d):
+    """Product of two elements given over (1, theta, theta^2), theta^3 = d."""
+    out = [Fraction(0)] * 3
+    for i in range(3):
+        for j in range(3):
+            k = i + j
+            out[k % 3] += u[i] * v[j] * (d if k >= 3 else 1)
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 7, 12, 10, 17, 19, 28, 199])
+def test_table_multiplies_the_stated_basis(d):
+    # first kind: 2, 7, 12; second kind: 10, 17, 19, 28, 199 (glue g0 != g1 at 17)
+    F = classify(d)
+    w = [[Fraction(n, den) for n in (n0, n1, n2)] for n0, n1, n2, den in F.basis_theta_repr]
+    for i in range(3):
+        for j in range(3):
+            expected = [sum(c * wk[t] for c, wk in zip(F.table[i][j], w)) for t in range(3)]
+            assert _theta_poly_mul(w[i], w[j], d) == expected, (i, j)
 
 
 @given(coords, coords, coords)

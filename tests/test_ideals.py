@@ -155,6 +155,32 @@ def test_ideal_quotient_identities():
     assert ideal_quotient(I, I) == O
 
 
+def _small_ideals(F):
+    """The primes above 2, 3, 5 and 7 (so above every q | 3b for the d used
+    here), and a few of their products."""
+    primes = [P for q in (2, 3, 5, 7) for P, _, _ in primes_above(F, q)]
+    products = [mul(P, Q) for P, Q in zip(primes, primes[1:] + primes[:1])]
+    return primes + products
+
+
+# first kind: 7, 12 (b = 2); second kind: 10, 28 (b = 2), 199
+@pytest.mark.parametrize("d", [7, 12, 10, 28, 199])
+def test_ideal_quotient_cancels_a_factor(d):
+    F = classify(d)
+    ideals = _small_ideals(F)
+    for B in ideals:
+        for C in ideals:
+            assert ideal_quotient(mul(B, C), B) == C, (B.basis, C.basis)
+
+
+@pytest.mark.parametrize("d", [7, 12, 10, 28, 199])
+def test_class_inverse_representative_times_ideal_is_its_norm(d):
+    F = classify(d)
+    for J in _small_ideals(F):
+        J_inv = class_inverse_representative(J)
+        assert mul(J_inv, J) == IdealHNF.from_integer(F, J.norm()), J.basis
+
+
 def test_class_inverse():
     F = classify(7)
     P5 = next(P for P, _, f in primes_above(F, 5) if f == 1)

@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: HNF, SNF, kernels, LLL."""
+"""Exact integer linear algebra: HNF, SNF, determinants, LLL."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from purecubic import classgroup, ideals
 from purecubic.cubicfield import classify
-from purecubic.zlinalg import HNFLattice, IntMatrix, det, hnf, kernel, lll_reduce, snf
+from purecubic.zlinalg import HNFLattice, IntMatrix, det, hnf, lll_reduce, snf
 
 small_entries = st.integers(min_value=-30, max_value=30)
 
@@ -158,19 +158,6 @@ def test_hnf_lattice_known_example():
     assert lat.insert([0, -2]) is False
     assert lat.insert([0, 1]) is True
     assert snf(lat.matrix()) == [1, 2]
-
-
-@given(matrices())
-@settings(max_examples=60, deadline=None)
-def test_kernel_annihilates(M):
-    for v in kernel(M):
-        assert len(v) == M.cols
-        for i in range(M.rows):
-            assert sum(M[i, j] * v[j] for j in range(M.cols)) == 0
-
-
-def test_kernel_full_rank_is_empty():
-    assert kernel(IntMatrix.from_rows([[1, 0], [0, 1]])) == []
 
 
 @given(st.lists(st.lists(st.integers(-20, 20), min_size=3, max_size=3),
