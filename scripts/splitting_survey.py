@@ -3,14 +3,21 @@
 
 Checks split_in_gamma against the factorization of x^3 - d over F_q for
 every cube-free d and prime q in the given ranges (within the oracle's
-applicability domain q coprime to 3b), and reports any disagreement.
+applicability domain q coprime to 3b).  It also runs primes_above for
+every q, q | 3b included; primes_above raises unless its prime ideals have
+the pattern split_in_gamma gives and the product of the P^e is qO.
+Prints each disagreement and exits 1 if there was any.
+
+    python scripts/splitting_survey.py --max-d 200 --max-q 200
 """
 
 import argparse
+import sys
 
 from sympy import primerange
 
 from purecubic.cubicfield import brute_split, classify, split_in_gamma
+from purecubic.ideals import primes_above
 
 
 def cube_free(d):
@@ -21,8 +28,17 @@ def cube_free(d):
         return False
 
 
+def ideals_mismatch(F, q):
+    """Why primes_above(F, q) disagrees with the splitting law, or None."""
+    try:
+        primes_above(F, q)
+    except ArithmeticError as e:
+        return str(e)
+    return None
+
+
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--max-d", type=int, default=50)
     ap.add_argument("--max-q", type=int, default=500)
     args = ap.parse_args()
@@ -33,14 +49,19 @@ def main():
             continue
         F = classify(d)
         for q in primerange(2, args.max_q):
-            if (3 * F.b) % q == 0:
-                continue
+            if (3 * F.b) % q:
+                total += 1
+                if split_in_gamma(F, q) != brute_split(F, q):
+                    bad += 1
+                    print(f"MISMATCH d={d} q={q}: split_in_gamma vs brute_split")
             total += 1
-            if split_in_gamma(F, q) != brute_split(F, q):
+            why = ideals_mismatch(F, q)
+            if why is not None:
                 bad += 1
-                print(f"MISMATCH d={d} q={q}")
-    print(f"{total} (d, q) pairs checked, {bad} mismatches")
+                print(f"MISMATCH d={d} q={q}: primes_above: {why}")
+    print(f"{total} checks, {bad} mismatches")
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -220,7 +220,7 @@ def class_group(
     stable = 0
     last: Optional[List[int]] = None
     for alpha in _element_stream(F):
-        if time.monotonic() > deadline:
+        if time.monotonic() >= deadline:  # so a zero budget stops before any row
             raise BudgetExhausted(F.d, rows, lattice.rank, n, lattice.determinant())
         row = relation_row(F, fb, alpha)
         if row is None:

@@ -2,19 +2,21 @@
 
 An ideal is stored as the unique row-HNF basis of its rank-3 lattice over
 the verified integral basis of the field, which makes equality,
-containment and norms trivial to read off.  Primes above q come from the
-factorization of x^3 - d over F_q whenever q is coprime to the index
-(3b), and from an exhaustive scan of ideal subspaces of O/qO otherwise
-(that covers q = 3 in the second kind and q | b).
+containment and norms trivial to read off.  Primes above q come from
+explicit generators: (q, g(theta)) for each factor g of x^3 - d over F_q,
+read off its roots, when q is coprime to the index (3b), and the kernels
+of the ring maps O -> F_q otherwise (q = 3, and q | b).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product as iproduct
 from typing import List, Optional, Tuple
 
 from sympy import isprime
+from sympy.ntheory import nthroot_mod
 
 from .cubicfield import _UNIT_VECTORS, PureCubicField, split_in_gamma
 from .zlinalg import _xgcd, lll_reduce
@@ -173,78 +175,75 @@ def _poly_eval_theta(field: PureCubicField, coeffs: List[int]) -> ElementGamma:
     return acc
 
 
-def _primes_above_generic(field: PureCubicField, q: int) -> List[Tuple[IdealHNF, int, int]]:
-    """Primes above q via maximal ideals of O/qO; only used for tiny q | 3b."""
-    q_ideal = IdealHNF.from_integer(field, q)
+def _ring_map_kernels(field: PureCubicField, q: int) -> List[IdealHNF]:
+    """Kernels of the ring maps O -> F_q, w0 -> 1, w1 -> s, w2 -> t.
 
-    def span_closed(vectors):
-        """HNF lattice of q*O + Z-span(vectors), closed under the ring action."""
-        vecs = [(q, 0, 0), (0, q, 0), (0, 0, q)]
-        frontier = list(vectors)
-        while frontier:
-            vecs.extend(frontier)
-            basis = _lattice_hnf(vecs)
-            new = []
-            for row in basis:
-                for w in _UNIT_VECTORS:
-                    prod = field.mul_coords(row, w)
-                    tmp = IdealHNF(field, basis)
-                    if not tmp.contains_vector(prod):
-                        new.append(prod)
-            frontier = new
-            vecs = [list(r) for r in basis]
-        return IdealHNF(field, _lattice_hnf([tuple(v) for v in vecs]))
-
-    # candidate ideals of norm q and q^2: generated by one vector mod q
-    found = {}
-    for v in iproduct(range(q), repeat=3):
-        if v == (0, 0, 0):
-            continue
-        I = span_closed([v])
-        n = I.norm()
-        if n in (q, q * q) and I.basis not in found:
-            found[I.basis] = I
-    cands = list(found.values())
-    # keep the maximal ones (a strictly larger proper ideal above q exists -> not prime)
-    primes = []
-    for I in cands:
-        if any(J is not I and J.norm() < I.norm() and J.contains(I) for J in cands):
-            continue
-        if I.basis not in [p.basis for p in primes]:
-            primes.append(I)
-    if not primes:  # inert
-        return [(q_ideal, 1, 3)]
+    Above q | 3b every prime has degree 1, so each one is such a kernel.
+    The kernel is the lattice x0 + s*x1 + t*x2 = 0 (mod q).
+    """
     out = []
-    for P in primes:
-        f = 1 if P.norm() == q else 2
-        e = valuation(q_ideal, P)
-        out.append((P, e, f))
+    for s, t in iproduct(range(q), repeat=2):
+        im = (1, s, t)
+        if all(
+            (c[0] + c[1] * s + c[2] * t - im[i] * im[j]) % q == 0
+            for i in range(3)
+            for j, c in enumerate(field.table[i])
+            if i <= j
+        ):
+            out.append(IdealHNF(field, _lattice_hnf([(q, 0, 0), (-s, 1, 0), (-t, 0, 1)])))
     return out
 
 
+def _roots_mod(d: int, q: int) -> List[int]:
+    """The roots of x^3 - d in F_q (q prime to 3d), by descending residue."""
+    if q % 3 == 2:  # cubing is a bijection, with inverse r -> r^((2q-1)/3)
+        return [pow(d, (2 * q - 1) // 3, q)]
+    return sorted(nthroot_mod(d, 3, q, True) or [], reverse=True)
+
+
 def primes_above(field: PureCubicField, q: int) -> List[Tuple[IdealHNF, int, int]]:
-    """Prime ideals above q as (ideal, e, f), consistent with split_in_gamma."""
+    """Prime ideals above q as (ideal, e, f), consistent with split_in_gamma.
+
+    Each prime comes from an explicit generator (Cohen, GTM 138, 6.2), in
+    the order of the factors sympy's factor_list gives for x^3 - d over F_q.
+    """
     if not isprime(q):
         raise ValueError("q must be prime")
-    if (3 * field.b) % q == 0:
-        out = _primes_above_generic(field, q)
-    else:
-        from sympy import GF, Poly, Symbol
+    q_ideal = IdealHNF.from_integer(field, q)
 
-        x = Symbol("x")
-        fac = Poly(x ** 3 - field.d, x, modulus=None, domain=GF(q)).factor_list()[1]
-        out = []
-        for poly, mult in fac:
-            coeffs = [int(c) % q for c in reversed(poly.all_coeffs())]
-            gen = _poly_eval_theta(field, coeffs)
-            P = IdealHNF.from_generators(
-                field, [ElementGamma(field, q, 0, 0), gen]
-            )
-            out.append((P, mult, poly.degree()))
+    def with_q(gen: ElementGamma) -> IdealHNF:
+        return IdealHNF.from_generators(field, [ElementGamma(field, q, 0, 0), gen])
+
+    if (3 * field.b) % q == 0:
+        out = [(P, valuation(q_ideal, P), 1) for P in _ring_map_kernels(field, q)]
+    elif field.d % q == 0:  # x^3 - d = x^3
+        out = [(with_q(_theta(field)), 3, 1)]
+    else:
+        # x - r for each root r, then x^2 + r*x + r^2 when the root is unique;
+        # no root: x^3 - d is irreducible and q is inert
+        roots = _roots_mod(field.d, q)
+        factors = [[-r % q, 1] for r in roots]
+        if len(roots) == 1:
+            factors.append([roots[0] ** 2 % q, roots[0], 1])
+        out = [(with_q(_poly_eval_theta(field, g)), 1, len(g) - 1) for g in factors]
+        out = out or [(q_ideal, 1, 3)]
     pattern = sorted((e, f) for _, e, f in out)
     expected = list(split_in_gamma(field, q).pairs)
     if pattern != expected:
         raise ArithmeticError(f"primes above {q} disagree with the splitting law")
+    if any(P.norm() != q ** f for P, _, f in out):
+        raise ArithmeticError(f"a prime above {q} has the wrong norm")
+    if reduce(mul, [P for P, e, _ in out for _ in range(e)]) != q_ideal:
+        raise ArithmeticError(f"the primes above {q} do not reassemble {q}O")
+    if (3 * field.b) % q == 0 and len(out) > 1:
+        # the order in which a scan of O/qO meets them: by the lex-least
+        # v in (Z/q)^3 with (v, q)O = P
+        first = {}
+        for v in iproduct(range(q), repeat=3):
+            first.setdefault(with_q(ElementGamma(field, *v)).basis, v)
+            if all(P.basis in first for P, _, _ in out):
+                break
+        out.sort(key=lambda item: first[item[0].basis])
     return out
 
 

@@ -136,7 +136,7 @@ def test_arithmetic_error_is_a_mismatch_row(capsys, monkeypatch):
 
 
 def test_budget_exhaustion_reports_progress_in_cli(capsys):
-    code, doc = run_json(capsys, "--budget", "0.01", "classgroup", "--d", "199")
+    code, doc = run_json(capsys, "--budget", "0", "classgroup", "--d", "199")
     assert code == 0
     rec = doc["results"][0]
     assert rec["status"] == "unverified"

@@ -1,16 +1,19 @@
 """Ideal arithmetic in HNF representation: primes above q, valuations, quotients."""
 
+from itertools import product as iproduct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import primerange
 
-from purecubic import classgroup
-from purecubic.cubicfield import PureCubicField, classify, split_in_gamma
+from purecubic import classgroup, ideals
+from purecubic.cubicfield import _UNIT_VECTORS, PureCubicField, classify, split_in_gamma
 from purecubic.ideals import (
     ElementGamma,
     IdealHNF,
     _lattice_hnf,
+    _poly_eval_theta,
     class_inverse_representative,
     ideal_of_element,
     ideal_power,
@@ -64,13 +67,124 @@ def test_primes_above_reassemble():
             assert prod == IdealHNF.from_integer(F, q)
 
 
-def test_primes_above_generic_route_at_three():
-    # second kind: 3 = P^2 * S, only reachable through the O/3O scan
+def test_primes_above_index_divisor_route_at_three():
+    # second kind: 3 = P^2 * S with 3 dividing the index, so both primes
+    # are kernels of ring maps O -> F_3, not factors of x^3 - d
     F = classify(199)
     parts = primes_above(F, 3)
     assert sorted((e, f) for _, e, f in parts) == [(1, 1), (2, 1)]
     for P, _, f in parts:
         assert P.norm() == 3 ** f
+
+
+def _scan_primes_above(field, q):
+    """Reference for q | 3b: maximal ideals of O/qO, found by closing the
+    span of every nonzero vector of (Z/q)^3 under the ring action."""
+    q_ideal = IdealHNF.from_integer(field, q)
+
+    def span_closed(vectors):
+        vecs = [(q, 0, 0), (0, q, 0), (0, 0, q)]
+        frontier = list(vectors)
+        while frontier:
+            vecs.extend(frontier)
+            tmp = IdealHNF(field, _lattice_hnf(vecs))
+            frontier = [
+                prod
+                for row in tmp.basis
+                for prod in (field.mul_coords(row, w) for w in _UNIT_VECTORS)
+                if not tmp.contains_vector(prod)
+            ]
+            vecs = [list(r) for r in tmp.basis]
+        return IdealHNF(field, _lattice_hnf([tuple(v) for v in vecs]))
+
+    found = {}
+    for v in iproduct(range(q), repeat=3):
+        if v != (0, 0, 0):
+            I = span_closed([v])
+            if I.norm() in (q, q * q):
+                found.setdefault(I.basis, I)
+    cands = list(found.values())
+    primes = [
+        I for I in cands if not any(J is not I and J.norm() < I.norm() and J.contains(I) for J in cands)
+    ]
+    if not primes:
+        return [(q_ideal, 1, 3)]
+    return [(P, valuation(q_ideal, P), 1 if P.norm() == q else 2) for P in primes]
+
+
+def _factor_list_primes_above(field, q):
+    """Reference for q coprime to 3b: (q, g(theta)) for each factor g of
+    x^3 - d in sympy's factor_list over GF(q), in that order."""
+    from sympy import GF, Poly, Symbol
+
+    x = Symbol("x")
+    out = []
+    for poly, mult in Poly(x ** 3 - field.d, x, domain=GF(q)).factor_list()[1]:
+        gen = _poly_eval_theta(field, [int(c) % q for c in reversed(poly.all_coeffs())])
+        P = IdealHNF.from_generators(field, [ElementGamma(field, q, 0, 0), gen])
+        out.append((P, mult, poly.degree()))
+    return out
+
+
+def _reference_primes_above(field, q):
+    if (3 * field.b) % q == 0:
+        return _scan_primes_above(field, q)
+    return _factor_list_primes_above(field, q)
+
+
+def _listing(parts):
+    return [(P.basis, e, f) for P, e, f in parts]
+
+
+def _cube_free_fields(top):
+    out = []
+    for d in range(2, top):
+        try:
+            out.append(classify(d))
+        except ValueError:
+            pass
+    return out
+
+
+def test_primes_above_matches_the_scan_at_index_divisors():
+    # the same primes in the same order as the O/qO scan, which fixes the
+    # factor-base columns; order matters only at q = 3 in the second kind
+    cases = [(F, q) for F in _cube_free_fields(400) for q in (2, 3, 5, 7) if (3 * F.b) % q == 0]
+    cases.append((classify(242), 11))
+    assert len(cases) > 390
+    for F, q in cases:
+        assert _listing(primes_above(F, q)) == _listing(_scan_primes_above(F, q)), (F.d, q)
+
+
+def test_primes_above_matches_factor_list_off_the_index():
+    fields = _cube_free_fields(25) + [classify(d) for d in (199, 242, 487, 1297, 8821)]
+    for F in fields:
+        for q in primerange(2, 100):
+            if (3 * F.b) % q:
+                assert _listing(primes_above(F, q)) == _listing(_factor_list_primes_above(F, q)), (F.d, q)
+
+
+@pytest.mark.parametrize("d", [199, 487, 1297])
+def test_build_factor_base_matches_the_reference_construction(d, monkeypatch):
+    F = classify(d)
+    fb = classgroup.build_factor_base(F)
+    monkeypatch.setattr(classgroup, "primes_above", _reference_primes_above)
+    assert fb == classgroup.build_factor_base(F)
+
+
+def test_primes_above_rejects_a_wrong_norm(monkeypatch):
+    # pattern (1,1)(1,2) as the law says, but both generators give O
+    monkeypatch.setattr(ideals, "_poly_eval_theta", lambda field, g: ElementGamma(field, 1, 0, 0))
+    with pytest.raises(ArithmeticError, match="wrong norm"):
+        primes_above(classify(2), 5)
+
+
+def test_primes_above_rejects_a_product_that_is_not_q(monkeypatch):
+    # three degree-1 primes as the law says, but all the same one
+    real = ideals._roots_mod
+    monkeypatch.setattr(ideals, "_roots_mod", lambda d, q: real(d, q)[:1] * 3)
+    with pytest.raises(ArithmeticError, match="do not reassemble"):
+        primes_above(classify(2), 31)
 
 
 def test_valuation():
