@@ -4,9 +4,9 @@ The class group is presented on the factor base of all prime ideals of
 norm below the Minkowski bound.  Relations are principal ideals (alpha)
 factored over the base; their lattice is kept in Hermite normal form as
 rows arrive, and the cokernel is read off the Smith normal form of that
-square basis whenever it changes.  Stabilization is heuristic, so for
-small bounds the result is certified against an independent brute-force
-enumeration of ideal classes.
+square basis once the search stabilizes.  Stabilization is heuristic, so
+for small bounds the result is certified against an independent
+brute-force enumeration of ideal classes.
 
 The sextic-closure structure decision takes the unit index u as an
 *input*: computing u would need the unit group of a degree-6 field,
@@ -18,8 +18,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from itertools import count
 from math import isqrt
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from sympy import isprime, primerange
 
@@ -34,6 +36,10 @@ from .ideals import (
     primes_above,
 )
 from .zlinalg import HNFLattice, snf
+
+STABLE_WINDOW = 32  # full-rank rows in a row that leave the lattice unchanged
+ORACLE_BOUND_LIMIT = 100  # the largest Minkowski bound the oracle certifies
+ORACLE_SEARCH_BOUND = 12  # the oracle's principality-test box radius
 
 
 class BudgetExhausted(RuntimeError):
@@ -84,7 +90,9 @@ class FactorBasePrime:
 class FactorBase:
     bound: int
     primes: Tuple[FactorBasePrime, ...]
-    qs: Tuple[int, ...]  # the rational primes below the factor-base primes, ascending
+    #: q -> positions in `primes` of the primes above q, for each rational
+    #: prime q below the base, ascending
+    columns: Dict[int, Tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -123,14 +131,16 @@ def build_factor_base(F: PureCubicField) -> FactorBase:
     bound = minkowski_bound(F)
     top = int(bound) + (0 if bound.denominator == 1 else 1)
     primes: List[FactorBasePrime] = []
+    columns: Dict[int, Tuple[int, ...]] = {}
     for q in primerange(2, top + 1):
         for P, e, f in primes_above(F, q):
             if q ** f <= top:
+                columns[q] = columns.get(q, ()) + (len(primes),)
                 primes.append(FactorBasePrime(q, P, e, f, q ** f))
-    return FactorBase(top, tuple(primes), tuple(sorted({p.q for p in primes})))
+    return FactorBase(top, tuple(primes), columns)
 
 
-def _smooth_exponents(n: int, qs: Sequence[int]) -> Optional[Dict[int, int]]:
+def _smooth_exponents(n: int, qs: Iterable[int]) -> Optional[Dict[int, int]]:
     """Exponents of n over the rational primes qs, or None if not smooth."""
     n = abs(n)
     out: Dict[int, int] = {}
@@ -146,48 +156,45 @@ def relation_row(F: PureCubicField, fb: FactorBase, alpha: ElementGamma) -> Opti
     n = alpha.norm()
     if n == 0:
         return None
-    sm = _smooth_exponents(n, fb.qs)
+    sm = _smooth_exponents(n, fb.columns)
     if sm is None:
         return None
     ideal = ideal_of_element(alpha)
-    row = []
-    for p in fb.primes:
-        # P^k contains (alpha) exactly for k <= v_P(alpha), and N(P)^v_P
-        # divides N(alpha), so v_P is at most v_q(N(alpha)) // f
-        k, top = 0, sm.get(p.q, 0) // p.f
-        while k < top and p.power(k + 1).contains(ideal):
-            k += 1
-        row.append(k)
-    # the norm must be fully accounted for by factor-base primes
-    acc = 1
-    for p, r in zip(fb.primes, row):
-        acc *= p.norm ** r
-    if acc != abs(n):
-        return None  # some prime above q has norm beyond the bound
+    row = [0] * len(fb.primes)
+    factors = []
+    for q, m in sm.items():
+        for j in fb.columns[q]:
+            p = fb.primes[j]
+            # P^k contains (alpha) exactly for k <= v_P(alpha), and the norms
+            # of the primes above q split v_q(N(alpha)), so v_P is at most
+            # what the earlier ones left of it, over f
+            k, top = 0, m // p.f
+            while k < top and p.power(k + 1).contains(ideal):
+                k += 1
+            if k:
+                row[j] = k
+                m -= k * p.f
+                factors.append(p.power(k))
+        if m:
+            return None  # some prime above q has norm beyond the bound
     # exact reassembly check, never sampled
-    factors = [p.power(r) for p, r in zip(fb.primes, row) if r]
-    prod = factors[0] if factors else IdealHNF.unit_ideal(F)
-    for J in factors[1:]:
-        prod = mul(prod, J)
-    if prod != ideal:
+    if (reduce(mul, factors) if factors else IdealHNF.unit_ideal(F)) != ideal:
         raise ArithmeticError(f"relation for {alpha.coords()} does not reassemble")
     return row
 
 
 def _element_stream(F: PureCubicField) -> Iterator[ElementGamma]:
-    """Deterministic expanding-box enumeration of nonzero elements."""
-    radius = 1
-    while True:
-        r = radius
+    """Deterministic expanding-box enumeration of nonzero elements, one of
+    each pair +-alpha."""
+    for r in count(1):
         for x in range(-r, r + 1):
             for y in range(-r, r + 1):
-                for z in range(-r, r + 1):
-                    if max(abs(x), abs(y), abs(z)) != r:
+                for z in range(r + 1):
+                    if max(abs(x), abs(y), z) != r:
                         continue  # only the new shell
-                    if z < 0 or (z == 0 and (y < 0 or (y == 0 and x <= 0))):
+                    if z == 0 and (y < 0 or (y == 0 and x <= 0)):
                         continue  # skip sign duplicates and zero
                     yield ElementGamma(F, x, y, z)
-        radius += 1
 
 
 def _three_part(n: int) -> int:
@@ -198,13 +205,7 @@ def _three_part(n: int) -> int:
     return h3
 
 
-def class_group(
-    F: PureCubicField,
-    budget_seconds: float = 600.0,
-    stable_window: int = 32,
-    oracle_bound_limit: int = 100,
-    oracle_search_bound: int = 12,
-) -> ClassGroupStructure:
+def class_group(F: PureCubicField, budget_seconds: float = 600.0) -> ClassGroupStructure:
     """Class group structure by relation search + SNF, oracle-certified when feasible."""
     deadline = time.monotonic() + budget_seconds
     fb = build_factor_base(F)
@@ -213,12 +214,11 @@ def class_group(
         return ClassGroupStructure(F.d, (), 1, 1, (), True)
 
     # Below full rank the cokernel is infinite.  At full rank the lattice
-    # changes exactly when its determinant h drops, and the divisors with it,
-    # so a row that leaves the lattice unchanged repeats the last divisors.
+    # changes exactly when its determinant h drops, so the search stops after
+    # STABLE_WINDOW rows without a change and reads the SNF once.
     lattice = HNFLattice(n)
     rows = 0
     stable = 0
-    last: Optional[List[int]] = None
     for alpha in _element_stream(F):
         if time.monotonic() >= deadline:  # so a zero budget stops before any row
             raise BudgetExhausted(F.d, rows, lattice.rank, n, lattice.determinant())
@@ -227,29 +227,22 @@ def class_group(
             continue
         rows += 1
         changed = lattice.insert(row)
-        if lattice.rank < n:
-            continue
-        if changed:
-            last = snf(lattice.matrix())
-            stable = 1
-        else:
-            stable += 1
-        if stable >= stable_window:
-            break
+        if lattice.rank == n:
+            stable = 1 if changed else stable + 1
+            if stable >= STABLE_WINDOW:
+                break
+    divisors = snf(lattice.matrix())
 
     h = 1
-    for x in last:
+    for x in divisors:
         h *= x
-    nontrivial = tuple(x for x in last if x > 1)
+    nontrivial = tuple(x for x in divisors if x > 1)
     h3 = _three_part(h)
     p3 = tuple(sorted(_three_part(x) for x in nontrivial if x % 3 == 0))
 
     certified = False
-    if fb.bound <= oracle_bound_limit:
-        remaining = deadline - time.monotonic()
-        oracle_h = _oracle_class_number(
-            F, fb, search_bound=oracle_search_bound, deadline=time.monotonic() + max(remaining, 0)
-        )
+    if fb.bound <= ORACLE_BOUND_LIMIT:
+        oracle_h = _oracle_class_number(F, fb, search_bound=ORACLE_SEARCH_BOUND, deadline=deadline)
         certified = oracle_h == h
         # the oracle count only errs upward (a missed principality test splits
         # one class in two), so oracle > h is inconclusive; oracle < h proves

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from itertools import product
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from sympy import factorint, isprime
+from sympy.ntheory import nthroot_mod
 
 from .zlinalg import IntMatrix
 
@@ -223,6 +224,13 @@ def legendre(c: int, q: int) -> int:
     if c == 0:
         return 0
     return 1 if pow(c, (q - 1) // 2, q) == 1 else -1
+
+
+def _roots_mod(d: int, q: int) -> List[int]:
+    """The roots of x^3 - d in F_q (q prime to 3d), by descending residue."""
+    if q % 3 == 2:  # cubing is a bijection, with inverse r -> r^((2q-1)/3)
+        return [pow(d, (2 * q - 1) // 3, q)]
+    return sorted(nthroot_mod(d, 3, q, True) or [], reverse=True)
 
 
 def split_in_gamma(F: PureCubicField, q: int) -> SplitPattern:

@@ -16,9 +16,8 @@ from itertools import product as iproduct
 from typing import List, Optional, Tuple
 
 from sympy import isprime
-from sympy.ntheory import nthroot_mod
 
-from .cubicfield import _UNIT_VECTORS, PureCubicField, split_in_gamma
+from .cubicfield import _UNIT_VECTORS, PureCubicField, _roots_mod, split_in_gamma
 from .zlinalg import _xgcd, lll_reduce
 
 
@@ -192,13 +191,6 @@ def _ring_map_kernels(field: PureCubicField, q: int) -> List[IdealHNF]:
         ):
             out.append(IdealHNF(field, _lattice_hnf([(q, 0, 0), (-s, 1, 0), (-t, 0, 1)])))
     return out
-
-
-def _roots_mod(d: int, q: int) -> List[int]:
-    """The roots of x^3 - d in F_q (q prime to 3d), by descending residue."""
-    if q % 3 == 2:  # cubing is a bijection, with inverse r -> r^((2q-1)/3)
-        return [pow(d, (2 * q - 1) // 3, q)]
-    return sorted(nthroot_mod(d, 3, q, True) or [], reverse=True)
 
 
 def primes_above(field: PureCubicField, q: int) -> List[Tuple[IdealHNF, int, int]]:

@@ -17,6 +17,7 @@ from typing import Dict, List, Tuple
 
 from sympy import isprime
 
+from .cubicfield import PureCubicField, _roots_mod
 from .eisenstein import (
     Eisenstein,
     LAMBDA,
@@ -226,8 +227,6 @@ def norm_compatibility_check(a_coords, b: Eisenstein, pi: Eisenstein, field) -> 
     are evaluable: N(pi) = p with p == 1 mod 3, p coprime to 3*b*disc,
     x^3 = d solvable mod p, and a a unit at every place above pi.
     """
-    from .cubicfield import PureCubicField  # local import to avoid a cycle
-
     if not isinstance(field, PureCubicField):
         raise TypeError("field must be a PureCubicField")
     _check_tame_prime(pi)
@@ -237,7 +236,7 @@ def norm_compatibility_check(a_coords, b: Eisenstein, pi: Eisenstein, field) -> 
     p = n
     if p % 3 != 1 or field.d % p == 0 or (3 * field.b) % p == 0:
         raise ValueError("configuration out of evaluable (tame) range")
-    roots = [r for r in range(p) if (r * r * r - field.d) % p == 0]
+    roots = _roots_mod(field.d, p)
     if len(roots) != 3:
         raise ValueError("pi does not split completely in the sextic closure")
     x, y, z = a_coords

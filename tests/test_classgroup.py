@@ -97,8 +97,10 @@ def _valuation_row(F, fb, alpha):
     return row
 
 
-@pytest.mark.parametrize("d", [7, 487])
+@pytest.mark.parametrize("d", [7, 28, 487, 1297])
 def test_relation_row_matches_valuation_loop(d):
+    # in 28 = 7 * 2^2 the primes 2 | b and 7 | a are totally ramified;
+    # 1297 has 112 factor-base primes
     F = classify(d)
     fb = build_factor_base(F)
     rows = 0
@@ -107,6 +109,16 @@ def test_relation_row_matches_valuation_loop(d):
         assert row == _valuation_row(F, fb, alpha), alpha.coords()
         rows += row is not None
     assert rows > 20
+
+
+def test_element_stream_radius_one_shell():
+    # the stream's order decides which rows reach the lattice first
+    shell = [a.coords() for a in islice(_element_stream(classify(2)), 14)]
+    assert shell[:13] == [
+        (-1, -1, 1), (-1, 0, 1), (-1, 1, 0), (-1, 1, 1), (0, -1, 1), (0, 0, 1), (0, 1, 0),
+        (0, 1, 1), (1, -1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1),
+    ]
+    assert shell[13] == (-2, -2, 1)  # the radius-2 shell follows
 
 
 def test_factor_bases_built_alternately_give_fresh_rows():
