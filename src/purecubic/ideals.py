@@ -130,9 +130,6 @@ class IdealHNF:
     def contains(self, other: "IdealHNF") -> bool:
         return all(self.contains_vector(row) for row in other.basis)
 
-    def elements(self) -> List[ElementGamma]:
-        return [ElementGamma(self.field, *row) for row in self.basis]
-
 
 def mul(I: IdealHNF, J: IdealHNF) -> IdealHNF:
     if I.field != J.field:
@@ -141,6 +138,21 @@ def mul(I: IdealHNF, J: IdealHNF) -> IdealHNF:
     for u in I.basis:
         for v in J.basis:
             vecs.append(I.field.mul_coords(u, v))
+    return IdealHNF(I.field, _lattice_hnf(vecs))
+
+
+def mul_two_element(I: IdealHNF, a: int, gamma: ElementGamma) -> IdealHNF:
+    """I * (aO + gamma*O) = a*I + gamma*I, for an integer a > 0.
+
+    The rows a*H_I lead, so `_lattice_hnf` takes them as its pivots and
+    only inserts the three rows gamma*r: three products over the basis
+    instead of the nine `mul` takes (Cohen, GTM 138, 4.7).
+    """
+    if a <= 0:
+        raise ValueError("a must be a positive integer")
+    g = gamma.coords()
+    vecs = [tuple(a * y for y in r) for r in I.basis]
+    vecs += [I.field.mul_coords(r, g) for r in I.basis]
     return IdealHNF(I.field, _lattice_hnf(vecs))
 
 

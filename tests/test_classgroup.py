@@ -129,12 +129,50 @@ def test_factor_bases_built_alternately_give_fresh_rows():
     for F in fields:
         fb = build_factor_base(F)
         fresh[F.d] = [relation_row(F, fb, a) for a in islice(_element_stream(F), 120)]
+        # a relation_row that rejected every row would make the comparison empty
+        assert sum(row is not None for row in fresh[F.d]) > 20
         del fb
     for F in fields * 3:
         gc.collect()
         fb = build_factor_base(F)
         assert [relation_row(F, fb, a) for a in islice(_element_stream(F), 120)] == fresh[F.d]
         del fb
+
+
+# 28: 2 | b and 7 | a, totally ramified; 10: second kind, q = 3 by the ring-map route
+@pytest.mark.parametrize("d", [7, 28, 10, 199, 487])
+def test_two_element_pairs_span_the_prime_powers(d):
+    F = classify(d)
+    fb = build_factor_base(F)
+    for alpha in islice(_element_stream(F), 300):
+        relation_row(F, fb, alpha)
+    built = 0
+    for p in fb.primes:
+        p.two_element(6 if p.q < 8 else 2)
+        for k, (a, gamma) in enumerate(p._pairs, 1):
+            assert a == p.q ** -(-k // p.e)
+            pair = IdealHNF.from_generators(F, [ElementGamma(F, a, 0, 0), gamma])
+            assert pair == p.power(k), (p.q, k)
+            built += 1
+    assert built >= 2 * len(fb.primes)
+
+
+def test_relation_row_rejects_a_corrupted_two_element_pair():
+    F = classify(199)
+    fb = build_factor_base(F)
+    # a row with at least two factors, so that one of them enters the
+    # reassembly through its two-element form
+    alpha, row = next(
+        (a, r) for a in _element_stream(F)
+        for r in [relation_row(F, fb, a)] if r is not None and sum(x > 0 for x in r) >= 2
+    )
+    one = ElementGamma(F, 1, 0, 0)
+    for p, k in zip(fb.primes, row):
+        if k:
+            p.two_element(k)
+            p._pairs[:] = [(a, one) for a, _ in p._pairs]  # (a, 1) is O, not P^k
+    with pytest.raises(ArithmeticError, match="does not reassemble"):
+        relation_row(F, fb, alpha)
 
 
 @pytest.mark.parametrize("d,h", [(2, 1), (3, 1), (5, 1), (7, 3)])
