@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, product as iproduct
 from math import isqrt
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from sympy import isprime, primerange
 
@@ -112,10 +112,11 @@ class FactorBasePrime:
         a = self.q ** -(-k // self.e)
         target = self.power(k)
         if k == 1:
-            candidates = [
+            # lazily: the first candidate almost always works
+            candidates = (
                 tuple(sum(x * r[i] for x, r in zip(cs, target.basis)) for i in range(3))
                 for cs in _ROW_COMBINATIONS
-            ]
+            )
         else:
             g, c = self.two_element(1)[1].coords(), (1, 0, 0)
             for _ in range(k):
@@ -183,15 +184,27 @@ def build_factor_base(F: PureCubicField) -> FactorBase:
     return FactorBase(top, tuple(primes), columns)
 
 
-def _smooth_exponents(n: int, qs: Iterable[int]) -> Optional[Dict[int, int]]:
-    """Exponents of n over the rational primes qs, or None if not smooth."""
+def _smooth_exponents(n: int, columns: Dict[int, Tuple[int, ...]]) -> Optional[Dict[int, int]]:
+    """Exponents of n over the rational primes keyed in `columns` (ascending),
+    or None if n is not smooth over them."""
     n = abs(n)
     out: Dict[int, int] = {}
-    for q in qs:
-        while n % q == 0:
-            n //= q
-            out[q] = out.get(q, 0) + 1
-    return out if n == 1 else None
+    for q in columns:
+        if q * q > n:
+            # every prime factor of n that is a key is at least q, so n > 1
+            # is smooth only when it is a key itself
+            break
+        if n % q == 0:
+            k = 0
+            while n % q == 0:
+                n //= q
+                k += 1
+            out[q] = k
+    if n > 1:
+        if n not in columns:
+            return None
+        out[n] = 1
+    return out
 
 
 def relation_row(F: PureCubicField, fb: FactorBase, alpha: ElementGamma) -> Optional[List[int]]:

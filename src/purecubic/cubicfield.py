@@ -93,24 +93,30 @@ class PureCubicField:
     table: Tuple[Tuple[Tuple[int, int, int], ...], ...]
     #: the norm as a cubic form in integral-basis coordinates, over CUBIC_MONOMIALS
     form: Tuple[int, ...] = dc_field(init=False, repr=False, compare=False)
+    #: `table` flattened: entry 9*i + 3*j + k is coordinate k of w_i * w_j
+    flat_table: Tuple[int, ...] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        flat = tuple(c for row in self.table for t in row for c in t)
+        object.__setattr__(self, "flat_table", flat)
         object.__setattr__(self, "form", self.norm_form(_UNIT_VECTORS))
 
     def mul_coords(self, u, v) -> Tuple[int, int, int]:
-        out = [0, 0, 0]
-        for i in range(3):
-            if u[i] == 0:
-                continue
-            for j in range(3):
-                if v[j] == 0:
-                    continue
-                c = u[i] * v[j]
-                t = self.table[i][j]
-                out[0] += c * t[0]
-                out[1] += c * t[1]
-                out[2] += c * t[2]
-        return (out[0], out[1], out[2])
+        # the nine products u_i * v_j, each weighted by the coords of w_i * w_j
+        u0, u1, u2 = u
+        v0, v1, v2 = v
+        p0, p1, p2 = u0 * v0, u0 * v1, u0 * v2
+        p3, p4, p5 = u1 * v0, u1 * v1, u1 * v2
+        p6, p7, p8 = u2 * v0, u2 * v1, u2 * v2
+        t = self.flat_table
+        return (
+            p0 * t[0] + p1 * t[3] + p2 * t[6] + p3 * t[9] + p4 * t[12]
+            + p5 * t[15] + p6 * t[18] + p7 * t[21] + p8 * t[24],
+            p0 * t[1] + p1 * t[4] + p2 * t[7] + p3 * t[10] + p4 * t[13]
+            + p5 * t[16] + p6 * t[19] + p7 * t[22] + p8 * t[25],
+            p0 * t[2] + p1 * t[5] + p2 * t[8] + p3 * t[11] + p4 * t[14]
+            + p5 * t[17] + p6 * t[20] + p7 * t[23] + p8 * t[26],
+        )
 
     def regular_representation(self, coords) -> IntMatrix:
         cols = [self.mul_coords(coords, w) for w in _UNIT_VECTORS]

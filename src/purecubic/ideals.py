@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product as iproduct
+from math import gcd
 from typing import List, Optional, Tuple
 
 from sympy import isprime
@@ -49,42 +50,51 @@ class ElementGamma:
 def _lattice_hnf(vectors: List[Tuple[int, int, int]]) -> Tuple[Tuple[int, ...], ...]:
     """Canonical row HNF of the Z-span of `vectors`: upper triangular, positive
     pivots, entries above a pivot in [0, pivot) -- the nonzero rows of
-    `zlinalg.hnf`, found by extended-gcd elimination one column at a time
-    with no transform (Cohen, GTM 138, 2.4.3)."""
-    rows = [list(v) for v in vectors]
-    basis: List[List[int]] = []
-    for c in range(3):
-        piv: Optional[List[int]] = None
-        rest = []
-        for v in rows:
-            x = v[c]
-            if x and piv is None:
-                piv = v
+    `zlinalg.hnf` (Cohen, GTM 138, 2.4.3).
+
+    Each vector is inserted in turn into three pivot rows held as scalars,
+    (a, b, c), (0, d, e) and (0, 0, f), a zero pivot meaning none yet: in
+    columns 0 and 1 an exact division clears the entry, or else an
+    extended-gcd step moves the gcd into the pivot; column 2 keeps a gcd.
+    Then the first two pivots are made positive and the entries above
+    the pivots reduced.  A vector that meets an empty pivot becomes that pivot unchanged, so
+    leading rows that are already triangular are taken as they stand.
+    """
+    a = b = c = d = e = f = 0
+    for x, y, z in vectors:
+        if x:
+            if not a:
+                a, b, c = x, y, z
                 continue
-            if x and x % piv[c] == 0:
-                q = x // piv[c]
-                v = [z - q * y for y, z in zip(piv, v)]
-            elif x:
-                # unimodular [[s, t], [-x/g, p/g]] on (piv, v): piv gets g, v gets 0
-                g, s, t = _xgcd(piv[c], x)
-                a, b = piv[c] // g, x // g
-                piv, v = (
-                    [s * y + t * z for y, z in zip(piv, v)],
-                    [a * z - b * y for y, z in zip(piv, v)],
-                )
-            if any(v):
-                rest.append(v)
-        if piv is None:
-            raise ValueError("generators do not span a full-rank lattice")
-        basis.append(piv if piv[c] > 0 else [-y for y in piv])
-        rows = rest
-    for j in (1, 2):
-        h = basis[j]
-        for i in range(j):
-            q = basis[i][j] // h[j]
-            if q:
-                basis[i] = [y - q * z for y, z in zip(basis[i], h)]
-    return tuple(tuple(r) for r in basis)
+            if x % a:
+                # unimodular [[s, t], [-x/g, a/g]] on (pivot, v): pivot gets g, v gets 0
+                g, s, t = _xgcd(a, x)
+                m, n = a // g, x // g
+                a, b, c, y, z = g, s * b + t * y, s * c + t * z, m * y - n * b, m * z - n * c
+            else:
+                q = x // a
+                y -= q * b
+                z -= q * c
+        if y:
+            if not d:
+                d, e = y, z
+                continue
+            if y % d:
+                g, s, t = _xgcd(d, y)
+                m, n = d // g, y // g
+                d, e, z = g, s * e + t * z, m * z - n * e
+            else:
+                z -= y // d * e
+        if z:
+            f = gcd(f, z)
+    if not (a and d and f):
+        raise ValueError("generators do not span a full-rank lattice")
+    if a < 0:
+        a, b, c = -a, -b, -c
+    if d < 0:
+        d, e = -d, -e
+    q = b // d
+    return ((a, b - q * d, (c - q * e) % f), (0, d, e % f), (0, 0, f))
 
 
 @dataclass(frozen=True)
@@ -117,15 +127,15 @@ class IdealHNF:
     def contains_vector(self, v: Tuple[int, int, int]) -> bool:
         # rows are upper triangular: coordinate i is produced by row i alone
         # once the earlier rows have been eliminated, so reduce top-down
-        r = list(v)
-        for i in (0, 1, 2):
-            piv = self.basis[i][i]
-            if r[i] % piv != 0:
-                return False
-            c = r[i] // piv
-            for j in range(3):
-                r[j] -= c * self.basis[i][j]
-        return all(x == 0 for x in r)
+        (a, b, c), (_, d, e), (_, _, f) = self.basis
+        x, y, z = v
+        if x % a:
+            return False
+        q = x // a
+        y -= q * b
+        if y % d:
+            return False
+        return (z - q * c - y // d * e) % f == 0
 
     def contains(self, other: "IdealHNF") -> bool:
         return all(self.contains_vector(row) for row in other.basis)
@@ -144,14 +154,15 @@ def mul(I: IdealHNF, J: IdealHNF) -> IdealHNF:
 def mul_two_element(I: IdealHNF, a: int, gamma: ElementGamma) -> IdealHNF:
     """I * (aO + gamma*O) = a*I + gamma*I, for an integer a > 0.
 
-    The rows a*H_I lead, so `_lattice_hnf` takes them as its pivots and
-    only inserts the three rows gamma*r: three products over the basis
-    instead of the nine `mul` takes (Cohen, GTM 138, 4.7).
+    The rows a*H_I lead and are already triangular, so `_lattice_hnf`
+    takes them as its three pivots unchanged and only inserts the three
+    rows gamma*r against them: three products over the basis instead of
+    the nine `mul` takes (Cohen, GTM 138, 4.7).
     """
     if a <= 0:
         raise ValueError("a must be a positive integer")
     g = gamma.coords()
-    vecs = [tuple(a * y for y in r) for r in I.basis]
+    vecs = [(a * x, a * y, a * z) for x, y, z in I.basis]
     vecs += [I.field.mul_coords(r, g) for r in I.basis]
     return IdealHNF(I.field, _lattice_hnf(vecs))
 

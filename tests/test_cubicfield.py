@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -111,6 +112,29 @@ def test_table_multiplies_the_stated_basis(d):
 def test_associativity_second_kind(u, v, w):
     F = classify(199)
     assert F.mul_coords(F.mul_coords(u, v), w) == F.mul_coords(u, F.mul_coords(v, w))
+
+
+@lru_cache(maxsize=None)
+def _fields_for_mul_coords():
+    # every cube-free d < 400 (p^3 <= 400 only for p in 2, 3, 5, 7), and
+    # three larger fields of the catalog
+    ds = [d for d in range(2, 400) if all(d % p ** 3 for p in (2, 3, 5, 7))]
+    return tuple(classify(d) for d in ds + [487, 1297, 8821])
+
+
+big = st.one_of(st.just(0), st.integers(-10**6, 10**6))
+
+
+@given(st.tuples(big, big, big), st.tuples(big, big, big))
+@settings(max_examples=60, deadline=None)
+def test_mul_coords_matches_the_table_triple_loop(u, v):
+    for F in _fields_for_mul_coords():
+        expected = [0, 0, 0]
+        for i in range(3):
+            for j in range(3):
+                for k in range(3):
+                    expected[k] += u[i] * v[j] * F.table[i][j][k]
+        assert F.mul_coords(u, v) == tuple(expected), F.d
 
 
 def test_split_pattern_degree():

@@ -367,7 +367,7 @@ def _hnf_rows(vectors):
 
 
 @given(
-    st.lists(vec3, min_size=1, max_size=9),
+    st.lists(st.tuples(*[st.integers(-10**9, 10**9)] * 3), min_size=1, max_size=12),
     st.sampled_from([None, (0, 0), (1, -2), (3, 1)]),
 )
 @settings(max_examples=300, deadline=None)
@@ -383,3 +383,21 @@ def test_lattice_hnf_matches_zlinalg_hnf(vectors, plane):
             _lattice_hnf(vectors)
         return
     assert _lattice_hnf(vectors) == expected
+
+
+@given(
+    st.lists(vec3, min_size=3, max_size=6),
+    st.tuples(*[st.integers(-5, 5)] * 3),
+    st.tuples(*[st.sampled_from([0, 0, 0, 1, -1, 7])] * 3),
+)
+@settings(max_examples=300, deadline=None)
+def test_contains_vector_matches_zlinalg_hnf(vectors, coeffs, offset):
+    # v is in the lattice exactly when adding it leaves the HNF unchanged;
+    # v is a combination of the rows, moved off the lattice by `offset`
+    try:
+        basis = _lattice_hnf(vectors)
+    except ValueError:
+        return
+    v = tuple(sum(c * r[i] for c, r in zip(coeffs, basis)) + offset[i] for i in range(3))
+    I = IdealHNF(classify(7), basis)
+    assert I.contains_vector(v) == (_hnf_rows(list(basis) + [v]) == basis)
