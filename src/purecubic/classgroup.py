@@ -3,10 +3,10 @@
 The class group is presented on the factor base of all prime ideals of
 norm below the Minkowski bound.  Relations are principal ideals (alpha)
 factored over the base; their lattice is kept in Hermite normal form as
-rows arrive, and the cokernel is read off the Smith normal form of that
-square basis once the search stabilizes.  Stabilization is heuristic, so
-for small bounds the result is certified against an independent
-brute-force enumeration of ideal classes.
+rows arrive, and once the search stabilizes the cokernel is read off the
+Smith normal form of the basis block whose pivots exceed 1.
+Stabilization is heuristic, so for small bounds the result is certified
+against an independent brute-force enumeration of ideal classes.
 
 The sextic-closure structure decision takes the unit index u as an
 *input*: computing u would need the unit group of a degree-6 field,
@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, product as iproduct
-from math import isqrt
+from math import isqrt, prod
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from sympy import isprime, primerange
@@ -35,7 +35,7 @@ from .ideals import (
     mul_two_element,
     primes_above,
 )
-from .zlinalg import HNFLattice, snf
+from .zlinalg import HNFLattice
 
 STABLE_WINDOW = 32  # full-rank rows in a row that leave the lattice unchanged
 ORACLE_BOUND_LIMIT = 100  # the largest Minkowski bound the oracle certifies
@@ -275,7 +275,7 @@ def class_group(F: PureCubicField, budget_seconds: float = 600.0) -> ClassGroupS
 
     # Below full rank the cokernel is infinite.  At full rank the lattice
     # changes exactly when its determinant h drops, so the search stops after
-    # STABLE_WINDOW rows without a change and reads the SNF once.
+    # STABLE_WINDOW rows without a change and reads the cokernel once.
     lattice = HNFLattice(n)
     rows = 0
     stable = 0
@@ -288,17 +288,13 @@ def class_group(F: PureCubicField, budget_seconds: float = 600.0) -> ClassGroupS
         rows += 1
         changed = lattice.insert(row)
         if lattice.rank == n:
-            stable = 1 if changed else stable + 1
+            stable = 0 if changed else stable + 1
             if stable >= STABLE_WINDOW:
                 break
-    divisors = snf(lattice.matrix())
-
-    h = 1
-    for x in divisors:
-        h *= x
-    nontrivial = tuple(x for x in divisors if x > 1)
+    divisors = lattice.elementary_divisors()
+    h = prod(divisors)
     h3 = _three_part(h)
-    p3 = tuple(sorted(_three_part(x) for x in nontrivial if x % 3 == 0))
+    p3 = tuple(sorted(_three_part(x) for x in divisors if x % 3 == 0))
 
     certified = False
     if fb.bound <= ORACLE_BOUND_LIMIT:
@@ -312,7 +308,7 @@ def class_group(F: PureCubicField, budget_seconds: float = 600.0) -> ClassGroupS
                 f"enumeration oracle shows at most {oracle_h} classes for d={F.d}, "
                 f"relation method stopped at h={h}"
             )
-    return ClassGroupStructure(F.d, nontrivial, h, h3, p3, certified)
+    return ClassGroupStructure(F.d, divisors, h, h3, p3, certified)
 
 
 def _all_ideals_up_to(F: PureCubicField, fb: FactorBase) -> List[IdealHNF]:

@@ -3,17 +3,19 @@
 Everything here works on plain Python integers, so no precision is ever
 lost during the reductions.  A class group's relation lattice is kept in
 Hermite normal form one row at a time (`HNFLattice`, up to a few hundred
-columns for the catalogued fields), and `snf` runs on its square basis;
-the other matrices are tiny.  There is no integer-kernel routine: the
+columns for the catalogued fields, with sparse rows), and `snf` runs only
+on the block of its basis whose pivots exceed 1, a few rows at most; the
+other matrices are tiny.  There is no integer-kernel routine: the
 ideal quotient's congruence system is solved through a dual lattice in
 `ideals`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
@@ -237,7 +239,9 @@ class HNFLattice:
     The basis is keyed by pivot column: the row for pivot column c is zero
     before c, has a positive entry at c, and every other basis row has an
     entry in [0, pivot) at c.  That basis is unique, so two lattices are
-    equal exactly when their bases are.  `insert` adds one row by
+    equal exactly when their bases are.  Relation rows have a handful of
+    nonzero entries, and so do the basis rows, so each row is a
+    {column: value} dict of its nonzero entries.  `insert` adds one row by
     extended-gcd elimination (Hafner--McCurley; Cohen, GTM 138, 2.4.3).
     """
 
@@ -245,7 +249,7 @@ class HNFLattice:
         if ncols <= 0:
             raise ValueError("lattice dimension must be positive")
         self.ncols = ncols
-        self._basis: Dict[int, List[int]] = {}
+        self._basis: Dict[int, Dict[int, int]] = {}
 
     @property
     def rank(self) -> int:
@@ -264,35 +268,64 @@ class HNFLattice:
         """The basis rows in pivot order, as a rank x ncols matrix."""
         if not self._basis:
             raise ValueError("the zero lattice has no basis rows")
-        return IntMatrix.from_rows([self._basis[c] for c in sorted(self._basis)])
+        n = self.ncols
+        entries = []
+        for c in sorted(self._basis):
+            dense = [0] * n
+            for k, x in self._basis[c].items():
+                dense[k] = x
+            entries.extend(dense)
+        return IntMatrix(self.rank, n, tuple(entries))
+
+    def elementary_divisors(self) -> Tuple[int, ...]:
+        """The nontrivial elementary divisors of Z^ncols / lattice, ascending.
+
+        At full rank a pivot-1 column has a single nonzero entry, the 1 in
+        its own row, since every other row is reduced to [0, 1) there.  So
+        the quotient is the cokernel of the block of rows and columns whose
+        pivots exceed 1, and `snf` runs on that block alone.
+        """
+        if self.rank < self.ncols:
+            raise ValueError("the quotient is infinite below full rank")
+        big = sorted(c for c, row in self._basis.items() if row[c] > 1)
+        if not big:
+            return ()
+        block = [[self._basis[c].get(k, 0) for k in big] for c in big]
+        return tuple(x for x in snf(IntMatrix.from_rows(block)) if x > 1)
 
     def insert(self, row: Sequence[int]) -> bool:
         """Add `row` to the lattice; return whether the lattice changed."""
-        n = self.ncols
-        if len(row) != n:
+        if len(row) != self.ncols:
             raise ValueError("row length does not match the lattice dimension")
-        v = [int(x) for x in row]
+        basis = self._basis
+        v = {j: int(row[j]) for j in compress(range(self.ncols), row)}
         changed: List[int] = []
-        for j in range(n):
+        while v:
+            j = min(v)
             x = v[j]
-            if x == 0:
-                continue
-            h = self._basis.get(j)
+            h = basis.get(j)
             if h is None:
                 # v leads in a column with no pivot yet: it becomes one
-                self._basis[j] = v if x > 0 else [-y for y in v]
+                basis[j] = v if x > 0 else {k: -y for k, y in v.items()}
                 changed.append(j)
                 break
             p = h[j]
             if x % p == 0:
-                q = x // p
-                v[j:] = [z - q * y for y, z in zip(h[j:], v[j:])]
+                _axpy(v, -(x // p), h)
                 continue
             # unimodular [[s, t], [-x/g, p/g]] on (h, v): new pivot g, v gets 0 at j
             g, s, t = _xgcd(p, x)
             a, b = p // g, x // g
-            self._basis[j] = h[:j] + [s * y + t * z for y, z in zip(h[j:], v[j:])]
-            v = v[:j] + [a * z - b * y for y, z in zip(h[j:], v[j:])]
+            new_h: Dict[int, int] = {}
+            new_v: Dict[int, int] = {}
+            for k in h.keys() | v.keys():
+                y, z = h.get(k, 0), v.get(k, 0)
+                hk, vk = s * y + t * z, a * z - b * y
+                if hk:
+                    new_h[k] = hk
+                if vk:
+                    new_v[k] = vk
+            basis[j], v = new_h, new_v
             changed.append(j)
         if changed:
             self._reduce(changed)
@@ -300,23 +333,61 @@ class HNFLattice:
 
     def _reduce(self, changed: List[int]) -> None:
         """Restore 0 <= entry < pivot above every pivot after the rows in `changed`
-        (ascending pivot columns) moved."""
-        cols = sorted(self._basis)
-        for c in cols:
-            r = self._basis[c]
-            # a changed row is reduced in full; an unchanged one is already
-            # reduced up to the first changed pivot column where it is not
-            if c in changed:
-                start = c + 1
+        (ascending pivot columns) moved.
+
+        A changed row is reduced in full.  An unchanged row was reduced
+        before, so only an entry at a changed pivot column can have left
+        [0, pivot); a row with no entry there is skipped.
+        """
+        basis = self._basis
+        moved = set(changed)
+        for c, r in basis.items():
+            if moved.isdisjoint(r):
+                continue  # a changed row always has its own pivot column
+            if c in moved:
+                self._reduce_row(r, c + 1)
+                continue
+            start = next(
+                (k for k in changed if k > c and k in r and not 0 <= r[k] < basis[k][k]), None
+            )
+            if start is not None:
+                self._reduce_row(r, start)
+
+    def _reduce_row(self, r: Dict[int, int], start: int) -> None:
+        """Reduce the entries of r at pivot columns from `start` on, in
+        ascending column order, fill-in included."""
+        basis = self._basis
+        todo = [k for k in r if k >= start and k in basis]
+        heapify(todo)
+        last = -1
+        while todo:
+            k = heappop(todo)
+            if k == last:
+                continue  # fill-in pushed a column that was already queued
+            last = k
+            h = basis[k]
+            q = r.get(k, 0) // h[k]
+            if q:
+                for c in _axpy(r, -q, h):
+                    if c in basis:
+                        heappush(todo, c)
+
+
+def _axpy(v: Dict[int, int], q: int, h: Dict[int, int]) -> List[int]:
+    """v += q*h on sparse rows, dropping the zeros; return the columns filled in."""
+    fill = []
+    for k, y in h.items():
+        z = v.get(k)
+        if z is None:
+            v[k] = q * y
+            fill.append(k)
+        else:
+            z += q * y
+            if z:
+                v[k] = z
             else:
-                start = next((k for k in changed if k > c and not 0 <= r[k] < self._basis[k][k]), None)
-                if start is None:
-                    continue
-            for k in cols[bisect_left(cols, start) :]:
-                h = self._basis[k]
-                q = r[k] // h[k]
-                if q:
-                    r[k:] = [y - q * z for y, z in zip(r[k:], h[k:])]
+                del v[k]
+    return fill
 
 
 def lll_reduce(basis: Sequence[Sequence[int]]) -> List[List[int]]:

@@ -7,7 +7,9 @@ from itertools import islice
 import pytest
 from sympy import primerange
 
+from purecubic import classgroup
 from purecubic.classgroup import (
+    STABLE_WINDOW,
     BudgetExhausted,
     ClassGroupStructure,
     ambiguous_order,
@@ -20,6 +22,7 @@ from purecubic.classgroup import (
 )
 from purecubic.cubicfield import classify
 from purecubic.ideals import ElementGamma, IdealHNF, ideal_of_element, ideal_power, mul, valuation
+from purecubic.zlinalg import HNFLattice, snf
 
 
 def test_minkowski_bound_values():
@@ -202,6 +205,61 @@ def test_catalog_class_groups_beyond_the_oracle(d):
     # oracle's limit of 100, so these answers are heuristic, not certified
     cg = class_group(classify(d))
     assert (cg.h, cg.divisors, cg.p3_type, cg.certified) == (18, (18,), (9,), False)
+
+
+@pytest.fixture(scope="module")
+def spied_class_group():
+    """class_group(d) and the lattice it searched, each d run once, with the
+    oracle off (it runs after the search and does not touch the lattice)."""
+    runs = {}
+
+    def run(d):
+        if d not in runs:
+            made = []
+
+            class Spy(HNFLattice):
+                def __init__(self, ncols):
+                    super().__init__(ncols)
+                    self.flags = []  # (changed, full rank) after each insert
+                    made.append(self)
+
+                def insert(self, row):
+                    changed = super().insert(row)
+                    self.flags.append((changed, self.rank == self.ncols))
+                    return changed
+
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(classgroup, "HNFLattice", Spy)
+                m.setattr(classgroup, "ORACLE_BOUND_LIMIT", 0)
+                cg = class_group(classify(d))
+            (lattice,) = made
+            runs[d] = cg, lattice
+        return runs[d]
+
+    return run
+
+
+@pytest.mark.parametrize("d", [7, 65, 122, 182, 487])
+def test_search_stops_after_a_full_stable_window(d, spied_class_group):
+    _, lattice = spied_class_group(d)
+    tail = 0
+    for changed, full_rank in reversed(lattice.flags):
+        if changed or not full_rank:
+            break
+        tail += 1
+    # STABLE_WINDOW unchanged full-rank rows, right after the last change
+    assert tail == STABLE_WINDOW
+    assert lattice.flags[-tail - 1] == (True, True)
+
+
+# the number of pivots above 1 in each field's final HNF
+@pytest.mark.parametrize("d,m", [(65, 2), (122, 3), (182, 3), (487, 1)])
+def test_pivot_block_of_a_relation_lattice(d, m, spied_class_group):
+    cg, lattice = spied_class_group(d)
+    M = lattice.matrix()
+    assert sum(M[i, i] > 1 for i in range(M.rows)) == m
+    full = tuple(x for x in snf(M) if x > 1)
+    assert lattice.elementary_divisors() == full == cg.divisors
 
 
 def test_ambiguous_order_examples():

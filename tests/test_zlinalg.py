@@ -1,5 +1,6 @@
 """Exact integer linear algebra: HNF, SNF, determinants, LLL."""
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from purecubic import classgroup, ideals
 from purecubic.cubicfield import classify
-from purecubic.zlinalg import HNFLattice, IntMatrix, det, hnf, lll_reduce, snf
+from purecubic.zlinalg import HNFLattice, IntMatrix, _xgcd, det, hnf, lll_reduce, snf
 
 small_entries = st.integers(min_value=-30, max_value=30)
 
@@ -139,6 +140,7 @@ def test_hnf_lattice_matches_direct_snf(case):
             assert lat.matrix() == IntMatrix.from_rows([H.row(i) for i in range(lat.rank)])
         if expect is not None:
             assert snf(lat.matrix()) == expect
+            assert lat.elementary_divisors() == tuple(x for x in expect if x > 1)
             h = 1
             for x in expect:
                 h *= x
@@ -158,6 +160,150 @@ def test_hnf_lattice_known_example():
     assert lat.insert([0, -2]) is False
     assert lat.insert([0, 1]) is True
     assert snf(lat.matrix()) == [1, 2]
+    assert lat.elementary_divisors() == (2,)
+
+
+class DenseHNFLattice:
+    """Reference: the same reduced HNF lattice with dense list rows.
+
+    Each insert walks every column of the row, and the re-reduction
+    rewrites whole row tails; the library keeps sparse rows instead.
+    """
+
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self._basis = {}
+
+    @property
+    def rank(self):
+        return len(self._basis)
+
+    def determinant(self):
+        if self.rank < self.ncols:
+            return None
+        out = 1
+        for c, row in self._basis.items():
+            out *= row[c]
+        return out
+
+    def matrix(self):
+        return IntMatrix.from_rows([self._basis[c] for c in sorted(self._basis)])
+
+    def insert(self, row):
+        n = self.ncols
+        v = [int(x) for x in row]
+        changed = []
+        for j in range(n):
+            x = v[j]
+            if x == 0:
+                continue
+            h = self._basis.get(j)
+            if h is None:
+                self._basis[j] = v if x > 0 else [-y for y in v]
+                changed.append(j)
+                break
+            p = h[j]
+            if x % p == 0:
+                q = x // p
+                v[j:] = [z - q * y for y, z in zip(h[j:], v[j:])]
+                continue
+            g, s, t = _xgcd(p, x)
+            a, b = p // g, x // g
+            self._basis[j] = h[:j] + [s * y + t * z for y, z in zip(h[j:], v[j:])]
+            v = v[:j] + [a * z - b * y for y, z in zip(h[j:], v[j:])]
+            changed.append(j)
+        if changed:
+            self._reduce(changed)
+        return bool(changed)
+
+    def _reduce(self, changed):
+        cols = sorted(self._basis)
+        for c in cols:
+            r = self._basis[c]
+            if c in changed:
+                start = c + 1
+            else:
+                start = next((k for k in changed if k > c and not 0 <= r[k] < self._basis[k][k]), None)
+                if start is None:
+                    continue
+            for k in cols[bisect_left(cols, start) :]:
+                h = self._basis[k]
+                q = r[k] // h[k]
+                if q:
+                    r[k:] = [y - q * z for y, z in zip(r[k:], h[k:])]
+
+
+# entries of a relation-like row: mostly small, some large
+lattice_entries = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))
+
+
+@st.composite
+def sparse_runs(draw, max_n=40):
+    """(n, rows): sparse rows with a few entries each, some of them integer
+    combinations of earlier rows, so runs stay below full rank or revisit
+    the lattice they built; half the runs end with c*e_k for every column,
+    which brings them to full rank."""
+    n = draw(st.integers(1, max_n))
+    rows = []
+    for _ in range(draw(st.integers(1, n + 10))):
+        if rows and draw(st.integers(0, 3)) == 0:
+            a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            u, w = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([a * x + b * y for x, y in zip(u, w)])
+            continue
+        entries = draw(st.dictionaries(st.integers(0, n - 1), lattice_entries, max_size=4))
+        rows.append([entries.get(k, 0) for k in range(n)])
+    if draw(st.booleans()):
+        rows += [[draw(st.integers(1, 6)) if j == k else 0 for j in range(n)] for k in range(n)]
+    return n, rows
+
+
+def _sparse_invariant(lat):
+    """Every stored entry is nonzero and no row has an entry before its pivot."""
+    for c, row in lat._basis.items():
+        assert all(row.values()), (c, row)
+        assert min(row) == c and row[c] > 0, (c, row)
+
+
+@given(sparse_runs())
+@settings(max_examples=150, deadline=None)
+def test_sparse_lattice_matches_dense_reference(case):
+    n, rows = case
+    lat, ref = HNFLattice(n), DenseHNFLattice(n)
+    for row in rows:
+        assert lat.insert(row) == ref.insert(row)
+        _sparse_invariant(lat)
+        assert (lat.rank, lat.determinant()) == (ref.rank, ref.determinant())
+        if lat.rank:
+            assert lat.matrix() == ref.matrix()
+
+
+@given(sparse_runs(max_n=12))
+@settings(max_examples=150, deadline=None)
+def test_pivot_block_divisors_match_full_snf(case):
+    n, rows = case
+    lat = HNFLattice(n)
+    for row in rows:
+        lat.insert(row)
+    for k in range(n):
+        lat.insert([1 + k % 3 if j == k else 0 for j in range(n)])  # full rank, some pivots 1
+    assert lat.elementary_divisors() == tuple(x for x in snf(lat.matrix()) if x > 1)
+
+
+def test_pivot_block_without_pivots_above_one():
+    lat = HNFLattice(3)
+    for row in ([1, 5, -2], [0, 1, 7], [0, 0, -1]):
+        lat.insert(row)
+    assert lat.determinant() == 1
+    assert lat.elementary_divisors() == ()
+
+
+def test_pivot_block_below_full_rank():
+    lat = HNFLattice(3)
+    lat.insert([2, 0, 1])
+    lat.insert([0, 3, 0])
+    with pytest.raises(ValueError):
+        lat.elementary_divisors()
 
 
 @given(st.lists(st.lists(st.integers(-20, 20), min_size=3, max_size=3),
