@@ -5,7 +5,9 @@ Checks split_in_gamma against the factorization of x^3 - d over F_q for
 every cube-free d and prime q in the given ranges (within the oracle's
 applicability domain q coprime to 3b).  It also runs primes_above for
 every q, q | 3b included; primes_above raises unless its prime ideals have
-the pattern split_in_gamma gives and the product of the P^e is qO.
+the pattern split_in_gamma gives and the product of the P^e is qO.  For
+the primes P, P' above distinct q, q' <= 50 it checks that the CRT product
+mul_coprime(P, P') is the general product mul(P, P').
 Prints each disagreement and exits 1 if there was any.
 
     python scripts/splitting_survey.py --max-d 200 --max-q 200
@@ -17,7 +19,9 @@ import sys
 from sympy import primerange
 
 from purecubic.cubicfield import brute_split, classify, split_in_gamma
-from purecubic.ideals import primes_above
+from purecubic.ideals import mul, mul_coprime, primes_above
+
+COPRIME_MAX_Q = 50  # the largest q whose primes enter the mul_coprime check
 
 
 def cube_free(d):
@@ -29,12 +33,12 @@ def cube_free(d):
 
 
 def ideals_mismatch(F, q):
-    """Why primes_above(F, q) disagrees with the splitting law, or None."""
+    """(why primes_above(F, q) disagrees with the splitting law or None,
+    the primes it found)."""
     try:
-        primes_above(F, q)
+        return None, [P for P, _, _ in primes_above(F, q)]
     except ArithmeticError as e:
-        return str(e)
-    return None
+        return str(e), []
 
 
 def main():
@@ -48,6 +52,7 @@ def main():
         if not cube_free(d):
             continue
         F = classify(d)
+        small = []
         for q in primerange(2, args.max_q):
             if (3 * F.b) % q:
                 total += 1
@@ -55,10 +60,19 @@ def main():
                     bad += 1
                     print(f"MISMATCH d={d} q={q}: split_in_gamma vs brute_split")
             total += 1
-            why = ideals_mismatch(F, q)
+            why, primes = ideals_mismatch(F, q)
             if why is not None:
                 bad += 1
                 print(f"MISMATCH d={d} q={q}: primes_above: {why}")
+            if q <= COPRIME_MAX_Q:
+                small += [(q, P) for P in primes]
+        for i, (q, P) in enumerate(small):
+            for q2, P2 in small[i + 1:]:
+                if q2 != q:
+                    total += 1
+                    if mul_coprime(P, P2) != mul(P, P2):
+                        bad += 1
+                        print(f"MISMATCH d={d} q={q} q'={q2}: mul_coprime vs mul")
     print(f"{total} checks, {bad} mismatches")
     return 1 if bad else 0
 

@@ -2,9 +2,12 @@
 
 The class group is presented on the factor base of all prime ideals of
 norm below the Minkowski bound.  Relations are principal ideals (alpha)
-factored over the base; their lattice is kept in Hermite normal form as
-rows arrive, and once the search stabilizes the cokernel is read off the
-Smith normal form of the basis block whose pivots exceed 1.
+factored over the base, each checked by reassembling (alpha) from its
+factors: the parts over distinct rational primes have coprime norms, so
+they multiply by CRT on their HNF entries.  The relation lattice is kept
+in Hermite normal form as rows arrive, and once the search stabilizes
+the cokernel is read off the Smith normal form of the basis block whose
+pivots exceed 1.
 Stabilization is heuristic, so for small bounds the result is certified
 against an independent brute-force enumeration of ideal classes.
 
@@ -18,7 +21,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, product as iproduct
+from itertools import count
 from math import isqrt, prod
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -32,7 +35,7 @@ from .ideals import (
     ideal_of_element,
     is_principal_bounded,
     mul,
-    mul_two_element,
+    mul_coprime,
     primes_above,
 )
 from .zlinalg import HNFLattice
@@ -40,12 +43,6 @@ from .zlinalg import HNFLattice
 STABLE_WINDOW = 32  # full-rank rows in a row that leave the lattice unchanged
 ORACLE_BOUND_LIMIT = 100  # the largest Minkowski bound the oracle certifies
 ORACLE_SEARCH_BOUND = 12  # the oracle's principality-test box radius
-#: coefficients over the HNF rows of P for its second generator, up to sign:
-#: single rows first, row 1 (theta - r in a degree-1 prime (q, theta - r))
-#: and row 0 (the quadratic generator of a degree-2 prime) leading
-_ROW_COMBINATIONS = ((0, 1, 0), (1, 0, 0), (0, 0, 1)) + tuple(
-    c for c in iproduct((0, 1, -1), repeat=3) if c.count(0) < 2 and next(x for x in c if x) == 1
-)
 
 
 class BudgetExhausted(RuntimeError):
@@ -71,9 +68,8 @@ class BudgetExhausted(RuntimeError):
 class FactorBasePrime:
     """A prime ideal P of norm q^f, with the powers of P built so far.
 
-    `power(k)` extends the list of powers on demand, and `two_element(k)`
-    the list of pairs (a_k, gamma_k) with P^k = a_k*O + gamma_k*O, so each
-    is built once per factor base and freed with it.
+    `power(k)` extends the list of powers on demand, so each is built once
+    per factor base and freed with it.
     """
 
     q: int
@@ -82,9 +78,6 @@ class FactorBasePrime:
     f: int
     norm: int
     _powers: List[IdealHNF] = field(default_factory=list, init=False, repr=False, compare=False)
-    _pairs: List[Tuple[int, ElementGamma]] = field(
-        default_factory=list, init=False, repr=False, compare=False
-    )
 
     def power(self, k: int) -> IdealHNF:
         """P^k for k >= 1."""
@@ -94,40 +87,6 @@ class FactorBasePrime:
         while len(powers) < k:
             powers.append(mul(powers[-1], self.ideal))
         return powers[k - 1]
-
-    def two_element(self, k: int) -> Tuple[int, ElementGamma]:
-        """(a_k, gamma_k) with P^k = a_k*O + gamma_k*O, for k >= 1."""
-        pairs = self._pairs
-        while len(pairs) < k:
-            pairs.append(self._find_pair(len(pairs) + 1))
-        return pairs[k - 1]
-
-    def _find_pair(self, k: int) -> Tuple[int, ElementGamma]:
-        # v_P(q) = e, so q^m lies in P^k exactly for m >= k/e.  Given
-        # P = (q, gamma_1), gamma_1^k has valuation k at P and 0 at the other
-        # primes above q, so (a_k, gamma_1^k) = P^k, and gamma_1^k may be
-        # reduced mod a_k*O.  gamma_1 is the first small combination of the
-        # HNF rows of P that works.
-        F = self.ideal.field
-        a = self.q ** -(-k // self.e)
-        target = self.power(k)
-        if k == 1:
-            # lazily: the first candidate almost always works
-            candidates = (
-                tuple(sum(x * r[i] for x, r in zip(cs, target.basis)) for i in range(3))
-                for cs in _ROW_COMBINATIONS
-            )
-        else:
-            g, c = self.two_element(1)[1].coords(), (1, 0, 0)
-            for _ in range(k):
-                c = tuple(x % a for x in F.mul_coords(c, g))
-            candidates = [c]
-        unit = IdealHNF.unit_ideal(F)
-        for c in candidates:
-            gamma = ElementGamma(F, *c)
-            if mul_two_element(unit, a, gamma) == target:
-                return a, gamma
-        raise ArithmeticError(f"no two-element form found for the power {k} of a prime above {self.q}")
 
 
 @dataclass(frozen=True)
@@ -217,8 +176,9 @@ def relation_row(F: PureCubicField, fb: FactorBase, alpha: ElementGamma) -> Opti
         return None
     coords = alpha.coords()
     row = [0] * len(fb.primes)
-    factors = []
+    whole = None
     for q, m in sm.items():
+        part = None
         for j in fb.columns[q]:
             p = fb.primes[j]
             # P^k contains alpha exactly for k <= v_P(alpha), and the norms
@@ -230,15 +190,15 @@ def relation_row(F: PureCubicField, fb: FactorBase, alpha: ElementGamma) -> Opti
             if k:
                 row[j] = k
                 m -= k * p.f
-                factors.append((p, k))
+                part = p.power(k) if part is None else mul(part, p.power(k))
         if m:
             return None  # some prime above q has norm beyond the bound
-    # exact reassembly check, never sampled: the first P^k times the
-    # two-element forms of the others
-    prod = factors[0][0].power(factors[0][1]) if factors else IdealHNF.unit_ideal(F)
-    for p, k in factors[1:]:
-        prod = mul_two_element(prod, *p.two_element(k))
-    if prod != ideal_of_element(alpha):
+        # the q-parts have coprime norms, so their product is a CRT lift
+        whole = part if whole is None else mul_coprime(whole, part)
+    if whole is None:
+        whole = IdealHNF.unit_ideal(F)  # alpha is a unit
+    # exact reassembly check, never sampled
+    if whole != ideal_of_element(alpha):
         raise ArithmeticError(f"relation for {alpha.coords()} does not reassemble")
     return row
 
@@ -249,9 +209,11 @@ def _element_stream(F: PureCubicField) -> Iterator[ElementGamma]:
     for r in count(1):
         for x in range(-r, r + 1):
             for y in range(-r, r + 1):
+                if max(abs(x), abs(y)) < r:
+                    # inside the old box: only the face z = r is new
+                    yield ElementGamma(F, x, y, r)
+                    continue
                 for z in range(r + 1):
-                    if max(abs(x), abs(y), z) != r:
-                        continue  # only the new shell
                     if z == 0 and (y < 0 or (y == 0 and x <= 0)):
                         continue  # skip sign duplicates and zero
                     yield ElementGamma(F, x, y, z)

@@ -5,7 +5,8 @@ the verified integral basis of the field, which makes equality,
 containment and norms trivial to read off.  Primes above q come from
 explicit generators: (q, g(theta)) for each factor g of x^3 - d over F_q,
 read off its roots, when q is coprime to the index (3b), and the kernels
-of the ring maps O -> F_q otherwise (q = 3, and q | b).
+of the ring maps O -> F_q otherwise (q = 3, and q | b).  Ideals of
+coprime norm multiply by CRT on their HNF entries.
 """
 
 from __future__ import annotations
@@ -151,6 +152,33 @@ def mul(I: IdealHNF, J: IdealHNF) -> IdealHNF:
     return IdealHNF(I.field, _lattice_hnf(vecs))
 
 
+def _crt(r: int, m: int, s: int, n: int) -> int:
+    """The x in [0, m*n) with x = r (mod m) and x = s (mod n), gcd(m, n) = 1."""
+    r %= m
+    return r + m * ((s - r) * pow(m, -1, n) % n)
+
+
+def mul_coprime(I: IdealHNF, J: IdealHNF) -> IdealHNF:
+    """I * J for ideals of coprime norm, read off the two HNFs.
+
+    Coprime norms give I + J = O, so I*J = I & J, and the lattices have
+    coprime index, so each entry of the HNF of I & J is the CRT lift of
+    the entries I and J ask for (Cohen, GTM 138, 1.3.3 and 4.7): a
+    vector (x, y, z) lies in I exactly when a | x, d | y - (x/a)*b and
+    f | z - (x/a)*c - ((y - (x/a)*b)/d)*e.  No element product is formed.
+    """
+    if I.field != J.field:
+        raise ValueError("ambient mismatch")
+    (a, b, c), (_, d, e), (_, _, f) = I.basis
+    (a2, b2, c2), (_, d2, e2), (_, _, f2) = J.basis
+    if gcd(a * d * f, a2 * d2 * f2) != 1:
+        raise ValueError("norms are not coprime")
+    E = _crt(d2 * e, f, d * e2, f2)
+    B = _crt(a2 * b, d, a * b2, d2)
+    C = _crt(a2 * c + (B - a2 * b) // d * e, f, a * c2 + (B - a * b2) // d2 * e2, f2)
+    return IdealHNF(I.field, ((a * a2, B, C), (0, d * d2, E), (0, 0, f * f2)))
+
+
 def mul_two_element(I: IdealHNF, a: int, gamma: ElementGamma) -> IdealHNF:
     """I * (aO + gamma*O) = a*I + gamma*I, for an integer a > 0.
 
@@ -225,10 +253,12 @@ def primes_above(field: PureCubicField, q: int) -> List[Tuple[IdealHNF, int, int
     if not isprime(q):
         raise ValueError("q must be prime")
     q_ideal = IdealHNF.from_integer(field, q)
+    unit = IdealHNF.unit_ideal(field)
 
     def with_q(gen: ElementGamma) -> IdealHNF:
-        return IdealHNF.from_generators(field, [ElementGamma(field, q, 0, 0), gen])
+        return mul_two_element(unit, q, gen)
 
+    gens: List[ElementGamma] = []
     if (3 * field.b) % q == 0:
         out = [(P, valuation(q_ideal, P), 1) for P in _ring_map_kernels(field, q)]
     elif field.d % q == 0:  # x^3 - d = x^3
@@ -240,7 +270,8 @@ def primes_above(field: PureCubicField, q: int) -> List[Tuple[IdealHNF, int, int
         factors = [[-r % q, 1] for r in roots]
         if len(roots) == 1:
             factors.append([roots[0] ** 2 % q, roots[0], 1])
-        out = [(with_q(_poly_eval_theta(field, g)), 1, len(g) - 1) for g in factors]
+        gens = [_poly_eval_theta(field, g) for g in factors]
+        out = [(with_q(g), 1, len(factor) - 1) for g, factor in zip(gens, factors)]
         out = out or [(q_ideal, 1, 3)]
     pattern = sorted((e, f) for _, e, f in out)
     expected = list(split_in_gamma(field, q).pairs)
@@ -248,7 +279,12 @@ def primes_above(field: PureCubicField, q: int) -> List[Tuple[IdealHNF, int, int
         raise ArithmeticError(f"primes above {q} disagree with the splitting law")
     if any(P.norm() != q ** f for P, _, f in out):
         raise ArithmeticError(f"a prime above {q} has the wrong norm")
-    if reduce(mul, [P for P, e, _ in out for _ in range(e)]) != q_ideal:
+    if gens:
+        # unramified: the product of the (q, g_i) is one pair at a time
+        whole = reduce(lambda I, g: mul_two_element(I, q, g), gens, unit)
+    else:
+        whole = reduce(mul, [P for P, e, _ in out for _ in range(e)])
+    if whole != q_ideal:
         raise ArithmeticError(f"the primes above {q} do not reassemble {q}O")
     if (3 * field.b) % q == 0 and len(out) > 1:
         # the order in which a scan of O/qO meets them: by the lex-least

@@ -2,7 +2,7 @@
 
 import gc
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 
 import pytest
 from sympy import primerange
@@ -142,40 +142,60 @@ def test_factor_bases_built_alternately_give_fresh_rows():
         del fb
 
 
-# 28: 2 | b and 7 | a, totally ramified; 10: second kind, q = 3 by the ring-map route
-@pytest.mark.parametrize("d", [7, 28, 10, 199, 487])
-def test_two_element_pairs_span_the_prime_powers(d):
-    F = classify(d)
-    fb = build_factor_base(F)
-    for alpha in islice(_element_stream(F), 300):
-        relation_row(F, fb, alpha)
-    built = 0
-    for p in fb.primes:
-        p.two_element(6 if p.q < 8 else 2)
-        for k, (a, gamma) in enumerate(p._pairs, 1):
-            assert a == p.q ** -(-k // p.e)
-            pair = IdealHNF.from_generators(F, [ElementGamma(F, a, 0, 0), gamma])
-            assert pair == p.power(k), (p.q, k)
-            built += 1
-    assert built >= 2 * len(fb.primes)
-
-
-def test_relation_row_rejects_a_corrupted_two_element_pair():
+def test_relation_row_rejects_a_wrong_q_part(monkeypatch):
     F = classify(199)
     fb = build_factor_base(F)
-    # a row with at least two factors, so that one of them enters the
-    # reassembly through its two-element form
-    alpha, row = next(
-        (a, r) for a in _element_stream(F)
-        for r in [relation_row(F, fb, a)] if r is not None and sum(x > 0 for x in r) >= 2
+    # a row over at least two rational primes, so that mul_coprime folds it
+    alpha = next(
+        a for a in _element_stream(F)
+        for r in [relation_row(F, fb, a)]
+        if r is not None and len({p.q for p, k in zip(fb.primes, r) if k}) >= 2
     )
-    one = ElementGamma(F, 1, 0, 0)
-    for p, k in zip(fb.primes, row):
-        if k:
-            p.two_element(k)
-            p._pairs[:] = [(a, one) for a, _ in p._pairs]  # (a, 1) is O, not P^k
+    monkeypatch.setattr(classgroup, "mul_coprime", lambda I, J: I)  # drops a q-part
     with pytest.raises(ArithmeticError, match="does not reassemble"):
         relation_row(F, fb, alpha)
+
+
+def test_relation_row_multiplies_the_primes_above_one_q(monkeypatch):
+    # rows with two primes above the same q take `mul` for their q-part;
+    # a wrong product there must fail the reassembly too
+    F = classify(487)
+    fb = build_factor_base(F)
+    alpha = next(
+        a for a in _element_stream(F)
+        for r in [relation_row(F, fb, a)]
+        if r is not None and any(sum(r[j] > 0 for j in cols) >= 2 for cols in fb.columns.values())
+    )
+    calls = []
+
+    def drop_second(I, J):  # the powers are cached, so only the q-part calls it
+        calls.append(J)
+        return I
+
+    monkeypatch.setattr(classgroup, "mul", drop_second)
+    with pytest.raises(ArithmeticError, match="does not reassemble"):
+        relation_row(F, fb, alpha)
+    assert calls
+
+
+def _cube_scan_stream(F):
+    """The stream as first written: the whole cube of radius r, keeping its shell."""
+    for r in count(1):
+        for x in range(-r, r + 1):
+            for y in range(-r, r + 1):
+                for z in range(r + 1):
+                    if max(abs(x), abs(y), z) != r:
+                        continue
+                    if z == 0 and (y < 0 or (y == 0 and x <= 0)):
+                        continue
+                    yield ElementGamma(F, x, y, z)
+
+
+def test_element_stream_matches_the_cube_scan():
+    F = classify(2)
+    got = [a.coords() for a in islice(_element_stream(F), 20000)]
+    assert got == [a.coords() for a in islice(_cube_scan_stream(F), 20000)]
+    assert len(set(got)) == 20000
 
 
 @pytest.mark.parametrize("d,h", [(2, 1), (3, 1), (5, 1), (7, 3)])

@@ -1,9 +1,10 @@
 """Ideal arithmetic in HNF representation: primes above q, valuations, quotients."""
 
 from itertools import product as iproduct
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import primerange
 
@@ -20,6 +21,7 @@ from purecubic.ideals import (
     ideal_quotient,
     is_principal_bounded,
     mul,
+    mul_coprime,
     mul_two_element,
     primes_above,
     valuation,
@@ -75,8 +77,11 @@ def test_mul_two_element_matches_mul_on_factor_base_powers(d):
             I = mul(p.power(k), p2.power(4 - k))
             for s in primes:
                 for j in (1, 2):
-                    a, gamma = s.two_element(j)
-                    assert mul_two_element(I, a, gamma) == _two_element_reference(I, a, gamma)
+                    # a = q^j and gamma a basis row of P^j, so (a, gamma) lies in P^j
+                    a = s.q ** j
+                    for row in s.power(j).basis:
+                        gamma = ElementGamma(F, *row)
+                        assert mul_two_element(I, a, gamma) == _two_element_reference(I, a, gamma)
 
 
 @given(vec3, st.integers(1, 60), st.sampled_from([2, 10, 28, 199]))
@@ -92,6 +97,42 @@ def test_mul_two_element_rejects_a_nonpositive_integer():
     F = classify(7)
     with pytest.raises(ValueError):
         mul_two_element(IdealHNF.unit_ideal(F), 0, ElementGamma(F, 0, 1, 0))
+
+
+# 28 = 7 * 2^2 (2 | b and 7 | a, totally ramified); 10 is of the second kind
+@pytest.mark.parametrize("d", [7, 10, 28, 199, 487])
+def test_mul_coprime_matches_mul_on_factor_base_powers(d):
+    F = classify(d)
+    powers = [p.power(k) for p in classgroup.build_factor_base(F).primes for k in (1, 2, 3)]
+    pairs = 0
+    for I in powers:
+        for J in powers:
+            if gcd(I.norm(), J.norm()) == 1:
+                assert mul_coprime(I, J) == mul(I, J), (I.basis, J.basis)
+                pairs += 1
+    assert pairs > len(powers) ** 2 // 2
+
+
+@given(vec3, vec3, st.sampled_from([2, 10, 28, 199, 487]))
+@settings(max_examples=300, deadline=None)
+def test_mul_coprime_of_principal_ideals_is_the_ideal_of_the_product(u, v, d):
+    # checked against (alpha*beta), so without `mul`
+    F = classify(d)
+    alpha, beta = ElementGamma(F, *u), ElementGamma(F, *v)
+    assume(not alpha.is_zero() and not beta.is_zero())
+    assume(gcd(alpha.norm(), beta.norm()) == 1)
+    got = mul_coprime(ideal_of_element(alpha), ideal_of_element(beta))
+    assert got == ideal_of_element(alpha * beta)
+
+
+def test_mul_coprime_rejects_norms_that_share_a_prime():
+    F = classify(7)
+    (P, _, _), (Q, _, _) = primes_above(F, 3)[0], primes_above(F, 2)[0]
+    for I, J in ((P, P), (P, mul(P, Q)), (IdealHNF.from_integer(F, 6), Q)):
+        with pytest.raises(ValueError, match="not coprime"):
+            mul_coprime(I, J)
+    with pytest.raises(ValueError, match="ambient"):
+        mul_coprime(P, primes_above(classify(10), 7)[0][0])
 
 
 def test_primes_above_reassemble():
