@@ -7,7 +7,9 @@ applicability domain q coprime to 3b).  It also runs primes_above for
 every q, q | 3b included; primes_above raises unless its prime ideals have
 the pattern split_in_gamma gives and the product of the P^e is qO.  For
 the primes P, P' above distinct q, q' <= 50 it checks that the CRT product
-mul_coprime(P, P') is the general product mul(P, P').
+mul_coprime(P, P') is the general product mul(P, P'), and for each q <= 50
+that ring_maps(F, q) lists the same ring maps O -> F_q as a search over
+all of F_q^2.
 Prints each disagreement and exits 1 if there was any.
 
     python scripts/splitting_survey.py --max-d 200 --max-q 200
@@ -15,13 +17,14 @@ Prints each disagreement and exits 1 if there was any.
 
 import argparse
 import sys
+from itertools import product
 
 from sympy import primerange
 
-from purecubic.cubicfield import brute_split, classify, split_in_gamma
+from purecubic.cubicfield import brute_split, classify, ring_maps, split_in_gamma
 from purecubic.ideals import mul, mul_coprime, primes_above
 
-COPRIME_MAX_Q = 50  # the largest q whose primes enter the mul_coprime check
+COPRIME_MAX_Q = 50  # the largest q for the mul_coprime and the ring_maps checks
 
 
 def cube_free(d):
@@ -30,6 +33,19 @@ def cube_free(d):
         return True
     except ValueError:
         return False
+
+
+def searched_ring_maps(F, q):
+    """The (s, t) in F_q^2 for which w0 -> 1, w1 -> s, w2 -> t respects
+    every product w_i * w_j of the integral basis."""
+    basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    products = [(i, j, F.mul_coords(basis[i], basis[j])) for i in range(3) for j in range(i, 3)]
+    out = []
+    for s, t in product(range(q), repeat=2):
+        im = (1, s, t)
+        if all((c0 + c1 * s + c2 * t - im[i] * im[j]) % q == 0 for i, j, (c0, c1, c2) in products):
+            out.append((s, t))
+    return out
 
 
 def ideals_mismatch(F, q):
@@ -66,6 +82,14 @@ def main():
                 print(f"MISMATCH d={d} q={q}: primes_above: {why}")
             if q <= COPRIME_MAX_Q:
                 small += [(q, P) for P in primes]
+                total += 1
+                try:
+                    maps = sorted(ring_maps(F, q))
+                except ArithmeticError as e:
+                    maps = str(e)
+                if maps != searched_ring_maps(F, q):
+                    bad += 1
+                    print(f"MISMATCH d={d} q={q}: ring_maps vs the F_q^2 search")
         for i, (q, P) in enumerate(small):
             for q2, P2 in small[i + 1:]:
                 if q2 != q:

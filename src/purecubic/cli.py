@@ -372,7 +372,7 @@ def main(argv=None) -> int:
     except (UsageError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
+    except (ValueError, ArithmeticError) as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 3
     doc = {

@@ -224,19 +224,47 @@ def _is_cubic_residue(c: int, q: int) -> bool:
     return pow(c % q, (q - 1) // 3, q) == 1
 
 
-def legendre(c: int, q: int) -> int:
-    """Legendre symbol (c/q) for odd prime q."""
-    c %= q
-    if c == 0:
-        return 0
-    return 1 if pow(c, (q - 1) // 2, q) == 1 else -1
-
-
 def _roots_mod(d: int, q: int) -> List[int]:
     """The roots of x^3 - d in F_q (q prime to 3d), by descending residue."""
     if q % 3 == 2:  # cubing is a bijection, with inverse r -> r^((2q-1)/3)
         return [pow(d, (2 * q - 1) // 3, q)]
     return sorted(nthroot_mod(d, 3, q, True) or [], reverse=True)
+
+
+def ring_maps(F: PureCubicField, q: int) -> List[Tuple[int, int]]:
+    """The images (s, t) of (w1, w2) under every ring map O -> F_q, w0 -> 1.
+
+    The kernel of each map, x0 + s*x1 + t*x2 = 0 (mod q), is a prime of
+    degree 1 above q, and every such prime is one (Cohen, GTM 138, 6.2).
+    For q prime to 3b, theta maps to a root r of x^3 - d (r = 0 when q | d),
+    in the order `_roots_mod` gives, and w2 to its value at r; for q | 3b
+    every (s, t) in F_q^2 is a candidate.  Each candidate is checked
+    against the multiplication table, and one read off a root that fails
+    the check is an ArithmeticError.
+    """
+    if not isprime(q):
+        raise ValueError("q must be prime")
+    from_roots = (3 * F.b) % q != 0
+    if from_roots:
+        n0, n1, n2, den = F.basis_theta_repr[2]
+        inv = pow(den, -1, q)
+        roots = [0] if F.d % q == 0 else _roots_mod(F.d, q)
+        candidates = [(r, (n0 + n1 * r + n2 * r * r) * inv % q) for r in roots]
+    else:
+        candidates = product(range(q), repeat=2)
+    out = []
+    for s, t in candidates:
+        im = (1, s, t)
+        if all(
+            (c[0] + c[1] * s + c[2] * t - im[i] * im[j]) % q == 0
+            for i in range(3)
+            for j, c in enumerate(F.table[i])
+            if i <= j
+        ):
+            out.append((s, t))
+        elif from_roots:
+            raise ArithmeticError(f"theta -> {s} is not a ring map O -> F_{q} for d={F.d}")
+    return out
 
 
 def split_in_gamma(F: PureCubicField, q: int) -> SplitPattern:
@@ -291,17 +319,3 @@ def brute_split(F: PureCubicField, q: int) -> SplitPattern:
     x = Symbol("x")
     fac = Poly(x ** 3 - F.d, x, domain=GF(q)).factor_list()[1]
     return SplitPattern.of(*[(mult, poly.degree()) for poly, mult in fac])
-
-
-def never_happens_check(q: int) -> bool:
-    """The two-primes-of-degree-3 pattern cannot occur for q == -1 (mod 3).
-
-    For odd q this is the statement legendre(-3, q) = -1; q = 2 is inert
-    in Q(zeta) (x^2 + x + 1 is irreducible mod 2), so it never hits the
-    pattern either and the check is defined to be true there.
-    """
-    if q % 3 != 2 or not isprime(q):
-        raise ValueError("q must be a prime congruent to -1 mod 3")
-    if q == 2:
-        return True
-    return legendre(-3, q) == -1

@@ -2,11 +2,11 @@
 
 An ideal is stored as the unique row-HNF basis of its rank-3 lattice over
 the verified integral basis of the field, which makes equality,
-containment and norms trivial to read off.  Primes above q come from
-explicit generators: (q, g(theta)) for each factor g of x^3 - d over F_q,
-read off its roots, when q is coprime to the index (3b), and the kernels
-of the ring maps O -> F_q otherwise (q = 3, and q | b).  Ideals of
-coprime norm multiply by CRT on their HNF entries.
+containment and norms trivial to read off.  A prime of degree 1 above q
+is the kernel of a ring map O -> F_q (`cubicfield.ring_maps`), and the
+one prime of degree 2, when q has one, is (q, theta^2 + r*theta + r^2)
+for the root r of x^3 - d mod q.  Ideals of coprime norm multiply by CRT
+on their HNF entries.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 from sympy import isprime
 
-from .cubicfield import _UNIT_VECTORS, PureCubicField, _roots_mod, split_in_gamma
+from .cubicfield import _UNIT_VECTORS, PureCubicField, ring_maps, split_in_gamma
 from .zlinalg import _xgcd, lll_reduce
 
 
@@ -179,22 +179,6 @@ def mul_coprime(I: IdealHNF, J: IdealHNF) -> IdealHNF:
     return IdealHNF(I.field, ((a * a2, B, C), (0, d * d2, E), (0, 0, f * f2)))
 
 
-def mul_two_element(I: IdealHNF, a: int, gamma: ElementGamma) -> IdealHNF:
-    """I * (aO + gamma*O) = a*I + gamma*I, for an integer a > 0.
-
-    The rows a*H_I lead and are already triangular, so `_lattice_hnf`
-    takes them as its three pivots unchanged and only inserts the three
-    rows gamma*r against them: three products over the basis instead of
-    the nine `mul` takes (Cohen, GTM 138, 4.7).
-    """
-    if a <= 0:
-        raise ValueError("a must be a positive integer")
-    g = gamma.coords()
-    vecs = [(a * x, a * y, a * z) for x, y, z in I.basis]
-    vecs += [I.field.mul_coords(r, g) for r in I.basis]
-    return IdealHNF(I.field, _lattice_hnf(vecs))
-
-
 def ideal_of_element(alpha: ElementGamma) -> IdealHNF:
     if alpha.is_zero():
         raise ValueError("zero element")
@@ -208,14 +192,10 @@ def ideal_power(I: IdealHNF, e: int) -> IdealHNF:
     return out
 
 
-def _theta(field: PureCubicField) -> ElementGamma:
-    return ElementGamma(field, 0, 1, 0)
-
-
 def _poly_eval_theta(field: PureCubicField, coeffs: List[int]) -> ElementGamma:
     """Evaluate a polynomial (lowest degree first) at theta."""
     acc = ElementGamma(field, 0, 0, 0)
-    th = _theta(field)
+    th = ElementGamma(field, 0, 1, 0)
     power = ElementGamma(field, 1, 0, 0)
     for c in coeffs:
         if c:
@@ -225,53 +205,31 @@ def _poly_eval_theta(field: PureCubicField, coeffs: List[int]) -> ElementGamma:
     return acc
 
 
-def _ring_map_kernels(field: PureCubicField, q: int) -> List[IdealHNF]:
-    """Kernels of the ring maps O -> F_q, w0 -> 1, w1 -> s, w2 -> t.
-
-    Above q | 3b every prime has degree 1, so each one is such a kernel.
-    The kernel is the lattice x0 + s*x1 + t*x2 = 0 (mod q).
-    """
-    out = []
-    for s, t in iproduct(range(q), repeat=2):
-        im = (1, s, t)
-        if all(
-            (c[0] + c[1] * s + c[2] * t - im[i] * im[j]) % q == 0
-            for i in range(3)
-            for j, c in enumerate(field.table[i])
-            if i <= j
-        ):
-            out.append(IdealHNF(field, _lattice_hnf([(q, 0, 0), (-s, 1, 0), (-t, 0, 1)])))
-    return out
-
-
 def primes_above(field: PureCubicField, q: int) -> List[Tuple[IdealHNF, int, int]]:
     """Prime ideals above q as (ideal, e, f), consistent with split_in_gamma.
 
-    Each prime comes from an explicit generator (Cohen, GTM 138, 6.2), in
-    the order of the factors sympy's factor_list gives for x^3 - d over F_q.
+    The primes of degree 1 are the kernels x0 + s*x1 + t*x2 = 0 (mod q) of
+    the ring maps O -> F_q, in the order `ring_maps` gives them.  When
+    x^3 - d has the single root r mod q, the degree-2 prime is
+    (q, theta^2 + r*theta + r^2); with no root q is inert (Cohen, GTM
+    138, 6.2).
     """
     if not isprime(q):
         raise ValueError("q must be prime")
     q_ideal = IdealHNF.from_integer(field, q)
-    unit = IdealHNF.unit_ideal(field)
-
-    def with_q(gen: ElementGamma) -> IdealHNF:
-        return mul_two_element(unit, q, gen)
-
-    gens: List[ElementGamma] = []
-    if (3 * field.b) % q == 0:
-        out = [(P, valuation(q_ideal, P), 1) for P in _ring_map_kernels(field, q)]
+    maps = ring_maps(field, q)
+    kernels = [IdealHNF(field, _lattice_hnf([(q, 0, 0), (-s, 1, 0), (-t, 0, 1)])) for s, t in maps]
+    index_divisor = (3 * field.b) % q == 0
+    if index_divisor:
+        out = [(P, valuation(q_ideal, P), 1) for P in kernels]
     elif field.d % q == 0:  # x^3 - d = x^3
-        out = [(with_q(_theta(field)), 3, 1)]
+        out = [(P, 3, 1) for P in kernels]
     else:
-        # x - r for each root r, then x^2 + r*x + r^2 when the root is unique;
-        # no root: x^3 - d is irreducible and q is inert
-        roots = _roots_mod(field.d, q)
-        factors = [[-r % q, 1] for r in roots]
-        if len(roots) == 1:
-            factors.append([roots[0] ** 2 % q, roots[0], 1])
-        gens = [_poly_eval_theta(field, g) for g in factors]
-        out = [(with_q(g), 1, len(factor) - 1) for g, factor in zip(gens, factors)]
+        out = [(P, 1, 1) for P in kernels]
+        if len(maps) == 1:  # x^3 - d = (x - r)(x^2 + r*x + r^2)
+            r = maps[0][0]
+            g = _poly_eval_theta(field, [r * r % q, r, 1])
+            out.append((IdealHNF.from_generators(field, [ElementGamma(field, q, 0, 0), g]), 1, 2))
         out = out or [(q_ideal, 1, 3)]
     pattern = sorted((e, f) for _, e, f in out)
     expected = list(split_in_gamma(field, q).pairs)
@@ -279,19 +237,16 @@ def primes_above(field: PureCubicField, q: int) -> List[Tuple[IdealHNF, int, int
         raise ArithmeticError(f"primes above {q} disagree with the splitting law")
     if any(P.norm() != q ** f for P, _, f in out):
         raise ArithmeticError(f"a prime above {q} has the wrong norm")
-    if gens:
-        # unramified: the product of the (q, g_i) is one pair at a time
-        whole = reduce(lambda I, g: mul_two_element(I, q, g), gens, unit)
-    else:
-        whole = reduce(mul, [P for P, e, _ in out for _ in range(e)])
-    if whole != q_ideal:
+    if reduce(mul, [P for P, e, _ in out for _ in range(e)]) != q_ideal:
         raise ArithmeticError(f"the primes above {q} do not reassemble {q}O")
-    if (3 * field.b) % q == 0 and len(out) > 1:
+    if index_divisor and len(out) > 1:
         # the order in which a scan of O/qO meets them: by the lex-least
         # v in (Z/q)^3 with (v, q)O = P
         first = {}
+        q_gen = ElementGamma(field, q, 0, 0)
         for v in iproduct(range(q), repeat=3):
-            first.setdefault(with_q(ElementGamma(field, *v)).basis, v)
+            P = IdealHNF.from_generators(field, [q_gen, ElementGamma(field, *v)])
+            first.setdefault(P.basis, v)
             if all(P.basis in first for P, _, _ in out):
                 break
         out.sort(key=lambda item: first[item[0].basis])

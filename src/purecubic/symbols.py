@@ -17,7 +17,7 @@ from typing import Dict, List, Tuple
 
 from sympy import isprime
 
-from .cubicfield import PureCubicField, _roots_mod
+from .cubicfield import PureCubicField, ring_maps
 from .eisenstein import (
     Eisenstein,
     LAMBDA,
@@ -236,8 +236,8 @@ def norm_compatibility_check(a_coords, b: Eisenstein, pi: Eisenstein, field) -> 
     p = n
     if p % 3 != 1 or field.d % p == 0 or (3 * field.b) % p == 0:
         raise ValueError("configuration out of evaluable (tame) range")
-    roots = _roots_mod(field.d, p)
-    if len(roots) != 3:
+    maps = ring_maps(field, p)
+    if len(maps) != 3:
         raise ValueError("pi does not split completely in the sextic closure")
     x, y, z = a_coords
     w = (-alpha_image_denominator(pi, p)) % p
@@ -245,8 +245,8 @@ def norm_compatibility_check(a_coords, b: Eisenstein, pi: Eisenstein, field) -> 
 
     lhs = 0
     norm_residues = 1
-    for r in roots:
-        av = (x + y * _basis_value(field, 1, r, p) + z * _basis_value(field, 2, r, p)) % p
+    for s, t in maps:
+        av = (x + s * y + t * z) % p
         if av == 0:
             raise ValueError("a is not a unit at a place above pi")
         norm_residues = (norm_residues * av) % p
@@ -259,10 +259,3 @@ def norm_compatibility_check(a_coords, b: Eisenstein, pi: Eisenstein, field) -> 
     if norm_residues != rel_norm % p:  # product of local values is the norm
         raise ArithmeticError("local values do not multiply to the relative norm")
     return CubeRoot(lhs).e == rhs.e
-
-
-def _basis_value(field, idx: int, theta_mod_p: int, p: int) -> int:
-    """Image of the idx-th integral basis element in F_p, theta -> a root of x^3 - d."""
-    n0, n1, n2, den = field.basis_theta_repr[idx]
-    v = (n0 + n1 * theta_mod_p + n2 * theta_mod_p * theta_mod_p) % p
-    return (v * pow(den, -1, p)) % p

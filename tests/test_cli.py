@@ -254,9 +254,19 @@ def test_malformed_u_file_is_usage_error(capsys, tmp_path):
 
 
 def test_internal_value_error_exits_3(capsys, monkeypatch):
-    def fault(*args, **kwargs):
-        raise ValueError("lattice dimension must be positive")
+    # an internal ValueError or ArithmeticError is never a usage error or a
+    # traceback: the table1 predicates run outside its class-group `try`
+    cases = [
+        ("class_group", ValueError, ["classgroup", "--d", "7"]),
+        ("cubic_residue_rational", ArithmeticError, ["symbols", "--p", "199"]),
+        ("classify", ArithmeticError, ["split", "--d", "7", "--q", "5"]),
+        ("cubic_residue_rational", ArithmeticError, ["table1", "--primes", "199"]),
+    ]
+    for name, error, argv in cases:
+        def fault(*args, **kwargs):
+            raise error("lattice dimension must be positive")
 
-    monkeypatch.setattr("purecubic.cli.class_group", fault)
-    assert main(["classgroup", "--d", "7"]) == 3
-    assert "internal error: lattice dimension must be positive" in capsys.readouterr().err
+        with monkeypatch.context() as m:
+            m.setattr(f"purecubic.cli.{name}", fault)
+            assert main(argv) == 3, argv
+        assert "internal error: lattice dimension must be positive" in capsys.readouterr().err

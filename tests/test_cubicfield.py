@@ -3,18 +3,20 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import primerange
 
+from purecubic import cubicfield
 from purecubic.cubicfield import (
     PureCubicField,
     SplitPattern,
     brute_split,
     classify,
-    never_happens_check,
+    ring_maps,
     split_in_gamma,
     split_in_k,
 )
@@ -173,17 +175,44 @@ def test_oracle_domain_guard():
         brute_split(classify(2), 3)
 
 
-def test_never_happens_check():
-    for q in primerange(2, 500):
-        if q % 3 == 2:
-            assert never_happens_check(q)
-    with pytest.raises(ValueError):
-        never_happens_check(7)
-
-
 def test_degree_six_total():
     for d in (2, 10, 199):
         F = classify(d)
         for q in primerange(2, 50):
             assert split_in_k(F, q).degree() == 6
             assert split_in_gamma(F, q).degree() == 3
+            if q % 3 == 2:  # q is inert in Q(zeta), so every residue degree in k is even
+                assert all(f != 3 for _, f in split_in_k(F, q).pairs)
+
+
+def _searched_ring_maps(F, q):
+    """Every (s, t) in F_q^2 for which w0 -> 1, w1 -> s, w2 -> t respects
+    the products w_i * w_j."""
+    basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    products = [(i, j, F.mul_coords(basis[i], basis[j])) for i in range(3) for j in range(3)]
+    out = []
+    for s, t in product(range(q), repeat=2):
+        im = (1, s, t)
+        if all((c0 + c1 * s + c2 * t - im[i] * im[j]) % q == 0 for i, j, (c0, c1, c2) in products):
+            out.append((s, t))
+    return out
+
+
+def test_ring_maps_match_a_search_over_the_residue_pairs():
+    pairs = 0
+    for d in range(2, 60):
+        try:
+            F = classify(d)
+        except ValueError:
+            continue
+        for q in primerange(2, 30):
+            assert sorted(ring_maps(F, q)) == _searched_ring_maps(F, q), (d, q)
+            pairs += 1
+    assert pairs > 400
+
+
+def test_ring_maps_reject_a_root_that_is_not_one(monkeypatch):
+    # 1 is not a cube root of 2 mod 5, so theta -> 1 is no ring map
+    monkeypatch.setattr(cubicfield, "_roots_mod", lambda d, q: [1])
+    with pytest.raises(ArithmeticError, match="not a ring map"):
+        ring_maps(classify(2), 5)

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import primerange
 
-from purecubic import classgroup, ideals
+from purecubic import classgroup, cubicfield, ideals
 from purecubic.cubicfield import _UNIT_VECTORS, PureCubicField, classify, split_in_gamma
 from purecubic.ideals import (
     ElementGamma,
@@ -22,7 +22,6 @@ from purecubic.ideals import (
     is_principal_bounded,
     mul,
     mul_coprime,
-    mul_two_element,
     primes_above,
     valuation,
 )
@@ -57,46 +56,6 @@ def test_mul_norm_multiplicative():
     a = ideal_of_element(ElementGamma(F, 1, 1, 0))
     b = ideal_of_element(ElementGamma(F, 2, 0, 1))
     assert mul(a, b).norm() == a.norm() * b.norm()
-
-
-def _two_element_reference(I, a, gamma):
-    """I * (aO + gamma*O) through the general product."""
-    F = I.field
-    return mul(I, IdealHNF.from_generators(F, [ElementGamma(F, a, 0, 0), gamma]))
-
-
-# 28 = 7 * 2^2 (2 | b and 7 | a, totally ramified); 10 is of the second kind
-@pytest.mark.parametrize("d", [7, 28, 10, 199, 487])
-def test_mul_two_element_matches_mul_on_factor_base_powers(d):
-    F = classify(d)
-    fb = classgroup.build_factor_base(F)
-    primes = [p for p in fb.primes if p.q < 20]
-    assert len(primes) >= 4
-    for p, p2 in zip(primes, primes[1:] + primes[:1]):
-        for k in (1, 2, 3):
-            I = mul(p.power(k), p2.power(4 - k))
-            for s in primes:
-                for j in (1, 2):
-                    # a = q^j and gamma a basis row of P^j, so (a, gamma) lies in P^j
-                    a = s.q ** j
-                    for row in s.power(j).basis:
-                        gamma = ElementGamma(F, *row)
-                        assert mul_two_element(I, a, gamma) == _two_element_reference(I, a, gamma)
-
-
-@given(vec3, st.integers(1, 60), st.sampled_from([2, 10, 28, 199]))
-@settings(max_examples=200, deadline=None)
-def test_mul_two_element_matches_mul_on_any_pair(coords, a, d):
-    F = classify(d)
-    gamma = ElementGamma(F, *coords)  # the zero element included
-    for I in _small_ideals(F)[:6]:
-        assert mul_two_element(I, a, gamma) == _two_element_reference(I, a, gamma)
-
-
-def test_mul_two_element_rejects_a_nonpositive_integer():
-    F = classify(7)
-    with pytest.raises(ValueError):
-        mul_two_element(IdealHNF.unit_ideal(F), 0, ElementGamma(F, 0, 1, 0))
 
 
 # 28 = 7 * 2^2 (2 | b and 7 | a, totally ramified); 10 is of the second kind
@@ -262,8 +221,8 @@ def test_primes_above_rejects_a_wrong_norm(monkeypatch):
 
 def test_primes_above_rejects_a_product_that_is_not_q(monkeypatch):
     # three degree-1 primes as the law says, but all the same one
-    real = ideals._roots_mod
-    monkeypatch.setattr(ideals, "_roots_mod", lambda d, q: real(d, q)[:1] * 3)
+    real = cubicfield._roots_mod
+    monkeypatch.setattr(cubicfield, "_roots_mod", lambda d, q: real(d, q)[:1] * 3)
     with pytest.raises(ArithmeticError, match="do not reassemble"):
         primes_above(classify(2), 31)
 
