@@ -1,10 +1,11 @@
 """Desk-scale class groups of pure cubic fields and 3-class structure decisions.
 
 The class group is presented on the factor base of all prime ideals of
-norm below the Minkowski bound.  Relations are principal ideals (alpha)
-factored over the base, each checked by reassembling (alpha) from its
-factors: the parts over distinct rational primes have coprime norms, so
-they multiply by CRT on their HNF entries.  The relation lattice is kept
+norm below the Minkowski bound.  Relations are principal ideals (alpha),
+alpha a coordinate triple over the integral basis, factored over the
+base, each checked by reassembling (alpha) from its factors: the parts
+over distinct rational primes have coprime norms, so they multiply by
+CRT on their HNF entries.  The relation lattice is kept
 in Hermite normal form as rows arrive, and once the search stabilizes
 the cokernel is read off the Smith normal form of the basis block whose
 pivots exceed 1.
@@ -29,7 +30,6 @@ from sympy import isprime, primerange
 
 from .cubicfield import PureCubicField
 from .ideals import (
-    ElementGamma,
     IdealHNF,
     class_inverse_representative,
     ideal_of_element,
@@ -74,7 +74,6 @@ class FactorBasePrime:
 
     q: int
     ideal: IdealHNF
-    e: int
     f: int
     norm: int
     _powers: List[IdealHNF] = field(default_factory=list, init=False, repr=False, compare=False)
@@ -136,10 +135,10 @@ def build_factor_base(F: PureCubicField) -> FactorBase:
     primes: List[FactorBasePrime] = []
     columns: Dict[int, Tuple[int, ...]] = {}
     for q in primerange(2, top + 1):
-        for P, e, f in primes_above(F, q):
+        for P, _, f in primes_above(F, q):
             if q ** f <= top:
                 columns[q] = columns.get(q, ()) + (len(primes),)
-                primes.append(FactorBasePrime(q, P, e, f, q ** f))
+                primes.append(FactorBasePrime(q, P, f, q ** f))
     return FactorBase(top, tuple(primes), columns)
 
 
@@ -166,15 +165,16 @@ def _smooth_exponents(n: int, columns: Dict[int, Tuple[int, ...]]) -> Optional[D
     return out
 
 
-def relation_row(F: PureCubicField, fb: FactorBase, alpha: ElementGamma) -> Optional[List[int]]:
+def relation_row(
+    F: PureCubicField, fb: FactorBase, alpha: Tuple[int, int, int]
+) -> Optional[List[int]]:
     """Exponent vector of (alpha) over fb, verified by exact reassembly."""
-    n = alpha.norm()
+    n = F.element_norm(alpha)
     if n == 0:
         return None
     sm = _smooth_exponents(n, fb.columns)
     if sm is None:
         return None
-    coords = alpha.coords()
     row = [0] * len(fb.primes)
     whole = None
     for q, m in sm.items():
@@ -185,7 +185,7 @@ def relation_row(F: PureCubicField, fb: FactorBase, alpha: ElementGamma) -> Opti
             # of the primes above q split v_q(N(alpha)), so v_P is at most
             # what the earlier ones left of it, over f
             k, top = 0, m // p.f
-            while k < top and p.power(k + 1).contains_vector(coords):
+            while k < top and p.power(k + 1).contains_vector(alpha):
                 k += 1
             if k:
                 row[j] = k
@@ -198,12 +198,12 @@ def relation_row(F: PureCubicField, fb: FactorBase, alpha: ElementGamma) -> Opti
     if whole is None:
         whole = IdealHNF.unit_ideal(F)  # alpha is a unit
     # exact reassembly check, never sampled
-    if whole != ideal_of_element(alpha):
-        raise ArithmeticError(f"relation for {alpha.coords()} does not reassemble")
+    if whole != ideal_of_element(F, alpha):
+        raise ArithmeticError(f"relation for {alpha} does not reassemble")
     return row
 
 
-def _element_stream(F: PureCubicField) -> Iterator[ElementGamma]:
+def _element_stream() -> Iterator[Tuple[int, int, int]]:
     """Deterministic expanding-box enumeration of nonzero elements, one of
     each pair +-alpha."""
     for r in count(1):
@@ -211,12 +211,12 @@ def _element_stream(F: PureCubicField) -> Iterator[ElementGamma]:
             for y in range(-r, r + 1):
                 if max(abs(x), abs(y)) < r:
                     # inside the old box: only the face z = r is new
-                    yield ElementGamma(F, x, y, r)
+                    yield (x, y, r)
                     continue
                 for z in range(r + 1):
                     if z == 0 and (y < 0 or (y == 0 and x <= 0)):
                         continue  # skip sign duplicates and zero
-                    yield ElementGamma(F, x, y, z)
+                    yield (x, y, z)
 
 
 def _three_part(n: int) -> int:
@@ -232,8 +232,6 @@ def class_group(F: PureCubicField, budget_seconds: float = 600.0) -> ClassGroupS
     deadline = time.monotonic() + budget_seconds
     fb = build_factor_base(F)
     n = len(fb.primes)
-    if n == 0:
-        return ClassGroupStructure(F.d, (), 1, 1, (), True)
 
     # Below full rank the cokernel is infinite.  At full rank the lattice
     # changes exactly when its determinant h drops, so the search stops after
@@ -241,7 +239,7 @@ def class_group(F: PureCubicField, budget_seconds: float = 600.0) -> ClassGroupS
     lattice = HNFLattice(n)
     rows = 0
     stable = 0
-    for alpha in _element_stream(F):
+    for alpha in _element_stream():
         if time.monotonic() >= deadline:  # so a zero budget stops before any row
             raise BudgetExhausted(F.d, rows, lattice.rank, n, lattice.determinant())
         row = relation_row(F, fb, alpha)

@@ -290,13 +290,24 @@ class UsageError(Exception):
     pass
 
 
+def _budget_arg(s: str) -> float:
+    """A --budget in seconds.  NaN is refused: it compares false with every deadline."""
+    try:
+        budget = float(s)
+    except ValueError:
+        budget = float("nan")
+    if budget != budget:
+        raise argparse.ArgumentTypeError(f"not a number of seconds: {s!r}")
+    return budget
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="purecubic",
         description="Exact arithmetic for pure cubic fields and their sextic closures",
     )
     ap.add_argument("--cache", default=None, help="JSON-lines result cache path")
-    ap.add_argument("--budget", type=float, default=60.0, help="time budget in seconds")
+    ap.add_argument("--budget", type=_budget_arg, default=60.0, help="time budget in seconds")
     fmt = ap.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="JSON output (default)")
     fmt.add_argument("--csv", action="store_true", help="CSV output (flattened records)")

@@ -137,7 +137,8 @@ class PureCubicField:
             coeffs[tuple(ijk.count(t) for t in range(3))] += _det3(cols[i][0], cols[j][1], cols[k][2])
         return tuple(coeffs[m] for m in CUBIC_MONOMIALS)
 
-    def element_norm(self, x: int, y: int, z: int) -> int:
+    def element_norm(self, v) -> int:
+        x, y, z = v
         f = self.form
         return (
             x * x * (f[0] * x + f[1] * y + f[2] * z)

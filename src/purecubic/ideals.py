@@ -1,12 +1,13 @@
 """Integral ideals of a pure cubic field as canonical HNF lattices.
 
-An ideal is stored as the unique row-HNF basis of its rank-3 lattice over
-the verified integral basis of the field, which makes equality,
-containment and norms trivial to read off.  A prime of degree 1 above q
-is the kernel of a ring map O -> F_q (`cubicfield.ring_maps`), and the
-one prime of degree 2, when q has one, is (q, theta^2 + r*theta + r^2)
-for the root r of x^3 - d mod q.  Ideals of coprime norm multiply by CRT
-on their HNF entries.
+An element is its coordinate triple (x, y, z) over the verified integral
+basis (w0, w1, w2) of the field, with theta = w1.  An ideal is stored as
+the unique row-HNF basis of its rank-3 lattice over the same basis,
+which makes equality, containment and norms trivial to read off.  A
+prime of degree 1 above q is the kernel of a ring map O -> F_q
+(`cubicfield.ring_maps`), and the one prime of degree 2, when q has one,
+is (q, theta^2 + r*theta + r^2) for the root r of x^3 - d mod q.
+Ideals of coprime norm multiply by CRT on their HNF entries.
 """
 
 from __future__ import annotations
@@ -21,31 +22,6 @@ from sympy import isprime
 
 from .cubicfield import _UNIT_VECTORS, PureCubicField, ring_maps, split_in_gamma
 from .zlinalg import _xgcd, lll_reduce
-
-
-@dataclass(frozen=True)
-class ElementGamma:
-    """x*w0 + y*w1 + z*w2 over the integral basis of `field`."""
-
-    field: PureCubicField
-    x: int
-    y: int
-    z: int
-
-    def coords(self) -> Tuple[int, int, int]:
-        return (self.x, self.y, self.z)
-
-    def __mul__(self, other: "ElementGamma") -> "ElementGamma":
-        if self.field is not other.field and self.field != other.field:
-            raise ValueError("ambient mismatch")
-        c = self.field.mul_coords(self.coords(), other.coords())
-        return ElementGamma(self.field, *c)
-
-    def norm(self) -> int:
-        return self.field.element_norm(self.x, self.y, self.z)
-
-    def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0 and self.z == 0
 
 
 def _lattice_hnf(vectors: List[Tuple[int, int, int]]) -> Tuple[Tuple[int, ...], ...]:
@@ -104,11 +80,13 @@ class IdealHNF:
     basis: Tuple[Tuple[int, ...], ...]  # 3 rows, upper triangular HNF
 
     @classmethod
-    def from_generators(cls, field: PureCubicField, gens: List[ElementGamma]) -> "IdealHNF":
+    def from_generators(
+        cls, field: PureCubicField, gens: List[Tuple[int, int, int]]
+    ) -> "IdealHNF":
         vecs = []
         for g in gens:
             for w in _UNIT_VECTORS:
-                vecs.append(field.mul_coords(g.coords(), w))
+                vecs.append(field.mul_coords(g, w))
         return cls(field, _lattice_hnf(vecs))
 
     @classmethod
@@ -179,10 +157,10 @@ def mul_coprime(I: IdealHNF, J: IdealHNF) -> IdealHNF:
     return IdealHNF(I.field, ((a * a2, B, C), (0, d * d2, E), (0, 0, f * f2)))
 
 
-def ideal_of_element(alpha: ElementGamma) -> IdealHNF:
-    if alpha.is_zero():
+def ideal_of_element(field: PureCubicField, v: Tuple[int, int, int]) -> IdealHNF:
+    if not any(v):
         raise ValueError("zero element")
-    return IdealHNF.from_generators(alpha.field, [alpha])
+    return IdealHNF.from_generators(field, [v])
 
 
 def ideal_power(I: IdealHNF, e: int) -> IdealHNF:
@@ -190,19 +168,6 @@ def ideal_power(I: IdealHNF, e: int) -> IdealHNF:
     for _ in range(e):
         out = mul(out, I)
     return out
-
-
-def _poly_eval_theta(field: PureCubicField, coeffs: List[int]) -> ElementGamma:
-    """Evaluate a polynomial (lowest degree first) at theta."""
-    acc = ElementGamma(field, 0, 0, 0)
-    th = ElementGamma(field, 0, 1, 0)
-    power = ElementGamma(field, 1, 0, 0)
-    for c in coeffs:
-        if c:
-            term = ElementGamma(field, c * power.x, c * power.y, c * power.z)
-            acc = ElementGamma(field, acc.x + term.x, acc.y + term.y, acc.z + term.z)
-        power = power * th
-    return acc
 
 
 def primes_above(field: PureCubicField, q: int) -> List[Tuple[IdealHNF, int, int]]:
@@ -228,8 +193,9 @@ def primes_above(field: PureCubicField, q: int) -> List[Tuple[IdealHNF, int, int
         out = [(P, 1, 1) for P in kernels]
         if len(maps) == 1:  # x^3 - d = (x - r)(x^2 + r*x + r^2)
             r = maps[0][0]
-            g = _poly_eval_theta(field, [r * r % q, r, 1])
-            out.append((IdealHNF.from_generators(field, [ElementGamma(field, q, 0, 0), g]), 1, 2))
+            x, y, z = field.mul_coords((0, 1, 0), (0, 1, 0))  # theta = w1
+            g = (x + r * r % q, y + r, z)
+            out.append((IdealHNF.from_generators(field, [(q, 0, 0), g]), 1, 2))
         out = out or [(q_ideal, 1, 3)]
     pattern = sorted((e, f) for _, e, f in out)
     expected = list(split_in_gamma(field, q).pairs)
@@ -243,9 +209,8 @@ def primes_above(field: PureCubicField, q: int) -> List[Tuple[IdealHNF, int, int
         # the order in which a scan of O/qO meets them: by the lex-least
         # v in (Z/q)^3 with (v, q)O = P
         first = {}
-        q_gen = ElementGamma(field, q, 0, 0)
         for v in iproduct(range(q), repeat=3):
-            P = IdealHNF.from_generators(field, [q_gen, ElementGamma(field, *v)])
+            P = IdealHNF.from_generators(field, [(q, 0, 0), v])
             first.setdefault(P.basis, v)
             if all(P.basis in first for P, _, _ in out):
                 break
@@ -265,7 +230,7 @@ def valuation(I: IdealHNF, P: IdealHNF) -> int:
     return k
 
 
-def is_principal_bounded(I: IdealHNF, search_bound: int = 8) -> Optional[ElementGamma]:
+def is_principal_bounded(I: IdealHNF, search_bound: int = 8) -> Optional[Tuple[int, int, int]]:
     """One-sided principality test.
 
     Searches coefficient boxes over an LLL-reduced basis of the ideal
@@ -290,13 +255,13 @@ def is_principal_bounded(I: IdealHNF, search_bound: int = 8) -> Optional[Element
                 n = ((a3 * c2 + a2) * c2 + a1) * c2 + a0
                 if n == target or n == -target:
                     # alpha lies in I and generates a sublattice of equal norm
-                    alpha = ElementGamma(
-                        field, *(c0 * red[0][i] + c1 * red[1][i] + c2 * red[2][i] for i in range(3))
+                    alpha = tuple(
+                        c0 * red[0][i] + c1 * red[1][i] + c2 * red[2][i] for i in range(3)
                     )
-                    if alpha.norm() != n:
+                    m = field.element_norm(alpha)
+                    if m != n:
                         raise ArithmeticError(
-                            f"composed norm form gives {n} at {alpha.coords()}, "
-                            f"element_norm gives {alpha.norm()}"
+                            f"composed norm form gives {n} at {alpha}, element_norm gives {m}"
                         )
                     return alpha
     return None

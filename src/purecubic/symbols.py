@@ -254,7 +254,7 @@ def norm_compatibility_check(a_coords, b: Eisenstein, pi: Eisenstein, field) -> 
         lhs += wv * e
 
     # right-hand side: the relative norm of a lands in Z inside Q(zeta)
-    rel_norm = field.element_norm(x, y, z)
+    rel_norm = field.element_norm(a_coords)
     rhs = hilbert_tame(Eisenstein(rel_norm, 0), b, pi)
     if norm_residues != rel_norm % p:  # product of local values is the norm
         raise ArithmeticError("local values do not multiply to the relative norm")

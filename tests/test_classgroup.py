@@ -21,7 +21,7 @@ from purecubic.classgroup import (
     relation_row,
 )
 from purecubic.cubicfield import classify
-from purecubic.ideals import ElementGamma, IdealHNF, ideal_of_element, ideal_power, mul, valuation
+from purecubic.ideals import IdealHNF, ideal_of_element, ideal_power, mul, valuation
 from purecubic.zlinalg import HNFLattice, snf
 
 
@@ -41,24 +41,26 @@ def test_minkowski_bound_monotone():
 
 
 def test_factor_base_complete():
-    F = classify(2)
-    fb = build_factor_base(F)
-    # every prime ideal of norm <= bound appears
-    for p in fb.primes:
-        assert p.norm <= fb.bound
-    qs = {p.q for p in fb.primes}
-    assert 2 in qs and 3 in qs
+    # 2 ramifies in 2, 10 and 28 (where 2 | b) and splits as (1,1)(1,2) in
+    # 199, so no factor base is empty: the Minkowski bound is at least 2.94
+    for d in (2, 10, 28, 199):
+        fb = build_factor_base(classify(d))
+        # every prime ideal of norm <= bound appears
+        for p in fb.primes:
+            assert p.norm <= fb.bound
+        qs = {p.q for p in fb.primes}
+        assert 2 in qs and 3 in qs
+        assert (fb.primes[0].q, fb.primes[0].norm) == (2, 2)
 
 
 def test_relation_rows_reassemble():
     F = classify(2)
     fb = build_factor_base(F)
-    theta = ElementGamma(F, 0, 1, 0)
-    row = relation_row(F, fb, theta)  # norm 2, supported above 2
+    row = relation_row(F, fb, (0, 1, 0))  # theta: norm 2, supported above 2
     assert row is not None
     assert sum(row) > 0
     rows = []
-    for alpha in _element_stream(F):
+    for alpha in _element_stream():
         row = relation_row(F, fb, alpha)
         if row is not None:
             rows.append(row)
@@ -71,12 +73,12 @@ def test_relation_row_rejects_rough_norm():
     F = classify(2)
     fb = build_factor_base(F)
     # 101 is prime and beyond the bound, so (101, 0, 0) is not smooth
-    assert relation_row(F, fb, ElementGamma(F, 101, 0, 0)) is None
+    assert relation_row(F, fb, (101, 0, 0)) is None
 
 
 def _valuation_row(F, fb, alpha):
     """Reference relation row: a full valuation per smooth prime, no cached powers."""
-    n = alpha.norm()
+    n = F.element_norm(alpha)
     if n == 0:
         return None
     rest = abs(n)
@@ -85,7 +87,7 @@ def _valuation_row(F, fb, alpha):
             rest //= q
     if rest != 1:
         return None
-    ideal = ideal_of_element(alpha)
+    ideal = ideal_of_element(F, alpha)
     row = [valuation(ideal, p.ideal) if abs(n) % p.q == 0 else 0 for p in fb.primes]
     acc = 1
     for p, r in zip(fb.primes, row):
@@ -107,16 +109,16 @@ def test_relation_row_matches_valuation_loop(d):
     F = classify(d)
     fb = build_factor_base(F)
     rows = 0
-    for alpha in islice(_element_stream(F), 200):
+    for alpha in islice(_element_stream(), 200):
         row = relation_row(F, fb, alpha)
-        assert row == _valuation_row(F, fb, alpha), alpha.coords()
+        assert row == _valuation_row(F, fb, alpha), alpha
         rows += row is not None
     assert rows > 20
 
 
 def test_element_stream_radius_one_shell():
     # the stream's order decides which rows reach the lattice first
-    shell = [a.coords() for a in islice(_element_stream(classify(2)), 14)]
+    shell = list(islice(_element_stream(), 14))
     assert shell[:13] == [
         (-1, -1, 1), (-1, 0, 1), (-1, 1, 0), (-1, 1, 1), (0, -1, 1), (0, 0, 1), (0, 1, 0),
         (0, 1, 1), (1, -1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1),
@@ -131,14 +133,14 @@ def test_factor_bases_built_alternately_give_fresh_rows():
     fresh = {}
     for F in fields:
         fb = build_factor_base(F)
-        fresh[F.d] = [relation_row(F, fb, a) for a in islice(_element_stream(F), 120)]
+        fresh[F.d] = [relation_row(F, fb, a) for a in islice(_element_stream(), 120)]
         # a relation_row that rejected every row would make the comparison empty
         assert sum(row is not None for row in fresh[F.d]) > 20
         del fb
     for F in fields * 3:
         gc.collect()
         fb = build_factor_base(F)
-        assert [relation_row(F, fb, a) for a in islice(_element_stream(F), 120)] == fresh[F.d]
+        assert [relation_row(F, fb, a) for a in islice(_element_stream(), 120)] == fresh[F.d]
         del fb
 
 
@@ -147,7 +149,7 @@ def test_relation_row_rejects_a_wrong_q_part(monkeypatch):
     fb = build_factor_base(F)
     # a row over at least two rational primes, so that mul_coprime folds it
     alpha = next(
-        a for a in _element_stream(F)
+        a for a in _element_stream()
         for r in [relation_row(F, fb, a)]
         if r is not None and len({p.q for p, k in zip(fb.primes, r) if k}) >= 2
     )
@@ -162,7 +164,7 @@ def test_relation_row_multiplies_the_primes_above_one_q(monkeypatch):
     F = classify(487)
     fb = build_factor_base(F)
     alpha = next(
-        a for a in _element_stream(F)
+        a for a in _element_stream()
         for r in [relation_row(F, fb, a)]
         if r is not None and any(sum(r[j] > 0 for j in cols) >= 2 for cols in fb.columns.values())
     )
@@ -178,7 +180,7 @@ def test_relation_row_multiplies_the_primes_above_one_q(monkeypatch):
     assert calls
 
 
-def _cube_scan_stream(F):
+def _cube_scan_stream():
     """The stream as first written: the whole cube of radius r, keeping its shell."""
     for r in count(1):
         for x in range(-r, r + 1):
@@ -188,13 +190,12 @@ def _cube_scan_stream(F):
                         continue
                     if z == 0 and (y < 0 or (y == 0 and x <= 0)):
                         continue
-                    yield ElementGamma(F, x, y, z)
+                    yield (x, y, z)
 
 
 def test_element_stream_matches_the_cube_scan():
-    F = classify(2)
-    got = [a.coords() for a in islice(_element_stream(F), 20000)]
-    assert got == [a.coords() for a in islice(_cube_scan_stream(F), 20000)]
+    got = list(islice(_element_stream(), 20000))
+    assert got == list(islice(_cube_scan_stream(), 20000))
     assert len(set(got)) == 20000
 
 

@@ -230,6 +230,11 @@ def test_usage_errors(capsys):
     assert code == 2
     code = main(["split", "--d", "2", "--q", "6"])
     assert code == 2
+    for nan in ("nan", "NaN", "-nan"):
+        # a NaN budget would never reach any deadline
+        with pytest.raises(SystemExit) as exc:
+            main(["--budget", nan, "classgroup", "--d", "199"])
+        assert exc.value.code == 2
 
 
 def test_unreadable_cache_is_usage_error(capsys, tmp_path):

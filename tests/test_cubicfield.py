@@ -60,7 +60,7 @@ def test_element_norm_matches_regular_representation_det(d):
     points = [(0, 0, 0), (1, 0, 0), (0, -1, 0), (0, 0, -1), (-3, 0, 2), (0, 5, -7)]
     points += [tuple(rng.randint(-40, 40) for _ in range(3)) for _ in range(300)]
     for v in points:
-        assert F.element_norm(*v) == det(F.regular_representation(v)), v
+        assert F.element_norm(v) == det(F.regular_representation(v)), v
 
 
 def test_classify_rejects_bad_d():
@@ -79,7 +79,7 @@ class TestRingStructure:
     def test_norm_multiplicative(self, d):
         F = classify(d)
         u, v = (1, 2, -1), (3, 0, 2)
-        assert F.element_norm(*F.mul_coords(u, v)) == F.element_norm(*u) * F.element_norm(*v)
+        assert F.element_norm(F.mul_coords(u, v)) == F.element_norm(u) * F.element_norm(v)
 
     def test_theta_cubes_to_d(self, d):
         F = classify(d)

@@ -11,10 +11,8 @@ from sympy import primerange
 from purecubic import classgroup, cubicfield, ideals
 from purecubic.cubicfield import _UNIT_VECTORS, PureCubicField, classify, split_in_gamma
 from purecubic.ideals import (
-    ElementGamma,
     IdealHNF,
     _lattice_hnf,
-    _poly_eval_theta,
     class_inverse_representative,
     ideal_of_element,
     ideal_power,
@@ -39,22 +37,21 @@ def test_unit_ideal():
 
 def test_ideal_of_element_norm():
     F = classify(7)
-    theta = ElementGamma(F, 0, 1, 0)
-    I = ideal_of_element(theta)
-    assert I.norm() == abs(theta.norm()) == 7
+    theta = (0, 1, 0)
+    I = ideal_of_element(F, theta)
+    assert I.norm() == abs(F.element_norm(theta)) == 7
 
 
 def test_principal_ideal_norm_is_element_norm():
     F = classify(10)
-    for coords in ((1, 1, 0), (2, -1, 1), (0, 0, 1)):
-        alpha = ElementGamma(F, *coords)
-        assert ideal_of_element(alpha).norm() == abs(alpha.norm())
+    for alpha in ((1, 1, 0), (2, -1, 1), (0, 0, 1)):
+        assert ideal_of_element(F, alpha).norm() == abs(F.element_norm(alpha))
 
 
 def test_mul_norm_multiplicative():
     F = classify(5)
-    a = ideal_of_element(ElementGamma(F, 1, 1, 0))
-    b = ideal_of_element(ElementGamma(F, 2, 0, 1))
+    a = ideal_of_element(F, (1, 1, 0))
+    b = ideal_of_element(F, (2, 0, 1))
     assert mul(a, b).norm() == a.norm() * b.norm()
 
 
@@ -77,11 +74,10 @@ def test_mul_coprime_matches_mul_on_factor_base_powers(d):
 def test_mul_coprime_of_principal_ideals_is_the_ideal_of_the_product(u, v, d):
     # checked against (alpha*beta), so without `mul`
     F = classify(d)
-    alpha, beta = ElementGamma(F, *u), ElementGamma(F, *v)
-    assume(not alpha.is_zero() and not beta.is_zero())
-    assume(gcd(alpha.norm(), beta.norm()) == 1)
-    got = mul_coprime(ideal_of_element(alpha), ideal_of_element(beta))
-    assert got == ideal_of_element(alpha * beta)
+    assume(any(u) and any(v))
+    assume(gcd(F.element_norm(u), F.element_norm(v)) == 1)
+    got = mul_coprime(ideal_of_element(F, u), ideal_of_element(F, v))
+    assert got == ideal_of_element(F, F.mul_coords(u, v))
 
 
 def test_mul_coprime_rejects_norms_that_share_a_prime():
@@ -152,6 +148,15 @@ def _scan_primes_above(field, q):
     return [(P, valuation(q_ideal, P), 1 if P.norm() == q else 2) for P in primes]
 
 
+def _at_theta(field, coeffs):
+    """A polynomial (highest degree first) at theta = w1, by Horner's rule."""
+    acc = (0, 0, 0)
+    for c in coeffs:
+        x, y, z = field.mul_coords(acc, (0, 1, 0))
+        acc = (x + c, y, z)
+    return acc
+
+
 def _factor_list_primes_above(field, q):
     """Reference for q coprime to 3b: (q, g(theta)) for each factor g of
     x^3 - d in sympy's factor_list over GF(q), in that order."""
@@ -160,8 +165,8 @@ def _factor_list_primes_above(field, q):
     x = Symbol("x")
     out = []
     for poly, mult in Poly(x ** 3 - field.d, x, domain=GF(q)).factor_list()[1]:
-        gen = _poly_eval_theta(field, [int(c) % q for c in reversed(poly.all_coeffs())])
-        P = IdealHNF.from_generators(field, [ElementGamma(field, q, 0, 0), gen])
+        gen = _at_theta(field, [int(c) % q for c in poly.all_coeffs()])
+        P = IdealHNF.from_generators(field, [(q, 0, 0), gen])
         out.append((P, mult, poly.degree()))
     return out
 
@@ -213,8 +218,9 @@ def test_build_factor_base_matches_the_reference_construction(d, monkeypatch):
 
 
 def test_primes_above_rejects_a_wrong_norm(monkeypatch):
-    # pattern (1,1)(1,2) as the law says, but both generators give O
-    monkeypatch.setattr(ideals, "_poly_eval_theta", lambda field, g: ElementGamma(field, 1, 0, 0))
+    # pattern (1,1)(1,2) as the law says, but the degree-2 prime comes out as O
+    unit = classmethod(lambda cls, field, gens: cls.unit_ideal(field))
+    monkeypatch.setattr(ideals.IdealHNF, "from_generators", unit)
     with pytest.raises(ArithmeticError, match="wrong norm"):
         primes_above(classify(2), 5)
 
@@ -237,11 +243,10 @@ def test_valuation():
 
 def test_is_principal_finds_generator():
     F = classify(7)
-    theta = ElementGamma(F, 0, 1, 0)
-    I = ideal_of_element(theta)
+    I = ideal_of_element(F, (0, 1, 0))
     gen = is_principal_bounded(I)
     assert gen is not None
-    assert ideal_of_element(gen) == I
+    assert ideal_of_element(F, gen) == I
 
 
 def test_nonprincipal_with_principal_cube():
@@ -263,9 +268,8 @@ def _box_search(I, search_bound):
                 if c0 == 0 and c1 == 0 and c2 == 0:
                     continue
                 v = tuple(c0 * red[0][i] + c1 * red[1][i] + c2 * red[2][i] for i in range(3))
-                alpha = ElementGamma(I.field, *v)
-                if abs(alpha.norm()) == target:
-                    return alpha
+                if abs(I.field.element_norm(v)) == target:
+                    return v
     return None
 
 
@@ -290,13 +294,13 @@ def test_is_principal_bounded_matches_box_search_on_oracle_ideals(d, monkeypatch
         if ref is None:
             assert gen is None
         else:
-            assert gen is not None and gen.coords() == ref.coords()
+            assert gen == ref
 
 
 def test_is_principal_bounded_rechecks_the_norm_of_a_hit(monkeypatch):
     F = classify(7)
-    I = ideal_of_element(ElementGamma(F, 0, 1, 0))
-    monkeypatch.setattr(PureCubicField, "element_norm", lambda self, x, y, z: 0)
+    I = ideal_of_element(F, (0, 1, 0))
+    monkeypatch.setattr(PureCubicField, "element_norm", lambda self, v: 0)
     with pytest.raises(ArithmeticError):
         is_principal_bounded(I)
 
@@ -304,7 +308,7 @@ def test_is_principal_bounded_rechecks_the_norm_of_a_hit(monkeypatch):
 def test_ideal_quotient_identities():
     F = classify(10)
     O = IdealHNF.unit_ideal(F)
-    I = ideal_of_element(ElementGamma(F, 1, 2, 0))
+    I = ideal_of_element(F, (1, 2, 0))
     assert ideal_quotient(I, O) == I
     assert ideal_quotient(I, I) == O
 
@@ -354,7 +358,7 @@ def test_contains_vector_upper_triangular_regression():
 def test_from_generators_rejects_degenerate():
     F = classify(2)
     with pytest.raises(ValueError):
-        ideal_of_element(ElementGamma(F, 0, 0, 0))
+        ideal_of_element(F, (0, 0, 0))
 
 
 def _hnf_rows(vectors):
