@@ -6,8 +6,8 @@ every cube-free d and prime q in the given ranges (within the oracle's
 applicability domain q coprime to 3b).  It also runs primes_above for
 every q, q | 3b included; primes_above raises unless its prime ideals have
 the pattern split_in_gamma gives and the product of the P^e is qO.  For
-the primes P, P' above distinct q, q' <= 50 it checks that the CRT product
-mul_coprime(P, P') is the general product mul(P, P'), and for each q <= 50
+the primes P, P' above distinct q, q' <= 50 it checks that the general
+product mul(P, P') passes the CRT check is_coprime_product, and for each q <= 50
 that ring_maps(F, q) lists the same ring maps O -> F_q as a search over
 all of F_q^2.
 Prints each disagreement and exits 1 if there was any.
@@ -22,9 +22,9 @@ from itertools import product
 from sympy import primerange
 
 from purecubic.cubicfield import brute_split, classify, ring_maps, split_in_gamma
-from purecubic.ideals import mul, mul_coprime, primes_above
+from purecubic.ideals import is_coprime_product, mul, primes_above
 
-COPRIME_MAX_Q = 50  # the largest q for the mul_coprime and the ring_maps checks
+COPRIME_MAX_Q = 50  # the largest q for the is_coprime_product and the ring_maps checks
 
 
 def cube_free(d):
@@ -94,9 +94,9 @@ def main():
             for q2, P2 in small[i + 1:]:
                 if q2 != q:
                     total += 1
-                    if mul_coprime(P, P2) != mul(P, P2):
+                    if not is_coprime_product(mul(P, P2), [P, P2]):
                         bad += 1
-                        print(f"MISMATCH d={d} q={q} q'={q2}: mul_coprime vs mul")
+                        print(f"MISMATCH d={d} q={q} q'={q2}: is_coprime_product vs mul")
     print(f"{total} checks, {bad} mismatches")
     return 1 if bad else 0
 

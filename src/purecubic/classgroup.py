@@ -3,9 +3,12 @@
 The class group is presented on the factor base of all prime ideals of
 norm below the Minkowski bound.  Relations are principal ideals (alpha),
 alpha a coordinate triple over the integral basis, factored over the
-base, each checked by reassembling (alpha) from its factors: the parts
-over distinct rational primes have coprime norms, so they multiply by
-CRT on their HNF entries.  The relation lattice is kept
+base, each checked by reassembling (alpha) from its factors.  A norm is
+tested for smoothness by gcds with the product of the base's rational
+primes before any trial division.  The primes above one q multiply into
+a q-part, built once per factor base; the q-parts have coprime norms, so
+the HNF of (alpha) is checked against their CRT congruences rather than
+rebuilt from them.  The relation lattice is kept
 in Hermite normal form as rows arrive, and once the search stabilizes
 the cokernel is read off the Smith normal form of the basis block whose
 pivots exceed 1.
@@ -22,8 +25,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import count
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from sympy import isprime, primerange
@@ -33,9 +37,9 @@ from .ideals import (
     IdealHNF,
     class_inverse_representative,
     ideal_of_element,
+    is_coprime_product,
     is_principal_bounded,
     mul,
-    mul_coprime,
     primes_above,
 )
 from .zlinalg import HNFLattice
@@ -90,11 +94,33 @@ class FactorBasePrime:
 
 @dataclass(frozen=True)
 class FactorBase:
+    """The primes of norm up to `bound`, with the products of their powers
+    above one q built so far.
+
+    `q_part` keeps each product it builds, so that each is built once per
+    factor base and freed with it.
+    """
+
     bound: int
     primes: Tuple[FactorBasePrime, ...]
     #: q -> positions in `primes` of the primes above q, for each rational
     #: prime q below the base, ascending
     columns: Dict[int, Tuple[int, ...]]
+    #: the product of the keys of `columns`
+    product: int
+    _q_parts: Dict[Tuple[int, Tuple[int, ...]], IdealHNF] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def q_part(self, q: int, exponents: Tuple[int, ...]) -> IdealHNF:
+        """The product of P^k over the primes P above q, k read from
+        `exponents` in the order of `columns[q]`, not all zero."""
+        key = (q, exponents)
+        part = self._q_parts.get(key)
+        if part is None:
+            powers = [self.primes[j].power(k) for j, k in zip(self.columns[q], exponents) if k]
+            part = self._q_parts[key] = reduce(mul, powers)
+        return part
 
 
 @dataclass(frozen=True)
@@ -139,13 +165,24 @@ def build_factor_base(F: PureCubicField) -> FactorBase:
             if q ** f <= top:
                 columns[q] = columns.get(q, ()) + (len(primes),)
                 primes.append(FactorBasePrime(q, P, f, q ** f))
-    return FactorBase(top, tuple(primes), columns)
+    return FactorBase(top, tuple(primes), columns, prod(columns))
 
 
-def _smooth_exponents(n: int, columns: Dict[int, Tuple[int, ...]]) -> Optional[Dict[int, int]]:
-    """Exponents of n over the rational primes keyed in `columns` (ascending),
-    or None if n is not smooth over them."""
+def _smooth_exponents(n: int, fb: FactorBase) -> Optional[Dict[int, int]]:
+    """Exponents of n over the rational primes keyed in `fb.columns`
+    (ascending), or None if n is not smooth over them."""
     n = abs(n)
+    # strip the base's primes from n by gcds with their product, which is
+    # squarefree, so the first gcd holds every base prime of n and later
+    # ones need only be taken with it: what is left is 1 exactly when n is
+    # smooth
+    r, g = n, gcd(n, fb.product)
+    while g > 1:
+        r //= g
+        g = gcd(r, g)
+    if r > 1:
+        return None
+    columns = fb.columns
     out: Dict[int, int] = {}
     for q in columns:
         if q * q > n:
@@ -172,13 +209,13 @@ def relation_row(
     n = F.element_norm(alpha)
     if n == 0:
         return None
-    sm = _smooth_exponents(n, fb.columns)
+    sm = _smooth_exponents(n, fb)
     if sm is None:
         return None
     row = [0] * len(fb.primes)
-    whole = None
+    parts = []
     for q, m in sm.items():
-        part = None
+        exponents = []
         for j in fb.columns[q]:
             p = fb.primes[j]
             # P^k contains alpha exactly for k <= v_P(alpha), and the norms
@@ -187,18 +224,15 @@ def relation_row(
             k, top = 0, m // p.f
             while k < top and p.power(k + 1).contains_vector(alpha):
                 k += 1
-            if k:
-                row[j] = k
-                m -= k * p.f
-                part = p.power(k) if part is None else mul(part, p.power(k))
+            row[j] = k
+            m -= k * p.f
+            exponents.append(k)
         if m:
             return None  # some prime above q has norm beyond the bound
-        # the q-parts have coprime norms, so their product is a CRT lift
-        whole = part if whole is None else mul_coprime(whole, part)
-    if whole is None:
-        whole = IdealHNF.unit_ideal(F)  # alpha is a unit
-    # exact reassembly check, never sampled
-    if whole != ideal_of_element(F, alpha):
+        parts.append(fb.q_part(q, tuple(exponents)))
+    # exact reassembly check, never sampled: the q-parts have coprime norms,
+    # so (alpha) is their product when its HNF is their CRT lift
+    if not is_coprime_product(ideal_of_element(F, alpha), parts):
         raise ArithmeticError(f"relation for {alpha} does not reassemble")
     return row
 

@@ -16,7 +16,6 @@ from itertools import product
 from typing import List, Sequence, Tuple
 
 from sympy import factorint, isprime
-from sympy.ntheory import nthroot_mod
 
 from .zlinalg import IntMatrix
 
@@ -226,10 +225,40 @@ def _is_cubic_residue(c: int, q: int) -> bool:
 
 
 def _roots_mod(d: int, q: int) -> List[int]:
-    """The roots of x^3 - d in F_q (q prime to 3d), by descending residue."""
+    """The roots of x^3 - d in F_q (q prime to 3d), by descending residue.
+
+    For q = 1 (mod 3) write q - 1 = 3^s * t with 3 prime to t.  A cube d
+    has the root d^u, u = 1/3 mod t, when s = 1; otherwise d^u is a root
+    up to a factor in the 3-Sylow subgroup, which a discrete log to the
+    base z = c^t, c a cubic non-residue, removes digit by digit
+    (Adleman-Manders-Miller).  The other roots differ by the cube roots
+    of unity, and c^((q-1)/3) is a primitive one.
+    """
     if q % 3 == 2:  # cubing is a bijection, with inverse r -> r^((2q-1)/3)
         return [pow(d, (2 * q - 1) // 3, q)]
-    return sorted(nthroot_mod(d, 3, q, True) or [], reverse=True)
+    k = (q - 1) // 3
+    if pow(d, k, q) != 1:
+        return []
+    c = 2
+    while pow(c, k, q) == 1:
+        c += 1
+    omega = pow(c, k, q)
+    s, t = 1, k
+    while t % 3 == 0:
+        s, t = s + 1, t // 3
+    r = pow(d, pow(3, -1, t), q)
+    if s > 1:
+        # r^3 = d * err with err = z^j, 3 | j: read j base 3, low digits first
+        z = pow(c, t, q)
+        err = r * r * r * pow(d, -1, q) % q
+        j = 0
+        for i in range(s - 1, 0, -1):
+            # (err / z^j)^(3^(i-1)) is 1, omega or omega^2: the digit of 3^(s-i) in j
+            h = pow(err * pow(z, -j, q), 3 ** (i - 1), q)
+            if h != 1:
+                j += 3 ** (s - i) * (1 if h == omega else 2)
+        r = r * pow(z, -(j // 3), q) % q
+    return sorted((r, r * omega % q, r * omega * omega % q), reverse=True)
 
 
 def ring_maps(F: PureCubicField, q: int) -> List[Tuple[int, int]]:

@@ -7,7 +7,9 @@ which makes equality, containment and norms trivial to read off.  A
 prime of degree 1 above q is the kernel of a ring map O -> F_q
 (`cubicfield.ring_maps`), and the one prime of degree 2, when q has one,
 is (q, theta^2 + r*theta + r^2) for the root r of x^3 - d mod q.
-Ideals of coprime norm multiply by CRT on their HNF entries.
+A product of ideals of pairwise coprime norm is checked, not computed:
+`is_coprime_product` tests the CRT congruences that tie its HNF entries
+to theirs.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from functools import reduce
 from itertools import product as iproduct
 from math import gcd
 from typing import List, Optional, Tuple
-
-from sympy import isprime
 
 from .cubicfield import _UNIT_VECTORS, PureCubicField, ring_maps, split_in_gamma
 from .zlinalg import _xgcd, lll_reduce
@@ -85,8 +85,8 @@ class IdealHNF:
     ) -> "IdealHNF":
         vecs = []
         for g in gens:
-            for w in _UNIT_VECTORS:
-                vecs.append(field.mul_coords(g, w))
+            # g * w0 is g
+            vecs += [g, field.mul_coords(g, _UNIT_VECTORS[1]), field.mul_coords(g, _UNIT_VECTORS[2])]
         return cls(field, _lattice_hnf(vecs))
 
     @classmethod
@@ -130,31 +130,39 @@ def mul(I: IdealHNF, J: IdealHNF) -> IdealHNF:
     return IdealHNF(I.field, _lattice_hnf(vecs))
 
 
-def _crt(r: int, m: int, s: int, n: int) -> int:
-    """The x in [0, m*n) with x = r (mod m) and x = s (mod n), gcd(m, n) = 1."""
-    r %= m
-    return r + m * ((s - r) * pow(m, -1, n) % n)
+def is_coprime_product(H: IdealHNF, parts: List[IdealHNF]) -> bool:
+    """Whether H is the product of `parts`, ideals of pairwise coprime norm.
 
-
-def mul_coprime(I: IdealHNF, J: IdealHNF) -> IdealHNF:
-    """I * J for ideals of coprime norm, read off the two HNFs.
-
-    Coprime norms give I + J = O, so I*J = I & J, and the lattices have
-    coprime index, so each entry of the HNF of I & J is the CRT lift of
-    the entries I and J ask for (Cohen, GTM 138, 1.3.3 and 4.7): a
-    vector (x, y, z) lies in I exactly when a | x, d | y - (x/a)*b and
-    f | z - (x/a)*c - ((y - (x/a)*b)/d)*e.  No element product is formed.
+    Coprime norms make the product the intersection of the parts, whose
+    HNF is the CRT lift of theirs (Cohen, GTM 138, 1.3.3 and 4.7): its
+    pivots are the products of the parts' pivots, and its rows lie in
+    every part.  A vector (x, y, z) lies in ((a, b, c), (0, d, e),
+    (0, 0, f)) exactly when a | x, d | y - (x/a)*b and
+    f | z - (x/a)*c - ((y - (x/a)*b)/d)*e, so for H = ((A, B, C),
+    (0, D, E), (0, 0, F)) that asks d | B - (A/a)*b, f | E - (D/d)*e and
+    f | C - (A/a)*c - ((B - (A/a)*b)/d)*e of each part.  A sublattice of
+    the product with the product's index is the product, so for H in
+    canonical HNF these congruences decide equality.  No inverse is taken
+    and no ideal built.
     """
-    if I.field != J.field:
-        raise ValueError("ambient mismatch")
-    (a, b, c), (_, d, e), (_, _, f) = I.basis
-    (a2, b2, c2), (_, d2, e2), (_, _, f2) = J.basis
-    if gcd(a * d * f, a2 * d2 * f2) != 1:
-        raise ValueError("norms are not coprime")
-    E = _crt(d2 * e, f, d * e2, f2)
-    B = _crt(a2 * b, d, a * b2, d2)
-    C = _crt(a2 * c + (B - a2 * b) // d * e, f, a * c2 + (B - a * b2) // d2 * e2, f2)
-    return IdealHNF(I.field, ((a * a2, B, C), (0, d * d2, E), (0, 0, f * f2)))
+    (A, B, C), (_, D, E), (_, _, F) = H.basis
+    pa = pd = pf = 1
+    for P in parts:
+        if P.field != H.field:
+            raise ValueError("ambient mismatch")
+        (a, _, _), (_, d, _), (_, _, f) = P.basis
+        if gcd(pa * pd * pf, a * d * f) != 1:
+            raise ValueError("norms are not coprime")
+        pa, pd, pf = pa * a, pd * d, pf * f
+    if (A, D, F) != (pa, pd, pf):
+        return False
+    for P in parts:
+        (a, b, c), (_, d, e), (_, _, f) = P.basis
+        ra = A // a
+        y = B - ra * b
+        if y % d or (E - D // d * e) % f or (C - ra * c - y // d * e) % f:
+            return False
+    return True
 
 
 def ideal_of_element(field: PureCubicField, v: Tuple[int, int, int]) -> IdealHNF:
@@ -179,10 +187,8 @@ def primes_above(field: PureCubicField, q: int) -> List[Tuple[IdealHNF, int, int
     (q, theta^2 + r*theta + r^2); with no root q is inert (Cohen, GTM
     138, 6.2).
     """
-    if not isprime(q):
-        raise ValueError("q must be prime")
+    maps = ring_maps(field, q)  # raises ValueError unless q is prime
     q_ideal = IdealHNF.from_integer(field, q)
-    maps = ring_maps(field, q)
     kernels = [IdealHNF(field, _lattice_hnf([(q, 0, 0), (-s, 1, 0), (-t, 0, 1)])) for s, t in maps]
     index_divisor = (3 * field.b) % q == 0
     if index_divisor:

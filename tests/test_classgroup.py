@@ -145,39 +145,67 @@ def test_factor_bases_built_alternately_give_fresh_rows():
 
 
 def test_relation_row_rejects_a_wrong_q_part(monkeypatch):
+    # the q-part of a split q with its exponents reversed has the right norm
+    # but is another ideal, so only the CRT congruences of the check see it
     F = classify(199)
     fb = build_factor_base(F)
-    # a row over at least two rational primes, so that mul_coprime folds it
+    split = [cols for cols in fb.columns.values() if len(cols) == 3]
     alpha = next(
         a for a in _element_stream()
         for r in [relation_row(F, fb, a)]
-        if r is not None and len({p.q for p, k in zip(fb.primes, r) if k}) >= 2
+        if r is not None and any([r[j] for j in cols] != [r[j] for j in cols[::-1]] for cols in split)
     )
-    monkeypatch.setattr(classgroup, "mul_coprime", lambda I, J: I)  # drops a q-part
+    real = classgroup.FactorBase.q_part
+    monkeypatch.setattr(
+        classgroup.FactorBase, "q_part",
+        lambda self, q, ks: real(self, q, ks[::-1] if len(ks) == 3 else ks),
+    )
     with pytest.raises(ArithmeticError, match="does not reassemble"):
         relation_row(F, fb, alpha)
 
 
 def test_relation_row_multiplies_the_primes_above_one_q(monkeypatch):
     # rows with two primes above the same q take `mul` for their q-part;
-    # a wrong product there must fail the reassembly too
+    # a wrong product there must fail the reassembly too.  A factor base
+    # keeps the q-parts it built, so `mul` is patched before one is built
     F = classify(487)
-    fb = build_factor_base(F)
     alpha = next(
-        a for a in _element_stream()
+        a for fb in [build_factor_base(F)] for a in _element_stream()
         for r in [relation_row(F, fb, a)]
         if r is not None and any(sum(r[j] > 0 for j in cols) >= 2 for cols in fb.columns.values())
     )
     calls = []
 
-    def drop_second(I, J):  # the powers are cached, so only the q-part calls it
+    def drop_second(I, J):
+        if J.contains(I):  # P^(k-1) * P, a power of one prime: keep it right
+            return mul(I, J)
         calls.append(J)
         return I
 
     monkeypatch.setattr(classgroup, "mul", drop_second)
+    fb = build_factor_base(F)
     with pytest.raises(ArithmeticError, match="does not reassemble"):
         relation_row(F, fb, alpha)
     assert calls
+
+
+@pytest.mark.parametrize("d", [7, 487])
+def test_relation_row_reassembly_is_independent_of_the_valuations(d, monkeypatch):
+    # the valuations read membership through contains_vector; with its last
+    # divisibility step dropped they come out wrong, and the reassembly
+    # check, which must not use contains_vector itself, has to say so
+    F = classify(d)
+    fb = build_factor_base(F)
+
+    def weak_contains_vector(self, v):
+        (a, b, _), (_, e, _), _ = self.basis
+        x, y, _ = v
+        return x % a == 0 and (y - x // a * b) % e == 0
+
+    monkeypatch.setattr(IdealHNF, "contains_vector", weak_contains_vector)
+    with pytest.raises(ArithmeticError, match="does not reassemble"):
+        for alpha in islice(_element_stream(), 300):
+            relation_row(F, fb, alpha)
 
 
 def _cube_scan_stream():

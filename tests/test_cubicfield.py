@@ -216,3 +216,23 @@ def test_ring_maps_reject_a_root_that_is_not_one(monkeypatch):
     monkeypatch.setattr(cubicfield, "_roots_mod", lambda d, q: [1])
     with pytest.raises(ArithmeticError, match="not a ring map"):
         ring_maps(classify(2), 5)
+
+
+def test_roots_mod_match_sympy_nthroot_mod():
+    # every prime q = 1 (mod 3) below 5000, 3^s || q - 1 up to s = 6 (q = 1459),
+    # with small d, cubes mod q and large d
+    from sympy.ntheory import nthroot_mod
+
+    exponents = set()
+    for q in primerange(7, 5000):
+        if q % 3 != 1:
+            continue
+        s, t = 0, q - 1
+        while t % 3 == 0:
+            s, t = s + 1, t // 3
+        exponents.add(s)
+        for d in [*range(2, 20), 8821, 10 ** 9 + 7, *(x ** 3 % q for x in (3, 5, 12))]:
+            if d % q:
+                expected = sorted(nthroot_mod(d, 3, q, True) or [], reverse=True)
+                assert cubicfield._roots_mod(d, q) == expected, (d, q)
+    assert exponents == {1, 2, 3, 4, 5, 6}

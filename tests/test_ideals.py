@@ -17,9 +17,9 @@ from purecubic.ideals import (
     ideal_of_element,
     ideal_power,
     ideal_quotient,
+    is_coprime_product,
     is_principal_bounded,
     mul,
-    mul_coprime,
     primes_above,
     valuation,
 )
@@ -55,39 +55,84 @@ def test_mul_norm_multiplicative():
     assert mul(a, b).norm() == a.norm() * b.norm()
 
 
+def _coprime_pairs(d):
+    """(I, J) over the powers P^k, k <= 3, of the factor base of d, N(I), N(J) coprime."""
+    powers = [p.power(k) for p in classgroup.build_factor_base(classify(d)).primes for k in (1, 2, 3)]
+    pairs = [(I, J) for I in powers for J in powers if gcd(I.norm(), J.norm()) == 1]
+    assert len(pairs) > len(powers) ** 2 // 2
+    return pairs
+
+
 # 28 = 7 * 2^2 (2 | b and 7 | a, totally ramified); 10 is of the second kind
 @pytest.mark.parametrize("d", [7, 10, 28, 199, 487])
-def test_mul_coprime_matches_mul_on_factor_base_powers(d):
-    F = classify(d)
-    powers = [p.power(k) for p in classgroup.build_factor_base(F).primes for k in (1, 2, 3)]
-    pairs = 0
-    for I in powers:
-        for J in powers:
-            if gcd(I.norm(), J.norm()) == 1:
-                assert mul_coprime(I, J) == mul(I, J), (I.basis, J.basis)
-                pairs += 1
-    assert pairs > len(powers) ** 2 // 2
+def test_is_coprime_product_matches_mul_on_factor_base_powers(d):
+    for I, J in _coprime_pairs(d):
+        assert is_coprime_product(mul(I, J), [I, J]), (I.basis, J.basis)
 
 
 @given(vec3, vec3, st.sampled_from([2, 10, 28, 199, 487]))
 @settings(max_examples=300, deadline=None)
-def test_mul_coprime_of_principal_ideals_is_the_ideal_of_the_product(u, v, d):
+def test_is_coprime_product_of_principal_ideals(u, v, d):
     # checked against (alpha*beta), so without `mul`
     F = classify(d)
     assume(any(u) and any(v))
     assume(gcd(F.element_norm(u), F.element_norm(v)) == 1)
-    got = mul_coprime(ideal_of_element(F, u), ideal_of_element(F, v))
-    assert got == ideal_of_element(F, F.mul_coords(u, v))
+    parts = [ideal_of_element(F, u), ideal_of_element(F, v)]
+    assert is_coprime_product(ideal_of_element(F, F.mul_coords(u, v)), parts)
 
 
-def test_mul_coprime_rejects_norms_that_share_a_prime():
+def test_is_coprime_product_rejects_norms_that_share_a_prime():
     F = classify(7)
     (P, _, _), (Q, _, _) = primes_above(F, 3)[0], primes_above(F, 2)[0]
     for I, J in ((P, P), (P, mul(P, Q)), (IdealHNF.from_integer(F, 6), Q)):
         with pytest.raises(ValueError, match="not coprime"):
-            mul_coprime(I, J)
+            is_coprime_product(IdealHNF.unit_ideal(F), [I, J])
+    P10 = primes_above(classify(10), 7)[0][0]
     with pytest.raises(ValueError, match="ambient"):
-        mul_coprime(P, primes_above(classify(10), 7)[0][0])
+        is_coprime_product(mul(P, Q), [P, P10])
+    with pytest.raises(ValueError, match="ambient"):
+        is_coprime_product(P10, [P])
+
+
+@pytest.mark.parametrize("d", [7, 199, 487])
+def test_is_coprime_product_rejects_a_changed_entry(d):
+    # H is canonical, so any other value of B (in [0, D)), C or E (in
+    # [0, F)) gives another ideal, which must not pass for the product
+    changed = [0, 0, 0]
+    for I, J in _coprime_pairs(d)[::7]:
+        product = mul(I, J).basis
+        (_, _, _), (_, D, _), (_, _, F) = product
+        for i, (r, col, top) in enumerate(((0, 1, D), (0, 2, F), (1, 2, F))):
+            for x in range(min(top, 12)):
+                if x != product[r][col]:
+                    rows = [list(row) for row in product]
+                    rows[r][col] = x
+                    H = IdealHNF(I.field, tuple(tuple(row) for row in rows))
+                    assert not is_coprime_product(H, [I, J]), (H.basis, I.basis, J.basis)
+                    changed[i] += 1
+    assert min(changed) > 20, changed
+
+
+def test_is_coprime_product_rejects_a_conjugate_part():
+    # the primes above a split q have the same norm; the product with one
+    # of them is not the product with another
+    cases = 0
+    for d, q in ((2, 31), (7, 19), (10, 37), (199, 37), (487, 19)):
+        F = classify(d)
+        split = [P for P, _, _ in primes_above(F, q)]
+        assert len(split) == 3
+        others = [P for r in (2, 5) for P, _, _ in primes_above(F, r)]
+        for P, Q in iproduct(split, others):
+            for k in (1, 2):
+                Pk = ideal_power(P, k)
+                H = mul(Pk, Q)
+                assert is_coprime_product(H, [Pk, Q])
+                for P2 in split:
+                    if P2 != P:
+                        assert not is_coprime_product(H, [ideal_power(P2, k), Q])
+                        assert not is_coprime_product(H, [Q, ideal_power(P2, k)])
+                        cases += 1
+    assert cases > 100
 
 
 def test_primes_above_reassemble():
@@ -101,6 +146,9 @@ def test_primes_above_reassemble():
             for P, e, _ in parts:
                 prod = mul(prod, ideal_power(P, e))
             assert prod == IdealHNF.from_integer(F, q)
+        for q in (0, 1, 4, -5):
+            with pytest.raises(ValueError, match="q must be prime"):
+                primes_above(F, q)
 
 
 def test_primes_above_index_divisor_route_at_three():
