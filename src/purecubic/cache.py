@@ -46,7 +46,10 @@ class ResultCache:
                 )
         return records
 
-    def append(self, record: Dict[str, Any]) -> None:
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    def append(self, *records: Dict[str, Any]) -> None:
+        """Write the records, one line each, in one write."""
+        text = "".join(
+            json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records
+        )
         with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
-            fh.write(line + "\n")
+            fh.write(text)

@@ -13,7 +13,12 @@ in Hermite normal form as rows arrive, and once the search stabilizes
 the cokernel is read off the Smith normal form of the basis block whose
 pivots exceed 1.
 Stabilization is heuristic, so for small bounds the result is certified
-against an independent brute-force enumeration of ideal classes.
+against an independent brute-force enumeration of ideal classes.  The
+enumeration tests each ideal first against the representatives that the
+relation lattice puts in its class (equal exponent vectors modulo the
+lattice), so most tests hit.  A merge across two relation classes is a
+relation the search missed: its witness is checked to generate the
+quotient ideal, the relation is inserted, and the cokernel is read again.
 
 The sextic-closure structure decision takes the unit index u as an
 *input*: computing u would need the unit group of a degree-6 field,
@@ -285,14 +290,20 @@ def class_group(F: PureCubicField, budget_seconds: float = 600.0) -> ClassGroupS
             stable = 0 if changed else stable + 1
             if stable >= STABLE_WINDOW:
                 break
+    # read here, where perfbench's tracer ends the relation phase (at the
+    # last snf), and again only if the oracle adds relations
     divisors = lattice.elementary_divisors()
     h = prod(divisors)
-    h3 = _three_part(h)
-    p3 = tuple(sorted(_three_part(x) for x in divisors if x % 3 == 0))
 
     certified = False
     if fb.bound <= ORACLE_BOUND_LIMIT:
-        oracle_h = _oracle_class_number(F, fb, search_bound=ORACLE_SEARCH_BOUND, deadline=deadline)
+        oracle_h = _oracle_class_number(
+            F, fb, lattice, search_bound=ORACLE_SEARCH_BOUND, deadline=deadline
+        )
+        if lattice.determinant() != h:
+            # the oracle inserted true relations that the search had missed
+            divisors = lattice.elementary_divisors()
+            h = prod(divisors)
         certified = oracle_h == h
         # the oracle count only errs upward (a missed principality test splits
         # one class in two), so oracle > h is inconclusive; oracle < h proves
@@ -302,51 +313,75 @@ def class_group(F: PureCubicField, budget_seconds: float = 600.0) -> ClassGroupS
                 f"enumeration oracle shows at most {oracle_h} classes for d={F.d}, "
                 f"relation method stopped at h={h}"
             )
+    h3 = _three_part(h)
+    p3 = tuple(sorted(_three_part(x) for x in divisors if x % 3 == 0))
     return ClassGroupStructure(F.d, divisors, h, h3, p3, certified)
 
 
-def _all_ideals_up_to(F: PureCubicField, fb: FactorBase) -> List[IdealHNF]:
-    """Every integral ideal of norm <= fb.bound (products of factor-base primes)."""
-    items = [(IdealHNF.unit_ideal(F), 1)]
+def _all_ideals_up_to(
+    F: PureCubicField, fb: FactorBase
+) -> List[Tuple[IdealHNF, Tuple[int, ...]]]:
+    """Every integral ideal of norm <= fb.bound (products of factor-base
+    primes), each with its exponent vector over fb."""
+    items = [(IdealHNF.unit_ideal(F), 1, ())]
     for p in fb.primes:
         new = []
-        for I, nI in items:
-            acc, nacc = I, nI
+        for I, nI, e in items:
+            acc, nacc, k = I, nI, 0
             while True:
-                new.append((acc, nacc))
+                new.append((acc, nacc, e + (k,)))
                 nacc *= p.norm
                 if nacc > fb.bound:
                     break
-                acc = mul(acc, p.ideal)
+                acc, k = mul(acc, p.ideal), k + 1
         items = new
-    return [I for I, nI in items if nI <= fb.bound]
+    return [(I, e) for I, nI, e in items if nI <= fb.bound]
 
 
 def _oracle_class_number(
-    F: PureCubicField, fb: FactorBase, search_bound: int, deadline: float
+    F: PureCubicField, fb: FactorBase, lattice: HNFLattice, search_bound: int, deadline: float
 ) -> Optional[int]:
     """Independent class number: enumerate ideals below the bound and merge
     them into classes by bounded principality tests.  Returns None when the
-    deadline cuts the enumeration short."""
-    ideals = _all_ideals_up_to(F, fb)
-    reps: List[IdealHNF] = []
-    inverses: List[IdealHNF] = []
-    for I in ideals:
+    deadline cuts the enumeration short.
+
+    An ideal is tested first against the representatives in its class of
+    Z^n/lattice (equal `lattice.residue` of the exponent vectors), then
+    against the rest, each group in order of creation.  The order changes
+    only how many tests miss: an ideal is placed exactly when some
+    representative tests principal.  A merge of I with a representative R
+    of another relation class is a relation the lattice lacks: the
+    witness is checked to generate the quotient ideal tested, and
+    e(I) - e(R) is inserted into `lattice`.
+    """
+    reps: List[Tuple[IdealHNF, IdealHNF, Tuple[int, ...]]] = []  # R, N(R)/R, e(R)
+    keys: List[Tuple[int, ...]] = []
+    for I, e in _all_ideals_up_to(F, fb):
         if time.monotonic() > deadline:
             return None
         I_inv = class_inverse_representative(I)
-        placed = False
-        for rep, rep_inv in zip(reps, inverses):
+        key = lattice.residue(e)
+        # a stable sort: the representatives with the ideal's key first
+        for i in sorted(range(len(reps)), key=lambda i: keys[i] != key):
+            R, R_inv, e_R = reps[i]
             # generators can be short in either direction, try both quotients
-            if (
-                is_principal_bounded(mul(I, rep_inv), search_bound) is not None
-                or is_principal_bounded(mul(rep, I_inv), search_bound) is not None
-            ):
-                placed = True
-                break
-        if not placed:
-            reps.append(I)
-            inverses.append(I_inv)
+            J = mul(I, R_inv)
+            alpha = is_principal_bounded(J, search_bound)
+            if alpha is None:
+                J = mul(R, I_inv)
+                alpha = is_principal_bounded(J, search_bound)
+            if alpha is None:
+                continue
+            if keys[i] != key:
+                if ideal_of_element(F, alpha) != J:
+                    raise ArithmeticError(f"oracle witness {alpha} does not generate its ideal")
+                # (alpha) is I/R or R/I times a rational integer
+                lattice.insert([x - y for x, y in zip(e, e_R)])
+                keys = [lattice.residue(r[2]) for r in reps]
+            break
+        else:
+            reps.append((I, I_inv, e))
+            keys.append(key)
     return len(reps)
 
 

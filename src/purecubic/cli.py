@@ -105,16 +105,16 @@ def cmd_scan(args, u_map) -> Tuple[List[Dict[str, Any]], str, int]:
             records = list(ex.map(compute, candidates))
     else:
         records = [compute(p) for p in candidates]
+    # every record computed now is cached, whatever the predicate keeps
+    new = [r for r in records if known.get(r["p"]) is not r]
+    if cache is not None and new:
+        try:
+            cache.append(*new)
+        except OSError as e:
+            raise UsageError(f"cannot write cache: {e}")
     # default predicate: keep primes whose rational 3-symbol is nontrivial
     if not args.keep_all:
         records = [r for r in records if not r["three_symbol_trivial"]]
-    if cache is not None:
-        try:
-            for r in records:
-                if known.get(r["p"]) is not r:
-                    cache.append(r)
-        except OSError as e:
-            raise UsageError(f"cannot write cache: {e}")
     return records, "ok", 0
 
 

@@ -293,6 +293,21 @@ class HNFLattice:
         block = [[self._basis[c].get(k, 0) for k in big] for c in big]
         return tuple(x for x in snf(IntMatrix.from_rows(block)) if x > 1)
 
+    def residue(self, v: Sequence[int]) -> Tuple[int, ...]:
+        """v reduced by the basis rows in ascending pivot column, so that
+        0 <= entry < pivot at every pivot column.
+
+        Two vectors have the same residue exactly when their difference
+        lies in the lattice: a nonzero lattice vector leads with a nonzero
+        multiple of the pivot in that column, and the difference of two
+        residues is smaller than the pivot in size at every pivot column.
+        """
+        if len(v) != self.ncols:
+            raise ValueError("vector length does not match the lattice dimension")
+        r = {j: int(v[j]) for j in compress(range(self.ncols), v)}
+        self._reduce_row(r, 0)
+        return tuple(r.get(j, 0) for j in range(self.ncols))
+
     def insert(self, row: Sequence[int]) -> bool:
         """Add `row` to the lattice; return whether the lattice changed."""
         if len(row) != self.ncols:

@@ -1,6 +1,8 @@
 """Class group computation and the sextic-closure structure decision."""
 
+import copy
 import gc
+import random
 from fractions import Fraction
 from itertools import count, islice
 
@@ -21,7 +23,15 @@ from purecubic.classgroup import (
     relation_row,
 )
 from purecubic.cubicfield import classify
-from purecubic.ideals import IdealHNF, ideal_of_element, ideal_power, mul, valuation
+from purecubic.ideals import (
+    IdealHNF,
+    class_inverse_representative,
+    ideal_of_element,
+    ideal_power,
+    is_principal_bounded,
+    mul,
+    valuation,
+)
 from purecubic.zlinalg import HNFLattice, snf
 
 
@@ -259,7 +269,7 @@ def test_catalog_class_groups_beyond_the_oracle(d):
 @pytest.fixture(scope="module")
 def spied_class_group():
     """class_group(d) and the lattice it searched, each d run once, with the
-    oracle off (it runs after the search and does not touch the lattice)."""
+    oracle off (it runs after the search and may add relations)."""
     runs = {}
 
     def run(d):
@@ -309,6 +319,102 @@ def test_pivot_block_of_a_relation_lattice(d, m, spied_class_group):
     assert sum(M[i, i] > 1 for i in range(M.rows)) == m
     full = tuple(x for x in snf(M) if x > 1)
     assert lattice.elementary_divisors() == full == cg.divisors
+
+
+@pytest.mark.parametrize("d", [7, 11, 199])
+def test_residue_is_the_class_key(d, spied_class_group):
+    cg, lattice = spied_class_group(d)
+    n = lattice.ncols
+    M = lattice.matrix()
+    pivots = [M[i, i] for i in range(n)]
+    rows = [list(M.row(i)) for i in range(n)]
+    rng = random.Random(d)
+    vectors = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(40)]
+    keys = [lattice.residue(v) for v in vectors]
+    for v, key in zip(vectors, keys):
+        assert all(0 <= x < p for x, p in zip(key, pivots))
+        assert lattice.residue(key) == key
+        # unchanged by a basis row and by an integer combination of rows
+        for b in rows:
+            assert lattice.residue([x + y for x, y in zip(v, b)]) == key
+        c = [rng.randint(-3, 3) for _ in rows]
+        w = [x + sum(ci * b[j] for ci, b in zip(c, rows)) for j, x in enumerate(v)]
+        assert lattice.residue(w) == key
+    # equal keys exactly when the difference is already a relation
+    outcomes = set()
+    for (u, ku), (v, kv) in zip(zip(vectors, keys), zip(vectors[1:], keys[1:])):
+        trial = copy.deepcopy(lattice)
+        changed = trial.insert([x - y for x, y in zip(u, v)])
+        assert (ku == kv) == (not changed)
+        outcomes.add(ku == kv)
+    assert outcomes == {True, False}
+    # Z^n/L has h classes, so the keys take at most h values
+    assert len({lattice.residue(v) for v in vectors}) <= cg.h
+
+
+def _unordered_oracle(F, fb, search_bound):
+    """The oracle's first loop: each ideal tried against the representatives
+    in order of creation, with no class keys and no lattice."""
+    reps, inverses = [], []
+    for I, _ in classgroup._all_ideals_up_to(F, fb):
+        I_inv = class_inverse_representative(I)
+        if not any(
+            is_principal_bounded(mul(I, R_inv), search_bound) is not None
+            or is_principal_bounded(mul(R, I_inv), search_bound) is not None
+            for R, R_inv in zip(reps, inverses)
+        ):
+            reps.append(I)
+            inverses.append(I_inv)
+    return len(reps)
+
+
+@pytest.mark.parametrize("d,classes", [(7, 3), (11, 2), (29, 5)])
+def test_oracle_counts_as_the_unordered_loop(d, classes, spied_class_group):
+    F = classify(d)
+    fb = build_factor_base(F)
+    lattice = copy.deepcopy(spied_class_group(d)[1])
+    got = classgroup._oracle_class_number(F, fb, lattice, 12, float("inf"))
+    assert got == _unordered_oracle(F, fb, 12) == classes
+
+
+@pytest.mark.parametrize("d,tests", [(7, 16), (11, 19), (199, 224)])
+def test_oracle_tests_the_predicted_class_first(d, tests, monkeypatch):
+    calls = []
+
+    def counting(I, search_bound=8):
+        calls.append(I)
+        return is_principal_bounded(I, search_bound)
+
+    monkeypatch.setattr(classgroup, "is_principal_bounded", counting)
+    assert class_group(classify(d)).certified
+    assert len(calls) == tests
+
+
+def test_oracle_witness_across_relation_classes_is_a_relation():
+    # the search stops at h = 2 for d = 29; one oracle merge joins two of
+    # its relation classes, and that relation gives the true h = 1
+    cg = class_group(classify(29))
+    assert (cg.h, cg.divisors, cg.p3_type) == (1, (), ())
+    assert not cg.certified  # the oracle still counts 5 classes
+
+
+def test_oracle_inserts_only_true_relations(spied_class_group):
+    # with 3L in place of the certified lattice L of d = 7, almost every
+    # merge joins two classes of Z^n/3L; each must insert a row of L
+    cg, lattice = spied_class_group(7)
+    assert cg.h == 3
+    F = classify(7)
+    fb = build_factor_base(F)
+    M = lattice.matrix()
+    coarse = HNFLattice(M.cols)
+    for i in range(M.rows):
+        coarse.insert([3 * x for x in M.row(i)])
+    before = coarse.determinant()
+    assert classgroup._oracle_class_number(F, fb, coarse, 12, float("inf")) == 3
+    assert coarse.determinant() < before
+    C = coarse.matrix()
+    for i in range(C.rows):
+        assert not copy.deepcopy(lattice).insert(C.row(i))
 
 
 def test_ambiguous_order_examples():

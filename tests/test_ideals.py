@@ -23,7 +23,7 @@ from purecubic.ideals import (
     primes_above,
     valuation,
 )
-from purecubic.zlinalg import IntMatrix, hnf, lll_reduce
+from purecubic.zlinalg import HNFLattice, IntMatrix, hnf, lll_reduce
 
 vec3 = st.tuples(*[st.integers(-40, 40)] * 3)
 
@@ -323,6 +323,8 @@ def _box_search(I, search_bound):
 
 @pytest.mark.parametrize("d", [7, 11])
 def test_is_principal_bounded_matches_box_search_on_oracle_ideals(d, monkeypatch):
+    # with no relations every ideal has its own residue, so the oracle tests
+    # the representatives in order of creation and every merge inserts one
     calls = []
 
     def recording(I, search_bound=8):
@@ -333,8 +335,33 @@ def test_is_principal_bounded_matches_box_search_on_oracle_ideals(d, monkeypatch
     monkeypatch.setattr(classgroup, "is_principal_bounded", recording)
     F = classify(d)
     fb = classgroup.build_factor_base(F)
-    classgroup._oracle_class_number(F, fb, search_bound=12, deadline=float("inf"))
+    lattice = HNFLattice(len(fb.primes))
+    classgroup._oracle_class_number(F, fb, lattice, search_bound=12, deadline=float("inf"))
     assert len(calls) > 20
+    assert any(gen is None for _, _, gen in calls)
+    assert any(gen is not None for _, _, gen in calls)
+    for I, B, gen in calls:
+        ref = _box_search(I, B)
+        if ref is None:
+            assert gen is None
+        else:
+            assert gen == ref
+
+
+def test_is_principal_bounded_matches_box_search_on_certified_fields(monkeypatch):
+    # the oracle tests the predicted class first, so a field makes few
+    # calls (16, 19, 13 and 13 here); the four fields pool them
+    calls = []
+
+    def recording(I, search_bound=8):
+        gen = is_principal_bounded(I, search_bound)
+        calls.append((I, search_bound, gen))
+        return gen
+
+    monkeypatch.setattr(classgroup, "is_principal_bounded", recording)
+    for d in (7, 11, 44, 242):
+        assert classgroup.class_group(classify(d)).certified
+    assert len(calls) >= 60
     assert any(gen is None for _, _, gen in calls)
     assert any(gen is not None for _, _, gen in calls)
     for I, B, gen in calls:

@@ -374,6 +374,8 @@ def test_lll_matches_gso_recomputation(rows):
 
 @pytest.mark.parametrize("d", [7, 11])
 def test_lll_matches_gso_recomputation_on_oracle_ideals(d, monkeypatch):
+    # with no relations the oracle tests every representative in order of
+    # creation, so one field gives many bases
     bases = []
 
     def recording(basis):
@@ -383,8 +385,33 @@ def test_lll_matches_gso_recomputation_on_oracle_ideals(d, monkeypatch):
     monkeypatch.setattr(ideals, "lll_reduce", recording)
     F = classify(d)
     fb = classgroup.build_factor_base(F)
-    classgroup._oracle_class_number(F, fb, search_bound=12, deadline=float("inf"))
+    lattice = HNFLattice(len(fb.primes))
+    classgroup._oracle_class_number(F, fb, lattice, search_bound=12, deadline=float("inf"))
     assert len(bases) > 20
+    for basis in bases:
+        assert lll_reduce(basis) == _gso_lll(basis)
+
+
+def test_lll_matches_gso_recomputation_on_certified_fields(monkeypatch):
+    # each principality test of the oracle reduces one ideal basis; the
+    # predicted class goes first, so the four fields pool their few tests
+    bases, found = [], []
+
+    def recording(basis):
+        bases.append([list(r) for r in basis])
+        return lll_reduce(basis)
+
+    def principal(I, search_bound=8):
+        gen = ideals.is_principal_bounded(I, search_bound)
+        found.append(gen is not None)
+        return gen
+
+    monkeypatch.setattr(ideals, "lll_reduce", recording)
+    monkeypatch.setattr(classgroup, "is_principal_bounded", principal)
+    for d in (7, 11, 44, 242):
+        assert classgroup.class_group(classify(d)).certified
+    assert len(bases) == len(found) >= 60
+    assert set(found) == {True, False}
     for basis in bases:
         assert lll_reduce(basis) == _gso_lll(basis)
 
