@@ -258,10 +258,18 @@ def cmd_model_check(args, u_map) -> Tuple[List[Dict[str, Any]], str, int]:
             raise UsageError(f"unknown constraint: {name}")
         toggles[name] = False
     constraints = ModelConstraints(**toggles)
+
+    def save(doc: Dict[str, Any]) -> None:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=2, sort_keys=True, default=list)
+                fh.write("\n")
+
     try:
         rep = full_report(constraints)
     except ArithmeticError as e:
         row = {"constraints": asdict(constraints), "status": "mismatch", "reason": str(e)}
+        save(row)  # never leave an earlier run's report in --out
         return [row], "mismatch", 1
     doc: Dict[str, Any] = {
         "constraints": asdict(rep.constraints),
@@ -274,10 +282,7 @@ def cmd_model_check(args, u_map) -> Tuple[List[Dict[str, Any]], str, int]:
     universal = rep.model_count > 0 and all(
         v.status == "holds-universally" for v in rep.theorem_claims.values()
     )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True, default=list)
-            fh.write("\n")
+    save(doc)
     if universal:
         return [doc], "ok", 0
     # a relaxed constraint set exists to show which claims stop holding

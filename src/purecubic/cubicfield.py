@@ -67,6 +67,11 @@ CUBIC_MONOMIALS = (
     (1, 0, 2), (0, 3, 0), (0, 2, 1), (0, 1, 2), (0, 0, 3),
 )
 _UNIT_VECTORS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+#: each (i, j, k) in {0, 1, 2}^3 with the position in CUBIC_MONOMIALS of c_i * c_j * c_k
+_NORM_TERMS = tuple(
+    (i, j, k, CUBIC_MONOMIALS.index(tuple((i, j, k).count(t) for t in range(3))))
+    for i, j, k in product(range(3), repeat=3)
+)
 
 
 def _det3(u, v, w) -> int:
@@ -130,11 +135,10 @@ class PureCubicField:
         the coefficient of c_i * c_j * c_k, exactly.
         """
         cols = [[self.mul_coords(v, w) for w in _UNIT_VECTORS] for v in vectors]
-        coeffs = dict.fromkeys(CUBIC_MONOMIALS, 0)
-        for ijk in product(range(3), repeat=3):
-            i, j, k = ijk
-            coeffs[tuple(ijk.count(t) for t in range(3))] += _det3(cols[i][0], cols[j][1], cols[k][2])
-        return tuple(coeffs[m] for m in CUBIC_MONOMIALS)
+        coeffs = [0] * len(CUBIC_MONOMIALS)
+        for i, j, k, m in _NORM_TERMS:
+            coeffs[m] += _det3(cols[i][0], cols[j][1], cols[k][2])
+        return tuple(coeffs)
 
     def element_norm(self, v) -> int:
         x, y, z = v
@@ -171,10 +175,10 @@ def _build_table(a: int, b: int, glue: Tuple[int, int] | None):
         row = []
         for v in scaled:
             p0, p1, p2 = mul_seed(u, v)
-            coords = (p0 - g0 * p2, p1 - g1 * p2, m * p2)
-            if any(c % mm for c in coords):
+            c0, c1, c2 = p0 - g0 * p2, p1 - g1 * p2, m * p2
+            if c0 % mm or c1 % mm or c2 % mm:
                 return None
-            row.append(tuple(c // mm for c in coords))
+            row.append((c0 // mm, c1 // mm, c2 // mm))
         table.append(tuple(row))
     return basis, tuple(table)
 
@@ -208,10 +212,10 @@ def classify(d: int) -> PureCubicField:
             raise ArithmeticError(f"no integral denominator-3 basis found for d={d}")
     basis, table = built
     fld = PureCubicField(d, a, b, kind, expected_disc, basis, table)
-    # verify the discriminant from the trace form, not the formula alone
-    gram = [
-        [fld.element_trace(fld.mul_coords(u, v)) for v in _UNIT_VECTORS] for u in _UNIT_VECTORS
-    ]
+    # verify the discriminant from the trace form, not the formula alone:
+    # tr is linear, so tr(w_i w_j) = sum_k table[i][j][k] * tr(w_k)
+    traces = [fld.element_trace(w) for w in _UNIT_VECTORS]
+    gram = [[sum(c * t for c, t in zip(wij, traces)) for wij in row] for row in table]
     got = _det3(*gram)
     if got != expected_disc:
         raise ArithmeticError(f"discriminant mismatch for d={d}: {got} != {expected_disc}")

@@ -202,9 +202,12 @@ def test_model_check_unrelaxed_claims_not_universal_is_a_mismatch(capsys, monkey
     assert doc["status"] == "mismatch"
 
 
-def test_model_check_verifier_disagreement_is_a_mismatch_row(capsys, monkeypatch):
+def test_model_check_verifier_disagreement_is_a_mismatch_row(capsys, monkeypatch, tmp_path):
+    saved = tmp_path / "report.json"
+    assert run(capsys, "model-check", "--out", str(saved))[0] == 0
+    assert json.loads(saved.read_text())["model_count"] > 0  # an earlier run's report
     monkeypatch.setattr("purecubic.galoismodel.verify_model", lambda m, c: False)
-    code, out = run(capsys, "model-check")
+    code, out = run(capsys, "model-check", "--out", str(saved))
     assert code == 1
     doc = json.loads(out)  # a report document, not a traceback
     assert doc["status"] == "mismatch"
@@ -212,6 +215,7 @@ def test_model_check_verifier_disagreement_is_a_mismatch_row(capsys, monkeypatch
     assert rec["status"] == "mismatch"
     assert "enumeration filter and verifier disagree" in rec["reason"]
     assert rec["constraints"]["dihedral_relation"] is True
+    assert json.loads(saved.read_text()) == rec  # the mismatch replaced the old report
 
 
 def test_csv_output(capsys):

@@ -63,6 +63,42 @@ def test_element_norm_matches_regular_representation_det(d):
         assert F.element_norm(v) == det(F.regular_representation(v)), v
 
 
+@pytest.mark.parametrize("d", [2, 245, 10, 28, 199])
+def test_norm_form_on_non_unit_vectors(d):
+    # the form of N(c0*v0 + c1*v1 + c2*v2) for seeded v_i, evaluated at seeded c
+    F = classify(d)
+    assert F.kind == ("first" if d in (2, 245) else "second")
+    rng = random.Random(d)
+    for _ in range(30):
+        vs = [tuple(rng.randint(-12, 12) for _ in range(3)) for _ in range(3)]
+        form = F.norm_form(vs)
+        for _ in range(10):
+            c = [rng.randint(-12, 12) for _ in range(3)]
+            x = tuple(sum(ci * v[t] for ci, v in zip(c, vs)) for t in range(3))
+            value = sum(f * c[0] ** i * c[1] ** j * c[2] ** k
+                        for f, (i, j, k) in zip(form, cubicfield.CUBIC_MONOMIALS))
+            assert value == F.element_norm(x), (vs, c)
+
+
+@pytest.mark.parametrize("d", [2, 245, 10, 28, 199])
+def test_classify_checks_the_discriminant(monkeypatch, d):
+    real = cubicfield._build_table
+
+    def off_by_one(a, b, glue):
+        built = real(a, b, glue)
+        if built is None:
+            return None
+        basis, table = built
+        rows = [list(row) for row in table]
+        c0, c1, c2 = rows[1][2]
+        rows[1][2] = (c0 + 1, c1, c2)  # w1 * w2 one off, still integral
+        return basis, tuple(tuple(row) for row in rows)
+
+    monkeypatch.setattr(cubicfield, "_build_table", off_by_one)
+    with pytest.raises(ArithmeticError, match="discriminant mismatch"):
+        classify(d)
+
+
 def test_classify_rejects_bad_d():
     with pytest.raises(ValueError):
         classify(8)  # not cube-free

@@ -31,6 +31,7 @@ from purecubic.galoismodel import (
     span,
     verify_model,
 )
+from purecubic.galoismodel import _CYCLIC, _WHOLE, _generates, _span_mask
 
 CONSTRAINT_NAMES = [f.name for f in fields(ModelConstraints)]
 CONSTRAINT_SETS = [ModelConstraints()] + [
@@ -426,6 +427,22 @@ def test_endo_identity_ignores_the_image_table():
 @settings(max_examples=200, deadline=None)
 def test_span_matches_elem_bfs(gens):
     assert span(gens) == ref_span(gens)
+
+
+def test_two_generator_count_matches_the_closure():
+    # every pair (a, b) against every span of one or two elements and the
+    # whole group: <a, b> == H by counting exactly when the closure is H
+    spans = {(a, b): _span_mask([a, b]) for a in range(27) for b in range(27)}
+    targets = set(spans.values()) | {_WHOLE}
+    assert {_span_mask([g]) for g in range(27)} <= targets
+    outcomes = set()
+    for (a, b), closure in spans.items():
+        for target in targets:
+            ok = _generates(a, b, target)
+            assert ok == (closure == target), (a, b, target)
+            outcomes.add(ok)
+    assert outcomes == {True, False}
+    assert all(_CYCLIC[g] == _span_mask([g]) for g in range(27))
 
 
 @pytest.mark.parametrize("c", CONSTRAINT_SETS, ids=SET_IDS)
