@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Survey the splitting laws against the polynomial-factorization oracle.
+"""Survey the splitting laws against the root-count oracle.
 
-Checks split_in_gamma against the factorization of x^3 - d over F_q for
-every cube-free d and prime q in the given ranges (within the oracle's
-applicability domain q coprime to 3b).  It also runs primes_above for
-every q, q | 3b included; primes_above raises unless its prime ideals have
-the pattern split_in_gamma gives and the product of the P^e is qO.  For
+Checks split_in_gamma against brute_split for every cube-free d and prime
+q in the given ranges (within the oracle's applicability domain q coprime
+to 3b).  brute_split reads the pattern of x^3 - d over F_q off its number
+of roots there, deg gcd(x^q - x, x^3 - d), and never reads q mod 3 or
+d^((q-1)/3), the facts split_in_gamma decides by.  It also runs
+primes_above for every q, q | 3b included; primes_above raises unless its
+prime ideals have the pattern split_in_gamma gives and the product of the
+P^e is qO.  For
 the primes P, P' above distinct q, q' <= 50 it checks that the general
 product mul(P, P') passes the CRT check is_coprime_product, and for each q <= 50
 that ring_maps(F, q) lists the same ring maps O -> F_q as a search over

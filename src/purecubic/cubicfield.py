@@ -338,18 +338,66 @@ def split_in_k(F: PureCubicField, q: int) -> SplitPattern:
     return SplitPattern.of((1, 3), (1, 3))
 
 
+#: the pattern of a squarefree x^3 - d over F_q by its number of roots in F_q
+_PATTERN_BY_ROOTS = {
+    3: SplitPattern.of((1, 1), (1, 1), (1, 1)),
+    1: SplitPattern.of((1, 1), (1, 2)),
+    0: SplitPattern.of((1, 3)),
+}
+
+
+def _gcd_degree(f: List[int], g: List[int], q: int) -> int:
+    """Degree of gcd(f, g) over F_q, f nonzero; coefficients constant term first."""
+
+    def trim(p: List[int]) -> List[int]:
+        while p and p[-1] % q == 0:
+            p.pop()
+        return p
+
+    f, g = trim([c % q for c in f]), trim([c % q for c in g])
+    while g:
+        inv = pow(g[-1], -1, q)
+        while len(f) >= len(g):  # f <- f mod g, one leading term at a time
+            k, shift = f[-1] * inv % q, len(f) - len(g)
+            for i, c in enumerate(g):
+                f[shift + i] = (f[shift + i] - k * c) % q
+            trim(f)
+        f, g = g, f
+    return len(f) - 1
+
+
 def brute_split(F: PureCubicField, q: int) -> SplitPattern:
-    """Oracle: read the pattern off the factorization of x^3 - d over F_q.
+    """Oracle: read the pattern off the roots of x^3 - d in F_q.
 
     Valid only when q does not divide 3*b (the index of Z[theta] in the
-    maximal order divides 3*b).
+    maximal order divides 3*b), where Dedekind's criterion makes the
+    pattern that of x^3 - d mod q.  If q | d that is x^3: (3, 1).
+    Otherwise x^3 - d is squarefree (its derivative 3x^2 vanishes only at
+    0), so a cubic with 3, 1 or 0 roots in F_q splits into three lines, a
+    line and an irreducible quadratic, or stays irreducible.  The roots
+    are counted as deg gcd(x^q - x, x^3 - d): x^q mod (q, x^3 - d) by
+    square-and-multiply on coefficient triples, then one Euclidean gcd.
+    Nothing here reads q mod 3 or d^((q-1)/3), the two facts
+    `split_in_gamma` decides by, so the check is independent of it.
     """
     if not isprime(q):
         raise ValueError("q must be prime")
     if (3 * F.b) % q == 0:
         raise ValueError("oracle not applicable: q divides 3*b")
-    from sympy import GF, Poly, Symbol
-
-    x = Symbol("x")
-    fac = Poly(x ** 3 - F.d, x, domain=GF(q)).factor_list()[1]
-    return SplitPattern.of(*[(mult, poly.degree()) for poly, mult in fac])
+    d = F.d % q
+    if d == 0:
+        return SplitPattern.of((3, 1))
+    # c0 + c1 x + c2 x^2 = x^q mod (q, x^3 - d), using x^3 = d
+    c0, c1, c2 = 1, 0, 0
+    for bit in bin(q)[2:]:
+        c0, c1, c2 = (
+            (c0 * c0 + 2 * d * c1 * c2) % q,
+            (2 * c0 * c1 + d * c2 * c2) % q,
+            (2 * c0 * c2 + c1 * c1) % q,
+        )
+        if bit == "1":
+            c0, c1, c2 = d * c2 % q, c0, c1
+    roots = _gcd_degree([-d, 0, 0, 1], [c0, c1 - 1, c2], q)
+    if roots not in _PATTERN_BY_ROOTS:
+        raise ArithmeticError(f"x^3 - {F.d} has {roots} roots mod {q}")
+    return _PATTERN_BY_ROOTS[roots]

@@ -77,6 +77,7 @@ def _members(mask: int) -> List[int]:
     return [i for i in _IDENTITY if mask >> i & 1]
 
 
+@lru_cache(maxsize=None)  # called on subgroups only, and G has few of them
 def _elems(mask: int) -> FrozenSet[Elem93]:
     return frozenset(ALL_ELEMS[i] for i in _members(mask))
 
@@ -196,13 +197,15 @@ class GaloisModel:
     csigma: FrozenSet[Elem93]  # ker(sigma - 1)
     genus: FrozenSet[Elem93]  # im(1 - sigma)
     s_invariant: int
-    # (cplus, cminus, csigma, genus) as index masks, for the claim checks
-    masks: Tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
+    # (cplus, cminus, csigma, genus) as index masks, for the claim checks;
+    # read off the four subgroups when the caller does not pass them
+    masks: Optional[Tuple[int, int, int, int]] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "masks", tuple(
-            _mask(_INDEX[g] for g in sub)
-            for sub in (self.cplus, self.cminus, self.csigma, self.genus)))
+        if self.masks is None:
+            object.__setattr__(self, "masks", tuple(
+                _mask(_INDEX[g] for g in sub)
+                for sub in (self.cplus, self.cminus, self.csigma, self.genus)))
 
     def encoding(self) -> Tuple[int, ...]:
         return (
@@ -229,11 +232,10 @@ def _s_invariant(one_minus: Tuple[int, ...], csigma: int) -> int:
 
 def _derive(sigma: Endo93, tau: Endo93) -> GaloisModel:
     S, T = sigma.images, tau.images
-    csigma = _fixed_mask(S)
     one_minus = _one_minus(S)
-    return GaloisModel(sigma, tau, _elems(_fixed_mask(T)), _elems(_negated_mask(T)),
-                       _elems(csigma), _elems(_mask(one_minus)),
-                       _s_invariant(one_minus, csigma))
+    masks = (_fixed_mask(T), _negated_mask(T), _fixed_mask(S), _mask(one_minus))
+    return GaloisModel(sigma, tau, *map(_elems, masks), _s_invariant(one_minus, masks[2]),
+                       masks)
 
 
 def _is_cyclic(sub: FrozenSet[Elem93]) -> bool:

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from sympy import primerange
 
 from purecubic import __version__
 from purecubic.classgroup import class_group
@@ -89,6 +90,12 @@ def test_scan_threads_deterministic(capsys, tmp_path):
     _, doc4 = run_json(capsys, "--threads", "4", "scan", "--max-p", "400")
     strip = lambda rs: [{k: v for k, v in r.items() if k != "timestamp"} for r in rs]
     assert strip(doc1["results"]) == strip(doc4["results"])
+
+
+@pytest.mark.parametrize("max_p", [19, 36, 37, 2000, 20011])
+def test_scan_lists_every_prime_1_mod_9(capsys, max_p):
+    _, doc = run_json(capsys, "scan", "--keep-all", "--max-p", str(max_p))
+    assert [r["p"] for r in doc["results"]] == [p for p in primerange(19, max_p + 1) if p % 9 == 1]
 
 
 def test_table1_predicates_only(capsys):

@@ -206,6 +206,36 @@ def test_split_matches_oracle():
             assert split_in_gamma(F, q) == brute_split(F, q), (d, q)
 
 
+def _factor_list_split(F, q):
+    """Reference for q coprime to 3b: the (multiplicity, degree) of each
+    factor of x^3 - d in sympy's factor_list over GF(q)."""
+    from sympy import GF, Poly, Symbol
+
+    x = Symbol("x")
+    fac = Poly(x ** 3 - F.d, x, domain=GF(q)).factor_list()[1]
+    return SplitPattern.of(*[(mult, poly.degree()) for poly, mult in fac])
+
+
+def test_brute_split_matches_factor_list():
+    fields = [F for F in _fields_for_mul_coords() if F.d < 100]  # every cube-free d < 100
+    cases = [(F, q) for F in fields for q in primerange(2, 200) if (3 * F.b) % q]
+    assert len(cases) > 3000
+    seen = set()
+    for F, q in cases:
+        got = brute_split(F, q)
+        assert got == _factor_list_split(F, q), (F.d, q)
+        seen.add(got)
+    assert len(seen) == 4  # (1,1)^3, (1,1)(1,2), (1,3) and (3,1) all occur
+
+
+@pytest.mark.parametrize("q", [10**9 + 7, 10**9 + 9, 2**61 - 1])
+@pytest.mark.parametrize("d", [2, 199, 245])
+def test_brute_split_matches_factor_list_at_large_q(d, q):
+    # no scan of F_q is possible here, only the Frobenius power
+    F = classify(d)
+    assert brute_split(F, q) == _factor_list_split(F, q) == split_in_gamma(F, q)
+
+
 def test_oracle_domain_guard():
     with pytest.raises(ValueError):
         brute_split(classify(2), 3)

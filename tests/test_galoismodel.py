@@ -451,6 +451,8 @@ def test_kernel_matches_reference_checker(c):
     models = enumerate_models(c)
     assert models == ref_models
     assert [m.s_invariant for m in models] == [m.s_invariant for m in ref_models]
+    # the masks _derive passes in are the ones read off the reference subgroups
+    assert [m.masks for m in models] == [m.masks for m in ref_models]
     for m in models:
         assert check_prop_claims(m) == ref_check_prop_claims(m)
         frames = enumerate_frames(m)
