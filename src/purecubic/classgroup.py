@@ -396,8 +396,13 @@ def ambiguous_order(p: int) -> int:
 
     if p == 3 or p % 3 != 1 or not isprime(p):
         raise ValueError("p must be a prime congruent to 1 mod 3, p != 3")
+    return ambiguous_order_from(p, zeta_norm_test(p))
+
+
+def ambiguous_order_from(p: int, zeta_is_norm: bool) -> int:
+    """`ambiguous_order(p)` from the outcome of the zeta-norm test at p."""
     t = 2 if p % 9 == 1 else 3
-    qstar = 1 if zeta_norm_test(p) else 0
+    qstar = 1 if zeta_is_norm else 0
     return 3 ** (t - 2 + qstar)
 
 

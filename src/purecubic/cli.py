@@ -18,7 +18,7 @@ import sys
 import time
 from dataclasses import asdict
 from importlib import resources
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from sympy import isprime
 
@@ -26,14 +26,16 @@ from . import __version__
 from .cache import ResultCache
 from .classgroup import (
     BudgetExhausted,
-    ambiguous_order,
+    ambiguous_order_from,
     class_group,
     decide_k_structure,
 )
 from .cubicfield import PureCubicField, brute_split, classify, split_in_gamma, split_in_k
-from .eisenstein import LAMBDA, split_primaries
+from .eisenstein import LAMBDA, Eisenstein, split_primaries
 from .galoismodel import ModelConstraints, full_report
-from .symbols import cubic_residue, cubic_residue_rational, zeta_norm_test
+from .symbols import CubeRoot, cubic_residue, zeta_norm_from_pair
+
+THREE = Eisenstein(3, 0)
 
 TABLE1_PRIMES = (
     199, 487, 1297, 1693, 1747, 1999, 2017, 2143, 2377, 2467, 2593, 2917,
@@ -56,19 +58,39 @@ def _u_for(u_map: Dict[int, Tuple[int, str]], p: int) -> Tuple[int, str]:
     return u_map.get(p, (1, "default-assumption"))
 
 
+class PrimeSymbols(NamedTuple):
+    """The symbol data of one prime p = 1 (mod 3), from one factorisation of p."""
+
+    pi1: Eisenstein
+    pi2: Eisenstein
+    three: CubeRoot  # (3 / pi1)_3
+    zeta_is_norm: bool
+    ambiguous_order: int
+
+
+def prime_symbols(p: int) -> PrimeSymbols:
+    """The values of `cubic_residue_rational(3, p)`, `zeta_norm_test(p)` and
+    `ambiguous_order(p)`, all from one `split_primaries(p)`."""
+    pi1, pi2 = split_primaries(p)
+    zeta_is_norm = zeta_norm_from_pair(p, pi1, pi2)
+    return PrimeSymbols(
+        pi1, pi2, cubic_residue(THREE, pi1), zeta_is_norm, ambiguous_order_from(p, zeta_is_norm)
+    )
+
+
 def scan_record(p: int, u_map: Dict[int, Tuple[int, str]]) -> Dict[str, Any]:
-    three = cubic_residue_rational(3, p)
+    sym = prime_symbols(p)
     u, prov = _u_for(u_map, p)
     return {
         "p": p,
         "p_mod9": p % 9,
-        "three_symbol_trivial": three.is_trivial(),
+        "three_symbol_trivial": sym.three.is_trivial(),
         "h_gamma": "unknown",
         "h_gamma3_divisors": [],
         "u": u,
         "u_provenance": prov,
         "k_type": "undetermined",
-        "ambiguous_order": ambiguous_order(p),
+        "ambiguous_order": sym.ambiguous_order,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "tool_version": __version__,
     }
@@ -131,13 +153,14 @@ def cmd_table1(args, u_map) -> Tuple[List[Dict[str, Any]], str, int]:
     any_mismatch = False
     for p in primes:
         u, prov = _u_for(u_map, p)
+        sym = prime_symbols(p)
         row: Dict[str, Any] = {
-            "p": p, "u": u, "u_provenance": prov, "ambiguous_order": ambiguous_order(p)
+            "p": p, "u": u, "u_provenance": prov, "ambiguous_order": sym.ambiguous_order
         }
         problems = []
         if p % 9 != 1:
             problems.append("p not 1 mod 9")
-        if cubic_residue_rational(3, p).is_trivial():
+        if sym.three.is_trivial():
             problems.append("3 is a cubic residue")
         # the expected type (9,3) forces h_k3 = 27 = (u/3)*81, i.e. u = 1
         if u != 1:
@@ -208,18 +231,17 @@ def cmd_symbols(args, u_map) -> Tuple[List[Dict[str, Any]], str, int]:
     p = args.p
     if p % 3 != 1 or not isprime(p):
         raise UsageError("--p must be a prime congruent to 1 mod 3")
-    three = cubic_residue_rational(3, p)
-    pi1, pi2 = split_primaries(p)
+    sym = prime_symbols(p)
     res = {
         "p": p,
         "p_mod9": p % 9,
-        "three_symbol_exponent": three.e,
-        "three_symbol_trivial": three.is_trivial(),
-        "lambda_symbol_exponent": cubic_residue(LAMBDA, pi1).e,
-        "zeta_is_norm": zeta_norm_test(p),
-        "ambiguous_order": ambiguous_order(p),
-        "pi1": [pi1.a, pi1.b],
-        "pi2": [pi2.a, pi2.b],
+        "three_symbol_exponent": sym.three.e,
+        "three_symbol_trivial": sym.three.is_trivial(),
+        "lambda_symbol_exponent": cubic_residue(LAMBDA, sym.pi1).e,
+        "zeta_is_norm": sym.zeta_is_norm,
+        "ambiguous_order": sym.ambiguous_order,
+        "pi1": [sym.pi1.a, sym.pi1.b],
+        "pi2": [sym.pi2.a, sym.pi2.b],
     }
     return [res], "ok", 0
 

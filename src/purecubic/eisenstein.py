@@ -13,29 +13,40 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Tuple
 
 from sympy import isprime
 
 
-@dataclass(frozen=True)
-class Eisenstein:
+class Eisenstein(NamedTuple):
+    """a + b*zeta: an immutable pair, equal and hashed by value.
+
+    The hot operations build their results with `tuple.__new__`, which
+    skips the generated `__new__` and its argument handling.
+    """
+
     a: int
     b: int
 
     def __add__(self, other: "Eisenstein") -> "Eisenstein":
-        return Eisenstein(self.a + other.a, self.b + other.b)
+        return _new(Eisenstein, (self[0] + other[0], self[1] + other[1]))
 
     def __sub__(self, other: "Eisenstein") -> "Eisenstein":
-        return Eisenstein(self.a - other.a, self.b - other.b)
+        return _new(Eisenstein, (self[0] - other[0], self[1] - other[1]))
 
     def __neg__(self) -> "Eisenstein":
-        return Eisenstein(-self.a, -self.b)
+        return _new(Eisenstein, (-self[0], -self[1]))
 
     def __mul__(self, other: "Eisenstein") -> "Eisenstein":
         # (a + b z)(c + d z), z^2 = -1 - z
-        a, b, c, d = self.a, self.b, other.a, other.b
-        return Eisenstein(a * c - b * d, a * d + b * c - b * d)
+        a, b = self
+        c, d = other
+        bd = b * d
+        return _new(Eisenstein, (a * c - bd, a * d + b * c - bd))
+
+    def __rmul__(self, other):
+        # a tuple subclass would otherwise repeat itself: 2 * ZETA == (0, 1, 0, 1)
+        raise TypeError(f"cannot multiply {type(other).__name__!r} by 'Eisenstein'")
 
     def __pow__(self, e: int) -> "Eisenstein":
         if e < 0:
@@ -50,11 +61,13 @@ class Eisenstein:
         return r
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self[0] == 0 and self[1] == 0
 
     def __str__(self) -> str:
         return f"({self.a}{self.b:+d}z)"
 
+
+_new = tuple.__new__
 
 ZERO = Eisenstein(0, 0)
 ONE = Eisenstein(1, 0)
@@ -73,26 +86,32 @@ UNITS = (
 
 
 def norm(x: Eisenstein) -> int:
-    return x.a * x.a - x.a * x.b + x.b * x.b
+    a, b = x
+    return a * a - a * b + b * b
 
 
 def conj(x: Eisenstein) -> Eisenstein:
     """The nontrivial automorphism zeta -> zeta^2."""
-    return Eisenstein(x.a - x.b, -x.b)
+    a, b = x
+    return _new(Eisenstein, (a - b, -b))
 
 
 def divrem(x: Eisenstein, y: Eisenstein) -> Tuple[Eisenstein, Eisenstein]:
     """Euclidean division: x = q*y + r with norm(r) < norm(y)."""
-    n = norm(y)
+    a, b = x
+    c, d = y
+    n = c * c - c * d + d * d
     if n == 0:
         raise ZeroDivisionError("division by zero Eisenstein integer")
-    # x * conj(y) / norm(y), rounded to the nearest lattice point
-    t = x * conj(y)
-    qa = (2 * t.a + n) // (2 * n)
-    qb = (2 * t.b + n) // (2 * n)
-    q = Eisenstein(qa, qb)
-    r = x - q * y
-    return q, r
+    # x * conj(y) / norm(y), rounded to the nearest lattice point;
+    # x * conj(y) = (a c - a d + b d) + (b c - a d) zeta
+    n2 = 2 * n
+    qa = (2 * (a * c - a * d + b * d) + n) // n2
+    qb = (2 * (b * c - a * d) + n) // n2
+    # r = x - q*y
+    bd = qb * d
+    r = _new(Eisenstein, (a - (qa * c - bd), b - (qa * d + qb * c - bd)))
+    return _new(Eisenstein, (qa, qb)), r
 
 
 def divides(y: Eisenstein, x: Eisenstein) -> bool:
@@ -133,18 +152,23 @@ def primary_associate(x: Eisenstein) -> Tuple[Eisenstein, Eisenstein]:
     """Return (u, p) with p = u*x primary; exactly one associate qualifies."""
     if norm(x) % 3 == 0:
         raise ValueError("no primary associate: norm divisible by 3")
-    hits = [(u, u * x) for u in UNITS if is_primary(u * x)]
+    hits = [(u, y) for u, y in zip(UNITS, associates(x)) if is_primary(y)]
     if len(hits) != 1:  # cannot happen for norm coprime to 3
         raise ArithmeticError(f"primary associate not unique for {x}")
     return hits[0]
 
 
 def is_prime_element(x: Eisenstein) -> bool:
+    """Whether x is prime: its norm is a prime p, or the square of an inert q.
+
+    A square is never prime, so the square test runs first and an inert
+    q costs one `isprime(q)`, not a second one on q^2.
+    """
     n = norm(x)
-    if isprime(n):
-        return True
     q = isqrt(n)
-    return q * q == n and isprime(q) and q % 3 == 2 and any(
+    if q * q != n:
+        return isprime(n)
+    return isprime(q) and q % 3 == 2 and any(
         (u * x).a == q and (u * x).b == 0 for u in UNITS
     )
 
@@ -164,23 +188,16 @@ class EisensteinFactorization:
 
 def _split_prime(p: int) -> Eisenstein:
     """Some pi with norm(pi) = p, for p == 1 (mod 3), by scanning the norm form."""
-    for a in range(isqrt(4 * p // 3) + 1):
-        t = 4 * p - 3 * a * a
-        if t < 0:
-            break
+    t = 4 * p  # 4p - 3a^2 = (2b - a)^2 for the current a
+    for a in range(isqrt(t // 3) + 1):
         s = isqrt(t)
-        if s * s != t:
-            continue
-        if (a + s) % 2 == 0:
-            b = (a + s) // 2
-            cand = Eisenstein(a, b)
-            if norm(cand) == p:
-                return cand
-        if (a - s) % 2 == 0:
-            b = (a - s) // 2
-            cand = Eisenstein(a, b)
-            if norm(cand) == p:
-                return cand
+        if s * s == t:
+            # s = a (mod 2), so both b = (a +- s)/2 are integers
+            for b in ((a + s) // 2, (a - s) // 2):
+                cand = _new(Eisenstein, (a, b))
+                if norm(cand) == p:
+                    return cand
+        t -= 6 * a + 3
     raise ArithmeticError(f"norm form has no representation of {p}")
 
 
@@ -196,8 +213,7 @@ def split_primaries(p: int) -> Tuple[Eisenstein, Eisenstein]:
         raise ValueError("p must be a prime congruent to 1 mod 3")
     pi = _split_prime(p)
     _, c1 = primary_associate(pi)
-    c2 = conj(c1)
-    cands = sorted([c1, c2], key=lambda x: (x.a, x.b))
+    cands = sorted((c1, conj(c1)))  # a pair orders lexicographically on (a, b)
     positive = [c for c in cands if c.a > 0]
     pi1 = positive[0] if positive else cands[0]
     return pi1, conj(pi1)

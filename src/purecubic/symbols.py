@@ -8,11 +8,27 @@ the explicit formula
 
 and the symbol at the wild prime lam = 1 - zeta is *defined* through the
 product formula: it is the inverse of the product of all tame symbols.
+
+Where each check is made:
+
+- `cubic_residue`, `hilbert_tame` and `norm_compatibility_check` check
+  their pi once, in `_check_tame_prime`: prime (one `isprime`, through
+  `is_prime_element`), primary and tame.  It returns whether the place is
+  split, so no second `isprime` tells split from inert.
+  `_residue_exponent` evaluates a symbol at a pi that has passed that
+  check and does not check it again; it raises `ValueError` when alpha
+  is not coprime to pi and `ArithmeticError` when the power residue is
+  not a cube root of unity.
+- `cubic_residue_rational` and `zeta_norm_test` check that p is a prime
+  = 1 (mod 3) and factor it once with `split_primaries`.
+  `zeta_norm_from_pair` takes that pair from a caller that already holds
+  it, and `hilbert_tame` checks each of its two primes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Dict, List, Tuple
 
 from sympy import isprime
@@ -59,28 +75,43 @@ class CubeRoot:
 TRIVIAL = CubeRoot(0)
 
 
-def _check_tame_prime(pi: Eisenstein) -> None:
+def _check_tame_prime(pi: Eisenstein) -> bool:
+    """Check that pi is a primary tame prime; return whether its place is split.
+
+    A prime of norm p is split, one of norm q^2 (q = 2 mod 3) is inert, and
+    `is_prime_element` has already proved which: a perfect-square norm is
+    inert, so no second `isprime` is needed to tell them apart.
+    """
     if not is_prime_element(pi):
         raise ValueError(f"{pi} is not an Eisenstein prime")
     if not is_primary(pi):
         raise ValueError(f"{pi} is not primary")
-    if norm(pi) % 3 == 0:
+    n = norm(pi)
+    if n % 3 == 0:
         raise ValueError("wild place not allowed here")
+    q = isqrt(n)
+    return q * q != n
 
 
 def cubic_residue(alpha: Eisenstein, pi: Eisenstein) -> CubeRoot:
     """(alpha / pi)_3 for a primary tame prime pi coprime to alpha."""
-    _check_tame_prime(pi)
+    return CubeRoot(_residue_exponent(alpha, pi, _check_tame_prime(pi)))
+
+
+def _residue_exponent(alpha: Eisenstein, pi: Eisenstein, split: bool) -> int:
+    """e with (alpha / pi)_3 = zeta^e, for a pi that `_check_tame_prime` passed.
+
+    `split` is what that check returned; pi is not checked again here.
+    """
     n = norm(pi)
-    if isprime(n):
+    if split:
         # split place: the residue field is F_p via zeta -> w
         p = n
         w = (-alpha_image_denominator(pi, p)) % p
         x = (alpha.a + alpha.b * w) % p
         if x == 0:
             raise ValueError("alpha not coprime to pi")
-        r = pow(x, (p - 1) // 3, p)
-        return _match_zeta_power(r, w, p)
+        return _zeta_exponent(pow(x, (p - 1) // 3, p), w, p)
     # inert place: residue field F_{q^2}, arithmetic mod q in Z[zeta]
     q = _inert_rational(pi)
     a = Eisenstein(alpha.a % q, alpha.b % q)
@@ -89,7 +120,7 @@ def cubic_residue(alpha: Eisenstein, pi: Eisenstein) -> CubeRoot:
     r = _pow_mod_q(a, (q * q - 1) // 3, q)
     for e, z in enumerate((Eisenstein(1, 0), ZETA, Eisenstein(-1, -1))):
         if (r.a - z.a) % q == 0 and (r.b - z.b) % q == 0:
-            return CubeRoot(e)
+            return e
     raise ArithmeticError("power residue is not a cube root of unity")
 
 
@@ -100,16 +131,15 @@ def alpha_image_denominator(pi: Eisenstein, p: int) -> int:
     return (pi.a * pow(pi.b, -1, p)) % p
 
 
-def _match_zeta_power(r: int, w: int, p: int) -> CubeRoot:
+def _zeta_exponent(r: int, w: int, p: int) -> int:
+    """e with r == w^e (mod p), for w the image of zeta in F_p."""
     for e, z in enumerate((1, w, (w * w) % p)):
         if r == z % p:
-            return CubeRoot(e)
+            return e
     raise ArithmeticError("power residue is not a cube root of unity")
 
 
 def _inert_rational(pi: Eisenstein) -> int:
-    from math import isqrt
-
     q = isqrt(norm(pi))
     if q * q != norm(pi):
         raise ArithmeticError("norm of an inert prime is not a square")
@@ -146,14 +176,14 @@ def hilbert_tame(a: Eisenstein, b: Eisenstein, pi: Eisenstein) -> CubeRoot:
     """Tame cubic Hilbert symbol (a, b / pi)_3."""
     if a.is_zero() or b.is_zero():
         raise ValueError("symbol arguments must be nonzero")
-    _check_tame_prime(pi)
+    split = _check_tame_prime(pi)
     v, a0 = valuation(a, pi)
     w, b0 = valuation(b, pi)
     e = 0
     if w:
-        e += w * cubic_residue(a0, pi).e
+        e += w * _residue_exponent(a0, pi, split)
     if v:
-        e -= v * cubic_residue(b0, pi).e
+        e -= v * _residue_exponent(b0, pi, split)
     return CubeRoot(e)
 
 
@@ -189,6 +219,14 @@ def zeta_norm_test(p: int) -> bool:
     if p % 3 != 1 or not isprime(p):
         raise ValueError("p must be a prime congruent to 1 mod 3")
     pi1, pi2 = split_primaries(p)
+    return zeta_norm_from_pair(p, pi1, pi2)
+
+
+def zeta_norm_from_pair(p: int, pi1: Eisenstein, pi2: Eisenstein) -> bool:
+    """`zeta_norm_test(p)` for a caller that already holds split_primaries(p).
+
+    Both local symbols are evaluated, and `hilbert_tame` checks each pi.
+    """
     pz = Eisenstein(p, 0)
     s1 = hilbert_tame(ZETA, pz, pi1)
     s2 = hilbert_tame(ZETA, pz, pi2)
@@ -229,11 +267,9 @@ def norm_compatibility_check(a_coords, b: Eisenstein, pi: Eisenstein, field) -> 
     """
     if not isinstance(field, PureCubicField):
         raise TypeError("field must be a PureCubicField")
-    _check_tame_prime(pi)
-    n = norm(pi)
-    if not isprime(n):
+    if not _check_tame_prime(pi):
         raise ValueError("only split places of Q(zeta) are evaluable")
-    p = n
+    p = norm(pi)
     if p % 3 != 1 or field.d % p == 0 or (3 * field.b) % p == 0:
         raise ValueError("configuration out of evaluable (tame) range")
     maps = ring_maps(field, p)
@@ -250,8 +286,7 @@ def norm_compatibility_check(a_coords, b: Eisenstein, pi: Eisenstein, field) -> 
         if av == 0:
             raise ValueError("a is not a unit at a place above pi")
         norm_residues = (norm_residues * av) % p
-        e = _match_zeta_power(pow(av, (p - 1) // 3, p), w, p).e
-        lhs += wv * e
+        lhs += wv * _zeta_exponent(pow(av, (p - 1) // 3, p), w, p)
 
     # right-hand side: the relative norm of a lands in Z inside Q(zeta)
     rel_norm = field.element_norm(a_coords)

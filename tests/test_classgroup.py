@@ -466,3 +466,16 @@ def test_decide_k_structure_validation():
         decide_k_structure(_cg((9,), 9), u=2)
     with pytest.raises(ValueError):
         decide_k_structure(_cg((9,), 9), u=1, p=7)  # 7 is not 1 mod 9
+
+
+def test_honda_three_divides_h_exactly_when_p_is_1_mod_3(monkeypatch):
+    # Honda (J. Number Theory 3, 1971): for a prime p != 3, 3 | h(Q(cbrt p))
+    # exactly when p = 1 (mod 3).  With the oracle off h_rel is the relation
+    # lattice's determinant, a multiple of h: a p = 1 (mod 3) with 3 not
+    # dividing h_rel would be a false relation, a p = 2 (mod 3) with 3 | h_rel
+    # a missed one.
+    monkeypatch.setattr(classgroup, "ORACLE_BOUND_LIMIT", 0)
+    primes = [p for p in primerange(2, 500) if p != 3]
+    wrong = [p for p in primes if (class_group(classify(p)).h % 3 == 0) != (p % 3 == 1)]
+    assert len(primes) == 94
+    assert wrong == []

@@ -1,13 +1,17 @@
 """CLI surface: report schema, caching, exit codes."""
 
 import json
+import sys
 
 import pytest
+import sympy
 from sympy import primerange
 
-from purecubic import __version__
-from purecubic.classgroup import class_group
-from purecubic.cli import TABLE1_PRIMES, load_u_assignments, main
+from purecubic import __version__, eisenstein
+from purecubic.classgroup import ambiguous_order, class_group
+from purecubic.cli import TABLE1_PRIMES, load_u_assignments, main, scan_record
+from purecubic.eisenstein import LAMBDA, split_primaries
+from purecubic.symbols import cubic_residue, cubic_residue_rational, zeta_norm_test
 from purecubic.galoismodel import ModelConstraints, full_report
 
 
@@ -96,6 +100,53 @@ def test_scan_threads_deterministic(capsys, tmp_path):
 def test_scan_lists_every_prime_1_mod_9(capsys, max_p):
     _, doc = run_json(capsys, "scan", "--keep-all", "--max-p", str(max_p))
     assert [r["p"] for r in doc["results"]] == [p for p in primerange(19, max_p + 1) if p % 9 == 1]
+
+
+def test_scan_records_meet_eulers_criterion(capsys):
+    # 3 is a cube mod p exactly when 3^((p-1)/3) = 1 (mod p), and every p = 1
+    # (mod 9) has ambiguous order 3: both read off one factorisation of p
+    _, doc = run_json(capsys, "scan", "--keep-all", "--max-p", "20011")
+    records = doc["results"]
+    assert len(records) == sum(1 for p in primerange(19, 20012) if p % 9 == 1)
+    for r in records:
+        p = r["p"]
+        assert r["three_symbol_trivial"] == (pow(3, (p - 1) // 3, p) == 1), p
+        assert r["ambiguous_order"] == 3, p
+    assert {r["three_symbol_trivial"] for r in records} == {True, False}
+
+
+@pytest.mark.parametrize("p", [7, 199, 8821])
+def test_symbols_command_agrees_with_the_symbol_functions(capsys, p):
+    _, doc = run_json(capsys, "symbols", "--p", str(p))
+    (rec,) = doc["results"]
+    pi1, pi2 = split_primaries(p)
+    three = cubic_residue_rational(3, p)
+    assert rec["three_symbol_exponent"] == three.e
+    assert rec["three_symbol_trivial"] == three.is_trivial()
+    assert rec["lambda_symbol_exponent"] == cubic_residue(LAMBDA, pi1).e
+    assert rec["zeta_is_norm"] == (p % 9 == 1) == zeta_norm_test(p)
+    assert rec["ambiguous_order"] == ambiguous_order(p)
+    assert (rec["pi1"], rec["pi2"]) == ([pi1.a, pi1.b], [pi2.a, pi2.b])
+
+
+def test_scan_record_factors_p_once(monkeypatch):
+    # one split_primaries(p) per record, and one primality proof per prime
+    # above p: at most 5 isprime calls where there were 13
+    counts = {"split_primaries": 0, "isprime": 0}
+    targets = (("split_primaries", eisenstein.split_primaries), ("isprime", sympy.isprime))
+    for name, target in targets:
+        def spy(*args, _target=target, _name=name):
+            counts[_name] += 1
+            return _target(*args)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("purecubic") and getattr(mod, name, None) is target:
+                monkeypatch.setattr(mod, name, spy)
+    for p in (19, 199, 8821, 20011):
+        counts.update(split_primaries=0, isprime=0)
+        scan_record(p, {})
+        assert counts["split_primaries"] == 1, p
+        assert 1 <= counts["isprime"] <= 5, p
 
 
 def test_table1_predicates_only(capsys):
@@ -274,9 +325,9 @@ def test_internal_value_error_exits_3(capsys, monkeypatch):
     # traceback: the table1 predicates run outside its class-group `try`
     cases = [
         ("class_group", ValueError, ["classgroup", "--d", "7"]),
-        ("cubic_residue_rational", ArithmeticError, ["symbols", "--p", "199"]),
+        ("cubic_residue", ArithmeticError, ["symbols", "--p", "199"]),
         ("classify", ArithmeticError, ["split", "--d", "7", "--q", "5"]),
-        ("cubic_residue_rational", ArithmeticError, ["table1", "--primes", "199"]),
+        ("cubic_residue", ArithmeticError, ["table1", "--primes", "199"]),
     ]
     for name, error, argv in cases:
         def fault(*args, **kwargs):

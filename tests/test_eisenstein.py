@@ -1,9 +1,13 @@
 """Arithmetic in Z[zeta]: norms, division, primary normalization, factoring."""
 
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import primerange
 
+from purecubic import eisenstein
 from purecubic.eisenstein import (
     Eisenstein,
     LAMBDA,
@@ -124,3 +128,72 @@ def test_prime_recognition():
 def test_split_primaries_rejects_inert():
     with pytest.raises(ValueError):
         split_primaries(5)
+
+
+_UNIT_PAIRS = ((1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1), (1, 1))
+
+
+def _pair_mul(x, y):
+    (a, b), (c, d) = x, y
+    return (a * c - b * d, a * d + b * c - b * d)
+
+
+def _reference_split_primaries(p):
+    """The canonical pair on plain int pairs: the first norm-form solution
+    pi = a + b*zeta with the least a >= 0, its one primary associate, and
+    the tie-break of `split_primaries` between it and its conjugate."""
+    pi = None
+    for a in range(isqrt(4 * p // 3) + 1):
+        t = 4 * p - 3 * a * a
+        s = isqrt(t)
+        if s * s != t:
+            continue
+        for twice_b in (a + s, a - s):
+            b = twice_b // 2
+            if twice_b % 2 == 0 and a * a - a * b + b * b == p:
+                pi = (a, b)
+                break
+        if pi is not None:
+            break
+    assert pi is not None
+    (c1,) = [y for y in (_pair_mul(u, pi) for u in _UNIT_PAIRS) if y[0] % 3 == 1 and y[1] % 3 == 0]
+    cands = sorted([c1, (c1[0] - c1[1], -c1[1])])
+    positive = [c for c in cands if c[0] > 0]
+    pi1 = positive[0] if positive else cands[0]
+    return pi1, (pi1[0] - pi1[1], -pi1[1])
+
+
+def test_split_primaries_matches_reference_below_30000():
+    count = 0
+    for p in primerange(7, 30000):
+        if p % 3 != 1:
+            continue
+        pi1, pi2 = split_primaries(p)
+        assert ((pi1.a, pi1.b), (pi2.a, pi2.b)) == _reference_split_primaries(p), p
+        assert is_primary(pi1) and is_primary(pi2)
+        assert pi1 * pi2 == Eisenstein(p, 0)
+        count += 1
+    assert count == 1610  # the primes p = 1 (mod 3) below 30000
+
+
+def test_eisenstein_is_an_immutable_value():
+    x = Eisenstein(1, 3)
+    assert x == Eisenstein(1, 3) and hash(x) == hash(Eisenstein(1, 3))
+    assert x != Eisenstein(3, 1) and x != conj(x)
+    assert len({x, Eisenstein(1, 3), Eisenstein(3, 1)}) == 2
+    with pytest.raises(AttributeError):
+        x.a = 2
+    with pytest.raises(AttributeError):
+        x.c = 2
+    assert x == Eisenstein(1, 3)
+    with pytest.raises(TypeError):
+        2 * ZETA  # not the tuple repetition (0, 1, 0, 1)
+    assert repr(x) == "Eisenstein(a=1, b=3)"
+    assert str(x) == "(1+3z)"
+
+
+def test_primary_associate_checks_uniqueness(monkeypatch):
+    # the check that exactly one associate is primary stays in force
+    monkeypatch.setattr(eisenstein, "is_primary", lambda x: True)
+    with pytest.raises(ArithmeticError):
+        primary_associate(Eisenstein(2, 0))
