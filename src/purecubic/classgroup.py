@@ -353,13 +353,17 @@ def _oracle_class_number(
     of another relation class is a relation the lattice lacks: the
     witness is checked to generate the quotient ideal tested, and
     e(I) - e(R) is inserted into `lattice`.
+
+    N(I)/I is built only when a test reads it, for the second quotient
+    R*(N(I)/I), or when I becomes a representative: a first quotient
+    that tests principal never needs it.
     """
     reps: List[Tuple[IdealHNF, IdealHNF, Tuple[int, ...]]] = []  # R, N(R)/R, e(R)
     keys: List[Tuple[int, ...]] = []
     for I, e in _all_ideals_up_to(F, fb):
         if time.monotonic() > deadline:
             return None
-        I_inv = class_inverse_representative(I)
+        I_inv: Optional[IdealHNF] = None
         key = lattice.residue(e)
         # a stable sort: the representatives with the ideal's key first
         for i in sorted(range(len(reps)), key=lambda i: keys[i] != key):
@@ -368,6 +372,8 @@ def _oracle_class_number(
             J = mul(I, R_inv)
             alpha = is_principal_bounded(J, search_bound)
             if alpha is None:
+                if I_inv is None:
+                    I_inv = class_inverse_representative(I)
                 J = mul(R, I_inv)
                 alpha = is_principal_bounded(J, search_bound)
             if alpha is None:
@@ -380,6 +386,8 @@ def _oracle_class_number(
                 keys = [lattice.residue(r[2]) for r in reps]
             break
         else:
+            if I_inv is None:
+                I_inv = class_inverse_representative(I)
             reps.append((I, I_inv, e))
             keys.append(key)
     return len(reps)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import product as iproduct
 from math import gcd
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .cubicfield import _UNIT_VECTORS, PureCubicField, ring_maps, split_in_gamma
 from .zlinalg import _xgcd, lll_reduce
@@ -236,13 +236,30 @@ def valuation(I: IdealHNF, P: IdealHNF) -> int:
     return k
 
 
+def _ring_pairs(B: int) -> Iterator[Tuple[int, int]]:
+    """The pairs (c0, c1) of [-B, B]^2 in rings of increasing max(|c0|, |c1|),
+    lexicographic within a ring."""
+    yield 0, 0
+    for r in range(1, B + 1):
+        edge = range(-r, r + 1)
+        side = (-r, r)
+        for c0 in edge:
+            for c1 in edge if c0 == -r or c0 == r else side:
+                yield c0, c1
+
+
 def is_principal_bounded(I: IdealHNF, search_bound: int = 8) -> Optional[Tuple[int, int, int]]:
     """One-sided principality test.
 
-    Searches coefficient boxes over an LLL-reduced basis of the ideal
-    lattice; a miss within the bound proves nothing.  The norm of
-    c0*r0 + c1*r1 + c2*r2 is composed once into a cubic form in
-    (c0, c1, c2), so each box point costs one Horner step in c2.
+    Searches the coefficient box c0, c1 in [-B, B], c2 in [0, B] (origin
+    skipped; -alpha generates the same ideal) over an LLL-reduced basis of
+    the ideal lattice; a miss within the bound proves nothing.  The pairs
+    (c0, c1) go in rings of increasing max(|c0|, |c1|), lexicographic
+    within a ring, and c2 ascends for each pair, so the generator returned
+    is the first in that order: a short one, since the basis is reduced.
+    The norm of c0*r0 + c1*r1 + c2*r2 is composed once into a cubic form
+    in (c0, c1, c2), so each box point costs one Horner step in c2; a hit
+    is checked again by `element_norm`.
     """
     field = I.field
     target = I.norm()
@@ -251,25 +268,21 @@ def is_principal_bounded(I: IdealHNF, search_bound: int = 8) -> Optional[Tuple[i
     # for fixed (c0, c1) the norm is a3*c2^3 + a2*c2^2 + a1*c2 + a0 (see CUBIC_MONOMIALS)
     a3 = f[9]
     B = search_bound
-    for c0 in range(-B, B + 1):
-        for c1 in range(-B, B + 1):
-            a2 = f[5] * c0 + f[8] * c1
-            a1 = (f[2] * c0 + f[4] * c1) * c0 + f[7] * c1 * c1
-            a0 = ((f[0] * c0 + f[1] * c1) * c0 + f[3] * c1 * c1) * c0 + f[6] * c1 * c1 * c1
-            # sign symmetry: -alpha generates the same ideal; skip the origin
-            for c2 in range(1 if c0 == 0 and c1 == 0 else 0, B + 1):
-                n = ((a3 * c2 + a2) * c2 + a1) * c2 + a0
-                if n == target or n == -target:
-                    # alpha lies in I and generates a sublattice of equal norm
-                    alpha = tuple(
-                        c0 * red[0][i] + c1 * red[1][i] + c2 * red[2][i] for i in range(3)
+    for c0, c1 in _ring_pairs(B):
+        a2 = f[5] * c0 + f[8] * c1
+        a1 = (f[2] * c0 + f[4] * c1) * c0 + f[7] * c1 * c1
+        a0 = ((f[0] * c0 + f[1] * c1) * c0 + f[3] * c1 * c1) * c0 + f[6] * c1 * c1 * c1
+        for c2 in range(0 if c0 or c1 else 1, B + 1):
+            n = ((a3 * c2 + a2) * c2 + a1) * c2 + a0
+            if n == target or n == -target:
+                # alpha lies in I and generates a sublattice of equal norm
+                alpha = tuple(c0 * red[0][i] + c1 * red[1][i] + c2 * red[2][i] for i in range(3))
+                m = field.element_norm(alpha)
+                if m != n:
+                    raise ArithmeticError(
+                        f"composed norm form gives {n} at {alpha}, element_norm gives {m}"
                     )
-                    m = field.element_norm(alpha)
-                    if m != n:
-                        raise ArithmeticError(
-                            f"composed norm form gives {n} at {alpha}, element_norm gives {m}"
-                        )
-                    return alpha
+                return alpha
     return None
 
 

@@ -13,7 +13,6 @@ ideal quotient's congruence system is solved through a dual lattice in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -409,25 +408,30 @@ def lll_reduce(basis: Sequence[Sequence[int]]) -> List[List[int]]:
     """LLL-reduce a basis of linearly independent row vectors (standard inner
     product, delta=3/4).
 
-    Exact rational Gram-Schmidt coefficients mu and squared lengths of the
-    Gram-Schmidt vectors, computed once and then updated after each
-    size-reduction step and swap (Cohen, GTM 138, Alg. 2.6.3); intended for
-    the tiny (3-dimensional) ideal lattices, where it keeps generator
-    searches over small boxes.
+    Integral LLL (Cohen, GTM 138, Alg. 2.6.7): with d_0 = 1 and d_{i+1} the
+    Gram determinant of rows 0..i, it keeps d_i and lam_ij = d_{j+1}*mu_ij
+    as integers, so every step is exact without a fraction.  Row k is
+    size-reduced against rows k-1, ..., 0 with mu rounded half to even, the
+    Lovasz test reads 4*d_{k+1}*d_{k-1} >= 3*d_k^2 - 4*lam^2, and a swap
+    updates d_k and the lam exactly.  These are the steps of the rational
+    algorithm (Alg. 2.6.3) in the same order, so the output is the same
+    basis.  Intended for the tiny (3-dimensional) ideal lattices, where it
+    keeps generator searches over small boxes.
     """
     b = [list(map(int, row)) for row in basis]
     n = len(b)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    norms: List[Fraction] = []
-    bs: List[List[Fraction]] = []
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
     for i in range(n):
-        v = [Fraction(x) for x in b[i]]
-        for j in range(i):
-            mu[i][j] = sum(x * y for x, y in zip(b[i], bs[j])) / norms[j]
-            v = [x - mu[i][j] * y for x, y in zip(v, bs[j])]
-        bs.append(v)
-        norms.append(sum(x * x for x in v))
-        if norms[i] == 0:
+        for j in range(i + 1):
+            u = sum(x * y for x, y in zip(b[i], b[j]))
+            for t in range(j):
+                u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
+            if j < i:
+                lam[i][j] = u
+            else:
+                d[i + 1] = u
+        if d[i + 1] == 0:
             raise ValueError("basis rows are linearly dependent")
 
     k = 1
@@ -436,27 +440,32 @@ def lll_reduce(basis: Sequence[Sequence[int]]) -> List[List[int]]:
         guard += 1
         if guard > 10000:
             break  # safety net; reduction quality only affects search speed
+        lk = lam[k]
         for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
-            if q:
-                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                mu[k][j] -= q
-                for i in range(j):
-                    mu[k][i] -= q * mu[j][i]
-        m = mu[k][k - 1]
-        if norms[k] >= (Fraction(3, 4) - m ** 2) * norms[k - 1]:
+            dj = d[j + 1]
+            l = lk[j]
+            if 2 * abs(l) <= dj:
+                continue  # |mu| <= 1/2 rounds to 0 (a tie goes to the even 0)
+            q, r = divmod(l, dj)
+            if 2 * r > dj or (2 * r == dj and q & 1):
+                q += 1
+            b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+            lk[j] = l - q * dj
+            lj = lam[j]
+            for i in range(j):
+                lk[i] -= q * lj[i]
+        m = lk[k - 1]
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] * d[k] - 4 * m * m:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]
             for j in range(k - 1):
-                mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
-            B = norms[k] + m * m * norms[k - 1]
-            mu[k][k - 1] = m * norms[k - 1] / B
-            norms[k] = norms[k - 1] * norms[k] / B
-            norms[k - 1] = B
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            B = (d[k - 1] * d[k + 1] + m * m) // d[k]
             for i in range(k + 1, n):
-                t = mu[i][k]
-                mu[i][k] = mu[i][k - 1] - m * t
-                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+                lam[i][k - 1] = (B * t + m * lam[i][k]) // d[k + 1]
+            d[k] = B
             k = max(k - 1, 1)
     return b

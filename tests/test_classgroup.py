@@ -390,6 +390,20 @@ def test_oracle_tests_the_predicted_class_first(d, tests, monkeypatch):
     assert len(calls) == tests
 
 
+@pytest.mark.parametrize("d,inverses", [(6, 1), (7, 3), (11, 2), (199, 16)])
+def test_oracle_builds_an_inverse_only_when_it_is_read(d, inverses, monkeypatch):
+    # one per representative, and one per placed ideal that needed the second quotient
+    calls = []
+
+    def counting(I):
+        calls.append(I)
+        return class_inverse_representative(I)
+
+    monkeypatch.setattr(classgroup, "class_inverse_representative", counting)
+    assert class_group(classify(d)).certified
+    assert len(calls) == inverses
+
+
 def test_oracle_witness_across_relation_classes_is_a_relation():
     # the search stops at h = 2 for d = 29; one oracle merge joins two of
     # its relation classes, and that relation gives the true h = 1

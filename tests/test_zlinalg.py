@@ -372,6 +372,26 @@ def test_lll_matches_gso_recomputation(rows):
     assert lll_reduce(rows) == _gso_lll(rows)
 
 
+@pytest.mark.parametrize("rows", [
+    [[2, 0, 0], [1, 1, 0], [0, 0, 1]],  # mu_10 = 1/2
+    [[2, 0, 0], [-1, 1, 0], [0, 0, 1]],  # mu_10 = -1/2
+    [[2, 0, 0], [3, 1, 0], [0, 0, 1]],  # mu_10 = 3/2
+    [[2, 0, 0], [-3, 1, 0], [0, 0, 1]],  # mu_10 = -3/2
+    [[2, 0, 0], [0, 3, 0], [1, 0, 5]],  # mu_20 = 1/2
+    [[2, 0, 0], [0, 2, 0], [3, -1, 7]],  # mu_21 = -1/2, then mu_20 = 3/2
+    [[4, 0, 0], [0, 4, 0], [-6, 2, 1]],  # mu_21 = 1/2, then mu_20 = -3/2
+    [[1, 1, 0], [0, 1, 1], [3, 0, 3]],  # mu_10 = 1/2
+])
+def test_lll_rounds_half_to_even_as_the_gso_reference(rows):
+    # a coefficient mu exactly halfway between integers rounds to the even one
+    assert lll_reduce(rows) == _gso_lll(rows)
+
+
+def test_lll_rejects_a_dependent_basis():
+    with pytest.raises(ValueError):
+        lll_reduce([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+
+
 @pytest.mark.parametrize("d", [7, 11])
 def test_lll_matches_gso_recomputation_on_oracle_ideals(d, monkeypatch):
     # with no relations the oracle tests every representative in order of
