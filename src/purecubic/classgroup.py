@@ -393,28 +393,7 @@ def _oracle_class_number(
     return len(reps)
 
 
-def ambiguous_order(p: int) -> int:
-    """|ambiguous classes| = 3^(t - 2 + q*) for the sextic closure of Q(cbrt p).
-
-    t counts primes ramified over Q(zeta): the two primes above p, plus the
-    wild prime when p is not 1 mod 9; q* records whether zeta is a norm,
-    decided by the Hilbert-symbol computation.
-    """
-    from .symbols import zeta_norm_test
-
-    if p == 3 or p % 3 != 1 or not isprime(p):
-        raise ValueError("p must be a prime congruent to 1 mod 3, p != 3")
-    return ambiguous_order_from(p, zeta_norm_test(p))
-
-
-def ambiguous_order_from(p: int, zeta_is_norm: bool) -> int:
-    """`ambiguous_order(p)` from the outcome of the zeta-norm test at p."""
-    t = 2 if p % 9 == 1 else 3
-    qstar = 1 if zeta_is_norm else 0
-    return 3 ** (t - 2 + qstar)
-
-
-def decide_k_structure(cg: ClassGroupStructure, u: int, p: Optional[int] = None) -> KStructureReport:
+def decide_k_structure(cg: ClassGroupStructure, u: int) -> KStructureReport:
     """Structure of the 3-class group of the sextic closure from (h_{Gamma,3}, u).
 
     h_{k,3} = (u/3) * h_{Gamma,3}^2 always; the type is only classified for
@@ -422,8 +401,8 @@ def decide_k_structure(cg: ClassGroupStructure, u: int, p: Optional[int] = None)
     """
     if u not in (1, 3):
         raise ValueError("u must be 1 or 3")
-    pp = p if p is not None else cg.field_d
-    if pp % 9 != 1 or not isprime(pp):
+    p = cg.field_d
+    if p % 9 != 1 or not isprime(p):
         raise ValueError("structure decision requires Q(cbrt p) with p prime, p = 1 mod 9")
     h3 = cg.h3
     h_k3 = Fraction(u, 3) * h3 * h3
@@ -437,4 +416,4 @@ def decide_k_structure(cg: ClassGroupStructure, u: int, p: Optional[int] = None)
     else:
         k_type = "outside classified cases"
     h_over_27 = "3 does not divide h" if h_k3 == 27 else "undetermined"
-    return KStructureReport(pp, h3, u, h_k3, k_type, h_over_27, cg.certified)
+    return KStructureReport(p, h3, u, h_k3, k_type, h_over_27, cg.certified)

@@ -18,24 +18,17 @@ import sys
 import time
 from dataclasses import asdict
 from importlib import resources
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from sympy import isprime
 
 from . import __version__
 from .cache import ResultCache
-from .classgroup import (
-    BudgetExhausted,
-    ambiguous_order_from,
-    class_group,
-    decide_k_structure,
-)
+from .classgroup import BudgetExhausted, class_group, decide_k_structure
 from .cubicfield import PureCubicField, brute_split, classify, split_in_gamma, split_in_k
-from .eisenstein import LAMBDA, Eisenstein, split_primaries
+from .eisenstein import LAMBDA
 from .galoismodel import ModelConstraints, full_report
-from .symbols import CubeRoot, cubic_residue, zeta_norm_from_pair
-
-THREE = Eisenstein(3, 0)
+from .symbols import cubic_residue, prime_symbols
 
 TABLE1_PRIMES = (
     199, 487, 1297, 1693, 1747, 1999, 2017, 2143, 2377, 2467, 2593, 2917,
@@ -49,33 +42,18 @@ def load_u_assignments(path: Optional[str] = None) -> Dict[int, Tuple[int, str]]
     else:
         with open(path, encoding="utf-8") as fh:
             raw = fh.read()
-    data = json.loads(raw)
-    return {int(r["p"]): (int(r["u"]), str(r["provenance"])) for r in data["records"]}
+    u_map = {}
+    for r in json.loads(raw)["records"]:
+        u = int(r["u"])
+        if u not in (1, 3):
+            raise ValueError(f"p = {r['p']}: u must be 1 or 3, not {u}")
+        u_map[int(r["p"])] = (u, str(r["provenance"]))
+    return u_map
 
 
 def _u_for(u_map: Dict[int, Tuple[int, str]], p: int) -> Tuple[int, str]:
     """(u, provenance) for p; u = 1 is assumed for a prime the file does not list."""
     return u_map.get(p, (1, "default-assumption"))
-
-
-class PrimeSymbols(NamedTuple):
-    """The symbol data of one prime p = 1 (mod 3), from one factorisation of p."""
-
-    pi1: Eisenstein
-    pi2: Eisenstein
-    three: CubeRoot  # (3 / pi1)_3
-    zeta_is_norm: bool
-    ambiguous_order: int
-
-
-def prime_symbols(p: int) -> PrimeSymbols:
-    """The values of `cubic_residue_rational(3, p)`, `zeta_norm_test(p)` and
-    `ambiguous_order(p)`, all from one `split_primaries(p)`."""
-    pi1, pi2 = split_primaries(p)
-    zeta_is_norm = zeta_norm_from_pair(p, pi1, pi2)
-    return PrimeSymbols(
-        pi1, pi2, cubic_residue(THREE, pi1), zeta_is_norm, ambiguous_order_from(p, zeta_is_norm)
-    )
 
 
 def scan_record(p: int, u_map: Dict[int, Tuple[int, str]]) -> Dict[str, Any]:
@@ -179,7 +157,7 @@ def cmd_table1(args, u_map) -> Tuple[List[Dict[str, Any]], str, int]:
                 row["h_gamma"] = cg.h
                 row["h_gamma3_divisors"] = list(cg.p3_type)
                 row["h_certified"] = cg.certified
-                rep = decide_k_structure(cg, u=u, p=p)
+                rep = decide_k_structure(cg, u=u)
                 row["k_type"] = rep.k_type
                 if cg.p3_type != (9,) or rep.k_type != "(9,3)":
                     row["status"] = "mismatch"
@@ -211,17 +189,18 @@ def cmd_split(args, u_map) -> Tuple[List[Dict[str, Any]], str, int]:
     q = args.q
     if not isprime(q):
         raise UsageError("--q must be prime")
+    gamma = split_in_gamma(F, q)
     res: Dict[str, Any] = {
         "d": args.d,
         "q": q,
         "kind": F.kind,
-        "gamma_pattern": list(split_in_gamma(F, q).pairs),
+        "gamma_pattern": list(gamma.pairs),
         "k_pattern": list(split_in_k(F, q).pairs),
     }
     if (3 * F.b) % q != 0:
         oracle = brute_split(F, q)
         res["oracle_pattern"] = list(oracle.pairs)
-        res["oracle_agrees"] = oracle == split_in_gamma(F, q)
+        res["oracle_agrees"] = oracle == gamma
         if not res["oracle_agrees"]:
             return [res], "mismatch", 1
     return [res], "ok", 0
@@ -266,7 +245,7 @@ def cmd_classgroup(args, u_map) -> Tuple[List[Dict[str, Any]], str, int]:
     }
     if args.d % 9 == 1 and isprime(args.d):
         u, prov = _u_for(u_map, args.d)
-        rep = decide_k_structure(cg, u=u, p=args.d)
+        rep = decide_k_structure(cg, u=u)
         res["u"] = u
         res["u_provenance"] = prov
         res["h_k3"] = rep.h_k3

@@ -222,12 +222,6 @@ def classify(d: int) -> PureCubicField:
     return fld
 
 
-def _is_cubic_residue(c: int, q: int) -> bool:
-    if q % 3 != 1:
-        return True  # cubing is a bijection mod q
-    return pow(c % q, (q - 1) // 3, q) == 1
-
-
 def _roots_mod(d: int, q: int) -> List[int]:
     """The roots of x^3 - d in F_q (q prime to 3d), by descending residue.
 
@@ -313,29 +307,27 @@ def split_in_gamma(F: PureCubicField, q: int) -> SplitPattern:
         return SplitPattern.of((3, 1))
     if q % 3 == 2:
         return SplitPattern.of((1, 1), (1, 2))
-    if _is_cubic_residue(F.d, q):
+    if pow(F.d, (q - 1) // 3, q) == 1:  # Euler: d is a cube mod q
         return SplitPattern.of((1, 1), (1, 1), (1, 1))
     return SplitPattern.of((1, 3))
 
 
 def split_in_k(F: PureCubicField, q: int) -> SplitPattern:
-    """Decomposition in the sextic normal closure Q(cbrt(d), zeta)."""
-    if not isprime(q):
-        raise ValueError("q must be prime")
+    """Decomposition in the sextic normal closure Q(cbrt(d), zeta).
+
+    For q != 3 the quadratic layer is unramified at q: a prime (e, f) of
+    the cubic field splits into two (e, f) when its residue field F_{q^f}
+    holds the cube roots of unity (3 | q^f - 1), and becomes (e, 2f)
+    otherwise.
+    """
     if q == 3:
         if F.kind == "first":
             return SplitPattern.of((6, 1))
         return SplitPattern.of((2, 1), (2, 1), (2, 1))
-    if (F.a * F.b) % q == 0:
-        # q ramifies in the cubic layer; the quadratic layer splits iff q == 1 mod 3
-        if q % 3 == 1:
-            return SplitPattern.of((3, 1), (3, 1))
-        return SplitPattern.of((3, 2))
-    if q % 3 == 2:
-        return SplitPattern.of((1, 2), (1, 2), (1, 2))
-    if _is_cubic_residue(F.d, q):
-        return SplitPattern.of(*([(1, 1)] * 6))
-    return SplitPattern.of((1, 3), (1, 3))
+    pairs = []
+    for e, f in split_in_gamma(F, q).pairs:
+        pairs += [(e, f), (e, f)] if pow(q, f, 3) == 1 else [(e, 2 * f)]
+    return SplitPattern.of(*pairs)
 
 
 #: the pattern of a squarefree x^3 - d over F_q by its number of roots in F_q

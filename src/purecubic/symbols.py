@@ -11,34 +11,25 @@ product formula: it is the inverse of the product of all tame symbols.
 
 Where each check is made:
 
-- `cubic_residue`, `hilbert_tame` and `norm_compatibility_check` check
-  their pi once, in `_check_tame_prime`: prime (one `isprime`, through
-  `is_prime_element`), primary and tame.  It returns whether the place is
-  split, so no second `isprime` tells split from inert.
-  `_residue_exponent` evaluates a symbol at a pi that has passed that
-  check and does not check it again; it raises `ValueError` when alpha
-  is not coprime to pi and `ArithmeticError` when the power residue is
-  not a cube root of unity.
-- `cubic_residue_rational` and `zeta_norm_test` check that p is a prime
-  = 1 (mod 3) and factor it once with `split_primaries`.
-  `zeta_norm_from_pair` takes that pair from a caller that already holds
-  it, and `hilbert_tame` checks each of its two primes.
+- `_check_tame_prime` checks a pi once (prime by one `isprime`, primary,
+  tame) for `cubic_residue`, `hilbert_tame` and
+  `norm_compatibility_check`, and returns whether its place is split;
+  `_residue_exponent` does not check pi again.
+- A rational p is checked only by `split_primaries(p)` (prime, 1 mod 3),
+  which `cubic_residue_rational`, `zeta_norm_test` and `prime_symbols`
+  each call once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import Dict, List, Tuple
-
-from sympy import isprime
+from typing import Dict, List, NamedTuple, Tuple
 
 from .cubicfield import PureCubicField, ring_maps
 from .eisenstein import (
     Eisenstein,
-    LAMBDA,
     ZETA,
-    conj,
     divides,
     factor,
     gcd,
@@ -164,11 +155,9 @@ def cubic_residue_rational(c: int, p: int) -> CubeRoot:
     Trivial iff c is a cube mod p; the exponent convention is fixed by
     the canonical choice of pi1.
     """
-    if p % 3 != 1 or not isprime(p):
-        raise ValueError("p must be a prime congruent to 1 mod 3")
+    pi1, _ = split_primaries(p)
     if c % p == 0:
         raise ValueError("c divisible by p")
-    pi1, _ = split_primaries(p)
     return cubic_residue(Eisenstein(c, 0), pi1)
 
 
@@ -216,21 +205,52 @@ def zeta_norm_test(p: int) -> bool:
     two primes above p; all other places are automatically trivial.
     (The independent congruence oracle is p == 1 mod 9.)
     """
-    if p % 3 != 1 or not isprime(p):
-        raise ValueError("p must be a prime congruent to 1 mod 3")
-    pi1, pi2 = split_primaries(p)
-    return zeta_norm_from_pair(p, pi1, pi2)
+    return _zeta_is_norm(p, *split_primaries(p))
 
 
-def zeta_norm_from_pair(p: int, pi1: Eisenstein, pi2: Eisenstein) -> bool:
-    """`zeta_norm_test(p)` for a caller that already holds split_primaries(p).
-
-    Both local symbols are evaluated, and `hilbert_tame` checks each pi.
-    """
+def _zeta_is_norm(p: int, pi1: Eisenstein, pi2: Eisenstein) -> bool:
+    """`zeta_norm_test(p)` on the pair split_primaries(p); both local
+    symbols are evaluated, and `hilbert_tame` checks each pi."""
     pz = Eisenstein(p, 0)
     s1 = hilbert_tame(ZETA, pz, pi1)
     s2 = hilbert_tame(ZETA, pz, pi2)
     return s1.is_trivial() and s2.is_trivial()
+
+
+THREE = Eisenstein(3, 0)
+
+
+class PrimeSymbols(NamedTuple):
+    """The symbol data of one prime p = 1 (mod 3), from one factorisation of p."""
+
+    pi1: Eisenstein
+    pi2: Eisenstein
+    three: CubeRoot  # (3 / pi1)_3
+    zeta_is_norm: bool
+    ambiguous_order: int
+
+
+def prime_symbols(p: int) -> PrimeSymbols:
+    """The values of `cubic_residue_rational(3, p)`, `zeta_norm_test(p)` and
+    `ambiguous_order(p)`, all from one `split_primaries(p)`.
+
+    The ambiguous classes of the sextic closure of Q(cbrt p) number
+    3^(t - 2 + q*): t counts the primes ramified over Q(zeta), the two
+    primes above p plus the wild prime when p is not 1 mod 9, and q* is 1
+    when zeta is a norm, 0 otherwise.
+    """
+    pi1, pi2 = split_primaries(p)
+    zeta_is_norm = _zeta_is_norm(p, pi1, pi2)
+    t = 2 if p % 9 == 1 else 3
+    return PrimeSymbols(
+        pi1, pi2, cubic_residue(THREE, pi1), zeta_is_norm, 3 ** (t - 2 + int(zeta_is_norm))
+    )
+
+
+def ambiguous_order(p: int) -> int:
+    """|ambiguous classes| = 3^(t - 2 + q*) for the sextic closure of Q(cbrt p),
+    as `prime_symbols` computes it."""
+    return prime_symbols(p).ambiguous_order
 
 
 def _symbol_over_ideal(alpha: Eisenstein, beta: Eisenstein) -> CubeRoot:

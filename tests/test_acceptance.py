@@ -15,11 +15,10 @@ from sympy import primerange
 
 from purecubic.classgroup import (
     BudgetExhausted,
-    ambiguous_order,
+    ClassGroupStructure,
     class_group,
     decide_k_structure,
 )
-from purecubic.classgroup import ClassGroupStructure
 from purecubic.cli import TABLE1_PRIMES
 from purecubic.cubicfield import brute_split, classify, split_in_gamma
 from purecubic.eisenstein import (
@@ -38,6 +37,7 @@ from purecubic.galoismodel import (
     full_report,
 )
 from purecubic.symbols import (
+    ambiguous_order,
     cubic_residue,
     cubic_residue_rational,
     hilbert_tame,

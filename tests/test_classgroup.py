@@ -14,7 +14,6 @@ from purecubic.classgroup import (
     STABLE_WINDOW,
     BudgetExhausted,
     ClassGroupStructure,
-    ambiguous_order,
     build_factor_base,
     _element_stream,
     class_group,
@@ -23,6 +22,7 @@ from purecubic.classgroup import (
     relation_row,
 )
 from purecubic.cubicfield import classify
+from purecubic.symbols import ambiguous_order
 from purecubic.ideals import (
     IdealHNF,
     class_inverse_representative,
@@ -479,7 +479,7 @@ def test_decide_k_structure_validation():
     with pytest.raises(ValueError):
         decide_k_structure(_cg((9,), 9), u=2)
     with pytest.raises(ValueError):
-        decide_k_structure(_cg((9,), 9), u=1, p=7)  # 7 is not 1 mod 9
+        decide_k_structure(ClassGroupStructure(7, (9,), 9, 9, (9,), True), u=1)  # 7 is not 1 mod 9
 
 
 def test_honda_three_divides_h_exactly_when_p_is_1_mod_3(monkeypatch):

@@ -8,10 +8,10 @@ import sympy
 from sympy import primerange
 
 from purecubic import __version__, eisenstein
-from purecubic.classgroup import ambiguous_order, class_group
+from purecubic.classgroup import class_group
 from purecubic.cli import TABLE1_PRIMES, load_u_assignments, main, scan_record
 from purecubic.eisenstein import LAMBDA, split_primaries
-from purecubic.symbols import cubic_residue, cubic_residue_rational, zeta_norm_test
+from purecubic.symbols import ambiguous_order, cubic_residue, cubic_residue_rational, zeta_norm_test
 from purecubic.galoismodel import ModelConstraints, full_report
 
 
@@ -320,20 +320,31 @@ def test_malformed_u_file_is_usage_error(capsys, tmp_path):
     assert main(["--u-file", str(tmp_path / "missing.json"), "symbols", "--p", "199"]) == 2
 
 
+def test_u_outside_1_and_3_is_usage_error(capsys, tmp_path):
+    # a unit index u other than 1 or 3 is refused with the file, before any
+    # command runs: not an internal error, and never written into a record
+    ufile = tmp_path / "u.json"
+    ufile.write_text(json.dumps({"records": [{"p": 199, "u": 2, "provenance": "typo"}]}))
+    for argv in (["classgroup", "--d", "199"], ["scan", "--max-p", "200"],
+                 ["table1", "--primes", "199"]):
+        assert main(["--u-file", str(ufile), *argv]) == 2, argv
+        assert "cannot read u assignments" in capsys.readouterr().err
+
+
 def test_internal_value_error_exits_3(capsys, monkeypatch):
     # an internal ValueError or ArithmeticError is never a usage error or a
     # traceback: the table1 predicates run outside its class-group `try`
     cases = [
-        ("class_group", ValueError, ["classgroup", "--d", "7"]),
-        ("cubic_residue", ArithmeticError, ["symbols", "--p", "199"]),
-        ("classify", ArithmeticError, ["split", "--d", "7", "--q", "5"]),
-        ("cubic_residue", ArithmeticError, ["table1", "--primes", "199"]),
+        ("cli.class_group", ValueError, ["classgroup", "--d", "7"]),
+        ("cli.cubic_residue", ArithmeticError, ["symbols", "--p", "199"]),
+        ("cli.classify", ArithmeticError, ["split", "--d", "7", "--q", "5"]),
+        ("symbols.cubic_residue", ArithmeticError, ["table1", "--primes", "199"]),
     ]
     for name, error, argv in cases:
         def fault(*args, **kwargs):
             raise error("lattice dimension must be positive")
 
         with monkeypatch.context() as m:
-            m.setattr(f"purecubic.cli.{name}", fault)
+            m.setattr(f"purecubic.{name}", fault)
             assert main(argv) == 3, argv
         assert "internal error: lattice dimension must be positive" in capsys.readouterr().err

@@ -236,6 +236,29 @@ def test_brute_split_matches_factor_list_at_large_q(d, q):
     assert brute_split(F, q) == _factor_list_split(F, q) == split_in_gamma(F, q)
 
 
+def test_split_in_k_matches_factoring_theta_plus_zeta():
+    # theta + zeta generates k, with minimal polynomial
+    # g(y) = Res_x(x^3 - d, (y - x)^2 + (y - x) + 1).  For q prime to
+    # disc(g), Dedekind-Kummer reads the primes of k above q off the
+    # factors of g over GF(q), which are distinct: e = 1, f = the degree.
+    from sympy import Poly, Symbol, resultant
+
+    x, y = Symbol("x"), Symbol("y")
+    cases = 0
+    for d in (2, 5, 7, 10, 12, 20, 28, 199):
+        g = Poly(resultant(x ** 3 - d, (y - x) ** 2 + (y - x) + 1, x), y)
+        disc = g.discriminant()
+        F = classify(d)
+        for q in primerange(2, 200):
+            if disc % q == 0:
+                continue
+            factors = g.set_modulus(q).factor_list()[1]
+            expected = SplitPattern.of(*[(1, h.degree()) for h, _ in factors])
+            assert split_in_k(F, q) == expected, (d, q)
+            cases += 1
+    assert cases == 338
+
+
 def test_oracle_domain_guard():
     with pytest.raises(ValueError):
         brute_split(classify(2), 3)

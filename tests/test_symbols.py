@@ -1,10 +1,13 @@
 """Cubic residue and Hilbert symbols: laws, norm tests, consistency."""
 
 import random
+import sys
 
 import pytest
+import sympy
 from sympy import isprime, primerange
 
+from purecubic import eisenstein
 from purecubic.eisenstein import (
     Eisenstein,
     LAMBDA,
@@ -18,6 +21,7 @@ from purecubic.eisenstein import (
 from purecubic.symbols import (
     CubeRoot,
     TRIVIAL,
+    ambiguous_order,
     cubic_residue,
     cubic_residue_rational,
     hilbert_lambda,
@@ -174,3 +178,25 @@ def test_symbol_argument_validation():
         hilbert_tame(Eisenstein(0, 0), Eisenstein(1, 0), pi1)
     with pytest.raises(ValueError):
         cubic_residue(Eisenstein(2, 0), LAMBDA)  # wild place
+
+
+def test_rational_entry_points_check_p_only_in_split_primaries(monkeypatch):
+    # p is checked once, by split_primaries; every other isprime call is the
+    # check of one pi at a local symbol
+    counts = {"split_primaries": 0, "isprime": 0}
+    targets = (("split_primaries", eisenstein.split_primaries), ("isprime", sympy.isprime))
+    for name, target in targets:
+        def spy(*args, _target=target, _name=name):
+            counts[_name] += 1
+            return _target(*args)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("purecubic") and getattr(mod, name, None) is target:
+                monkeypatch.setattr(mod, name, spy)
+    for p in (7, 199, 8821, 20011):
+        for f, most in ((zeta_norm_test, 3), (ambiguous_order, 4),
+                        (lambda p: cubic_residue_rational(3, p), 2)):
+            counts.update(split_primaries=0, isprime=0)
+            f(p)
+            assert counts["split_primaries"] == 1, (f, p)
+            assert 1 <= counts["isprime"] <= most, (f, p)
