@@ -140,14 +140,10 @@ class ClassGroupStructure:
 
 @dataclass(frozen=True)
 class KStructureReport:
-    p: int
-    h_gamma3: int
-    u: int
     h_k3: int
     k_type: str
     #: status of h = h_k/27; only its 3-part is decidable from h_k3
     h_over_27: str
-    h_gamma_certified: bool
 
 
 def minkowski_bound(F: PureCubicField) -> Fraction:
@@ -416,4 +412,4 @@ def decide_k_structure(cg: ClassGroupStructure, u: int) -> KStructureReport:
     else:
         k_type = "outside classified cases"
     h_over_27 = "3 does not divide h" if h_k3 == 27 else "undetermined"
-    return KStructureReport(p, h3, u, h_k3, k_type, h_over_27, cg.certified)
+    return KStructureReport(h_k3, k_type, h_over_27)

@@ -36,6 +36,10 @@ TABLE1_PRIMES = (
 )
 
 
+# (results, status) of one subcommand; main exits 1 exactly on "mismatch"
+Report = Tuple[List[Dict[str, Any]], str]
+
+
 def load_u_assignments(path: Optional[str] = None) -> Dict[int, Tuple[int, str]]:
     if path is None:
         raw = resources.files("purecubic.data").joinpath("u_values.json").read_text()
@@ -74,7 +78,7 @@ def scan_record(p: int, u_map: Dict[int, Tuple[int, str]]) -> Dict[str, Any]:
     }
 
 
-def cmd_scan(args, u_map) -> Tuple[List[Dict[str, Any]], str, int]:
+def cmd_scan(args, u_map) -> Report:
     if args.max_p < 19:
         raise UsageError("--max-p must be at least 19")
     cache = ResultCache(args.cache) if args.cache else None
@@ -116,10 +120,10 @@ def cmd_scan(args, u_map) -> Tuple[List[Dict[str, Any]], str, int]:
     # default predicate: keep primes whose rational 3-symbol is nontrivial
     if not args.keep_all:
         records = [r for r in records if not r["three_symbol_trivial"]]
-    return records, "ok", 0
+    return records, "ok"
 
 
-def cmd_table1(args, u_map) -> Tuple[List[Dict[str, Any]], str, int]:
+def cmd_table1(args, u_map) -> Report:
     primes = TABLE1_PRIMES
     if args.primes:
         primes = tuple(args.primes)
@@ -172,8 +176,7 @@ def cmd_table1(args, u_map) -> Tuple[List[Dict[str, Any]], str, int]:
                 row["reason"] = str(e)
                 any_mismatch = True
         results.append(row)
-    status = "mismatch" if any_mismatch else "ok"
-    return results, status, 1 if any_mismatch else 0
+    return results, "mismatch" if any_mismatch else "ok"
 
 
 def _classify_arg(d: int) -> PureCubicField:
@@ -184,7 +187,7 @@ def _classify_arg(d: int) -> PureCubicField:
         raise UsageError(f"--d {d}: {e}")
 
 
-def cmd_split(args, u_map) -> Tuple[List[Dict[str, Any]], str, int]:
+def cmd_split(args, u_map) -> Report:
     F = _classify_arg(args.d)
     q = args.q
     if not isprime(q):
@@ -202,11 +205,11 @@ def cmd_split(args, u_map) -> Tuple[List[Dict[str, Any]], str, int]:
         res["oracle_pattern"] = list(oracle.pairs)
         res["oracle_agrees"] = oracle == gamma
         if not res["oracle_agrees"]:
-            return [res], "mismatch", 1
-    return [res], "ok", 0
+            return [res], "mismatch"
+    return [res], "ok"
 
 
-def cmd_symbols(args, u_map) -> Tuple[List[Dict[str, Any]], str, int]:
+def cmd_symbols(args, u_map) -> Report:
     p = args.p
     if p % 3 != 1 or not isprime(p):
         raise UsageError("--p must be a prime congruent to 1 mod 3")
@@ -222,17 +225,17 @@ def cmd_symbols(args, u_map) -> Tuple[List[Dict[str, Any]], str, int]:
         "pi1": [sym.pi1.a, sym.pi1.b],
         "pi2": [sym.pi2.a, sym.pi2.b],
     }
-    return [res], "ok", 0
+    return [res], "ok"
 
 
-def cmd_classgroup(args, u_map) -> Tuple[List[Dict[str, Any]], str, int]:
+def cmd_classgroup(args, u_map) -> Report:
     F = _classify_arg(args.d)
     try:
         cg = class_group(F, budget_seconds=args.budget)
     except BudgetExhausted as e:
-        return [{"d": args.d, "status": "unverified", "reason": str(e)}], "unverified", 0
+        return [{"d": args.d, "status": "unverified", "reason": str(e)}], "unverified"
     except ArithmeticError as e:
-        return [{"d": args.d, "status": "mismatch", "reason": str(e)}], "mismatch", 1
+        return [{"d": args.d, "status": "mismatch", "reason": str(e)}], "mismatch"
     res: Dict[str, Any] = {
         "d": args.d,
         "kind": F.kind,
@@ -250,10 +253,10 @@ def cmd_classgroup(args, u_map) -> Tuple[List[Dict[str, Any]], str, int]:
         res["u_provenance"] = prov
         res["h_k3"] = rep.h_k3
         res["k_type"] = rep.k_type
-    return [res], "ok", 0
+    return [res], "ok"
 
 
-def cmd_model_check(args, u_map) -> Tuple[List[Dict[str, Any]], str, int]:
+def cmd_model_check(args, u_map) -> Report:
     toggles = {f: True for f in ModelConstraints.__dataclass_fields__}
     for name in args.drop or []:
         if name not in toggles:
@@ -264,15 +267,14 @@ def cmd_model_check(args, u_map) -> Tuple[List[Dict[str, Any]], str, int]:
     def save(doc: Dict[str, Any]) -> None:
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True, default=list)
-                fh.write("\n")
+                fh.write(emit(doc, as_csv=False) + "\n")
 
     try:
         rep = full_report(constraints)
     except ArithmeticError as e:
         row = {"constraints": asdict(constraints), "status": "mismatch", "reason": str(e)}
         save(row)  # never leave an earlier run's report in --out
-        return [row], "mismatch", 1
+        return [row], "mismatch"
     doc: Dict[str, Any] = {
         "constraints": asdict(rep.constraints),
         "model_count": rep.model_count,
@@ -286,11 +288,11 @@ def cmd_model_check(args, u_map) -> Tuple[List[Dict[str, Any]], str, int]:
     )
     save(doc)
     if universal:
-        return [doc], "ok", 0
+        return [doc], "ok"
     # a relaxed constraint set exists to show which claims stop holding
     if args.drop:
-        return [doc], "claims-not-universal", 0
-    return [doc], "mismatch", 1
+        return [doc], "claims-not-universal"
+    return [doc], "mismatch"
 
 
 class UsageError(Exception):
@@ -386,7 +388,7 @@ def main(argv=None) -> int:
             u_map = load_u_assignments(args.u_file)
         except (OSError, ValueError, KeyError, TypeError) as e:
             raise UsageError(f"cannot read u assignments: {type(e).__name__}: {e}")
-        results, status, code = args.func(args, u_map)
+        results, status = args.func(args, u_map)
     except (UsageError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -404,7 +406,7 @@ def main(argv=None) -> int:
         "status": status,
     }
     print(emit(doc, as_csv=args.csv))
-    return code
+    return 1 if status == "mismatch" else 0
 
 
 if __name__ == "__main__":

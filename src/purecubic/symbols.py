@@ -11,9 +11,9 @@ product formula: it is the inverse of the product of all tame symbols.
 
 Where each check is made:
 
-- `_check_tame_prime` checks a pi once (prime by one `isprime`, primary,
-  tame) for `cubic_residue`, `hilbert_tame` and
-  `norm_compatibility_check`, and returns whether its place is split;
+- `_place(pi)` checks a pi once (prime by one `isprime`, primary, tame)
+  and returns its `_Place`, which `cubic_residue`, `hilbert_tame`,
+  `zeta_norm_test`, `prime_symbols` and `norm_compatibility_check` read;
   `_residue_exponent` does not check pi again.
 - A rational p is checked only by `split_primaries(p)` (prime, 1 mod 3),
   which `cubic_residue_rational`, `zeta_norm_test` and `prime_symbols`
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .cubicfield import PureCubicField, ring_maps
 from .eisenstein import (
@@ -66,8 +66,18 @@ class CubeRoot:
 TRIVIAL = CubeRoot(0)
 
 
-def _check_tame_prime(pi: Eisenstein) -> bool:
-    """Check that pi is a primary tame prime; return whether its place is split.
+class _Place(NamedTuple):
+    """A primary tame prime pi that `_place` checked, with its residue field:
+    n = p and w the image of zeta in F_p when pi is split, n = q and
+    w = None when it is inert."""
+
+    pi: Eisenstein
+    n: int
+    w: Optional[int]
+
+
+def _place(pi: Eisenstein) -> _Place:
+    """Check that pi is a primary tame prime and return its place.
 
     A prime of norm p is split, one of norm q^2 (q = 2 mod 3) is inert, and
     `is_prime_element` has already proved which: a perfect-square norm is
@@ -81,45 +91,36 @@ def _check_tame_prime(pi: Eisenstein) -> bool:
     if n % 3 == 0:
         raise ValueError("wild place not allowed here")
     q = isqrt(n)
-    return q * q != n
+    if q * q == n:
+        return _Place(pi, q, None)
+    if pi.b % n == 0:
+        raise ArithmeticError("degenerate split prime")
+    return _Place(pi, n, -pi.a * pow(pi.b, -1, n) % n)  # zeta == -a/b mod pi
 
 
 def cubic_residue(alpha: Eisenstein, pi: Eisenstein) -> CubeRoot:
     """(alpha / pi)_3 for a primary tame prime pi coprime to alpha."""
-    return CubeRoot(_residue_exponent(alpha, pi, _check_tame_prime(pi)))
+    return CubeRoot(_residue_exponent(alpha, _place(pi)))
 
 
-def _residue_exponent(alpha: Eisenstein, pi: Eisenstein, split: bool) -> int:
-    """e with (alpha / pi)_3 = zeta^e, for a pi that `_check_tame_prime` passed.
-
-    `split` is what that check returned; pi is not checked again here.
-    """
-    n = norm(pi)
-    if split:
+def _residue_exponent(alpha: Eisenstein, place: _Place) -> int:
+    """e with (alpha / pi)_3 = zeta^e at a place that `_place` returned."""
+    pi, n, w = place
+    if w is not None:
         # split place: the residue field is F_p via zeta -> w
-        p = n
-        w = (-alpha_image_denominator(pi, p)) % p
-        x = (alpha.a + alpha.b * w) % p
+        x = (alpha.a + alpha.b * w) % n
         if x == 0:
             raise ValueError("alpha not coprime to pi")
-        return _zeta_exponent(pow(x, (p - 1) // 3, p), w, p)
+        return _zeta_exponent(pow(x, (n - 1) // 3, n), w, n)
     # inert place: residue field F_{q^2}, arithmetic mod q in Z[zeta]
-    q = _inert_rational(pi)
-    a = Eisenstein(alpha.a % q, alpha.b % q)
+    a = Eisenstein(alpha.a % n, alpha.b % n)
     if divides(pi, a):
         raise ValueError("alpha not coprime to pi")
-    r = _pow_mod_q(a, (q * q - 1) // 3, q)
+    r = _pow_mod_q(a, (n * n - 1) // 3, n)
     for e, z in enumerate((Eisenstein(1, 0), ZETA, Eisenstein(-1, -1))):
-        if (r.a - z.a) % q == 0 and (r.b - z.b) % q == 0:
+        if (r.a - z.a) % n == 0 and (r.b - z.b) % n == 0:
             return e
     raise ArithmeticError("power residue is not a cube root of unity")
-
-
-def alpha_image_denominator(pi: Eisenstein, p: int) -> int:
-    """a * b^{-1} mod p for pi = a + b zeta (so zeta == -a/b mod pi)."""
-    if pi.b % p == 0:
-        raise ArithmeticError("degenerate split prime")
-    return (pi.a * pow(pi.b, -1, p)) % p
 
 
 def _zeta_exponent(r: int, w: int, p: int) -> int:
@@ -128,13 +129,6 @@ def _zeta_exponent(r: int, w: int, p: int) -> int:
         if r == z % p:
             return e
     raise ArithmeticError("power residue is not a cube root of unity")
-
-
-def _inert_rational(pi: Eisenstein) -> int:
-    q = isqrt(norm(pi))
-    if q * q != norm(pi):
-        raise ArithmeticError("norm of an inert prime is not a square")
-    return q
 
 
 def _pow_mod_q(x: Eisenstein, e: int, q: int) -> Eisenstein:
@@ -165,14 +159,18 @@ def hilbert_tame(a: Eisenstein, b: Eisenstein, pi: Eisenstein) -> CubeRoot:
     """Tame cubic Hilbert symbol (a, b / pi)_3."""
     if a.is_zero() or b.is_zero():
         raise ValueError("symbol arguments must be nonzero")
-    split = _check_tame_prime(pi)
-    v, a0 = valuation(a, pi)
-    w, b0 = valuation(b, pi)
+    return _hilbert(a, b, _place(pi))
+
+
+def _hilbert(a: Eisenstein, b: Eisenstein, place: _Place) -> CubeRoot:
+    """`hilbert_tame` at a place that `_place` returned, for nonzero a and b."""
+    v, a0 = valuation(a, place.pi)
+    w, b0 = valuation(b, place.pi)
     e = 0
     if w:
-        e += w * _residue_exponent(a0, pi, split)
+        e += w * _residue_exponent(a0, place)
     if v:
-        e -= v * _residue_exponent(b0, pi, split)
+        e -= v * _residue_exponent(b0, place)
     return CubeRoot(e)
 
 
@@ -205,15 +203,16 @@ def zeta_norm_test(p: int) -> bool:
     two primes above p; all other places are automatically trivial.
     (The independent congruence oracle is p == 1 mod 9.)
     """
-    return _zeta_is_norm(p, *split_primaries(p))
+    pi1, pi2 = split_primaries(p)
+    return _zeta_is_norm(p, _place(pi1), _place(pi2))
 
 
-def _zeta_is_norm(p: int, pi1: Eisenstein, pi2: Eisenstein) -> bool:
-    """`zeta_norm_test(p)` on the pair split_primaries(p); both local
-    symbols are evaluated, and `hilbert_tame` checks each pi."""
+def _zeta_is_norm(p: int, place1: _Place, place2: _Place) -> bool:
+    """`zeta_norm_test(p)` at the places of split_primaries(p); both local
+    symbols are evaluated."""
     pz = Eisenstein(p, 0)
-    s1 = hilbert_tame(ZETA, pz, pi1)
-    s2 = hilbert_tame(ZETA, pz, pi2)
+    s1 = _hilbert(ZETA, pz, place1)
+    s2 = _hilbert(ZETA, pz, place2)
     return s1.is_trivial() and s2.is_trivial()
 
 
@@ -231,8 +230,9 @@ class PrimeSymbols(NamedTuple):
 
 
 def prime_symbols(p: int) -> PrimeSymbols:
-    """The values of `cubic_residue_rational(3, p)`, `zeta_norm_test(p)` and
-    `ambiguous_order(p)`, all from one `split_primaries(p)`.
+    """The values of `cubic_residue_rational(3, p)` and `zeta_norm_test(p)`
+    and the ambiguous-class order, from one `split_primaries(p)` and one
+    check of each of its places.
 
     The ambiguous classes of the sextic closure of Q(cbrt p) number
     3^(t - 2 + q*): t counts the primes ramified over Q(zeta), the two
@@ -240,17 +240,11 @@ def prime_symbols(p: int) -> PrimeSymbols:
     when zeta is a norm, 0 otherwise.
     """
     pi1, pi2 = split_primaries(p)
-    zeta_is_norm = _zeta_is_norm(p, pi1, pi2)
+    place1 = _place(pi1)
+    zeta_is_norm = _zeta_is_norm(p, place1, _place(pi2))
+    three = CubeRoot(_residue_exponent(THREE, place1))
     t = 2 if p % 9 == 1 else 3
-    return PrimeSymbols(
-        pi1, pi2, cubic_residue(THREE, pi1), zeta_is_norm, 3 ** (t - 2 + int(zeta_is_norm))
-    )
-
-
-def ambiguous_order(p: int) -> int:
-    """|ambiguous classes| = 3^(t - 2 + q*) for the sextic closure of Q(cbrt p),
-    as `prime_symbols` computes it."""
-    return prime_symbols(p).ambiguous_order
+    return PrimeSymbols(pi1, pi2, three, zeta_is_norm, 3 ** (t - 2 + int(zeta_is_norm)))
 
 
 def _symbol_over_ideal(alpha: Eisenstein, beta: Eisenstein) -> CubeRoot:
@@ -287,16 +281,16 @@ def norm_compatibility_check(a_coords, b: Eisenstein, pi: Eisenstein, field) -> 
     """
     if not isinstance(field, PureCubicField):
         raise TypeError("field must be a PureCubicField")
-    if not _check_tame_prime(pi):
+    place = _place(pi)
+    _, p, w = place
+    if w is None:
         raise ValueError("only split places of Q(zeta) are evaluable")
-    p = norm(pi)
     if p % 3 != 1 or field.d % p == 0 or (3 * field.b) % p == 0:
         raise ValueError("configuration out of evaluable (tame) range")
     maps = ring_maps(field, p)
     if len(maps) != 3:
         raise ValueError("pi does not split completely in the sextic closure")
     x, y, z = a_coords
-    w = (-alpha_image_denominator(pi, p)) % p
     wv, _ = valuation(b, pi)
 
     lhs = 0
@@ -310,7 +304,7 @@ def norm_compatibility_check(a_coords, b: Eisenstein, pi: Eisenstein, field) -> 
 
     # right-hand side: the relative norm of a lands in Z inside Q(zeta)
     rel_norm = field.element_norm(a_coords)
-    rhs = hilbert_tame(Eisenstein(rel_norm, 0), b, pi)
+    rhs = _hilbert(Eisenstein(rel_norm, 0), b, place)
     if norm_residues != rel_norm % p:  # product of local values is the norm
         raise ArithmeticError("local values do not multiply to the relative norm")
     return CubeRoot(lhs).e == rhs.e

@@ -37,10 +37,10 @@ from purecubic.galoismodel import (
     full_report,
 )
 from purecubic.symbols import (
-    ambiguous_order,
     cubic_residue,
     cubic_residue_rational,
     hilbert_tame,
+    prime_symbols,
     zeta_norm_test,
 )
 
@@ -66,7 +66,7 @@ def test_criterion_1_table1_predicates():
 def test_criterion_2_ambiguous_order():
     t0 = time.monotonic()
     ok = all(
-        ambiguous_order(p) == 3
+        prime_symbols(p).ambiguous_order == 3
         for p in primerange(7, 10 ** 4)
         if p % 3 == 1
     )

@@ -22,7 +22,7 @@ from purecubic.classgroup import (
     relation_row,
 )
 from purecubic.cubicfield import classify
-from purecubic.symbols import ambiguous_order
+from purecubic.symbols import prime_symbols
 from purecubic.ideals import (
     IdealHNF,
     class_inverse_representative,
@@ -432,20 +432,20 @@ def test_oracle_inserts_only_true_relations(spied_class_group):
 
 
 def test_ambiguous_order_examples():
-    assert ambiguous_order(199) == 3
-    assert ambiguous_order(7) == 3
+    assert prime_symbols(199).ambiguous_order == 3
+    assert prime_symbols(7).ambiguous_order == 3
     for p in primerange(7, 500):
         if p % 3 == 1:
-            assert ambiguous_order(p) == 3
+            assert prime_symbols(p).ambiguous_order == 3
 
 
 def test_ambiguous_order_rejects_bad_input():
     with pytest.raises(ValueError):
-        ambiguous_order(5)
+        prime_symbols(5).ambiguous_order
     with pytest.raises(ValueError):
-        ambiguous_order(3)
+        prime_symbols(3).ambiguous_order
     with pytest.raises(ValueError):
-        ambiguous_order(49)
+        prime_symbols(49).ambiguous_order
 
 
 def _cg(p3_type, h3):

@@ -10,8 +10,9 @@ from sympy import primerange
 from purecubic import __version__, eisenstein
 from purecubic.classgroup import class_group
 from purecubic.cli import TABLE1_PRIMES, load_u_assignments, main, scan_record
+from purecubic.cubicfield import SplitPattern
 from purecubic.eisenstein import LAMBDA, split_primaries
-from purecubic.symbols import ambiguous_order, cubic_residue, cubic_residue_rational, zeta_norm_test
+from purecubic.symbols import cubic_residue, cubic_residue_rational, prime_symbols, zeta_norm_test
 from purecubic.galoismodel import ModelConstraints, full_report
 
 
@@ -125,7 +126,7 @@ def test_symbols_command_agrees_with_the_symbol_functions(capsys, p):
     assert rec["three_symbol_trivial"] == three.is_trivial()
     assert rec["lambda_symbol_exponent"] == cubic_residue(LAMBDA, pi1).e
     assert rec["zeta_is_norm"] == (p % 9 == 1) == zeta_norm_test(p)
-    assert rec["ambiguous_order"] == ambiguous_order(p)
+    assert rec["ambiguous_order"] == prime_symbols(p).ambiguous_order
     assert (rec["pi1"], rec["pi2"]) == ([pi1.a, pi1.b], [pi2.a, pi2.b])
 
 
@@ -174,6 +175,34 @@ def test_classgroup_command(capsys):
     assert code == 0
     rec = doc["results"][0]
     assert rec["h"] == 3 and rec["certified"] is True
+    # a catalogue prime also gets the k-structure decision
+    code, doc = run_json(capsys, "--budget", "120", "classgroup", "--d", "199")
+    assert code == 0
+    assert doc["status"] == "ok"
+    (rec,) = doc["results"]
+    assert (rec["h"], rec["certified"]) == (9, True)
+    assert (rec["u"], rec["h_k3"], rec["k_type"]) == (1, 27, "(9,3)")
+
+
+def test_table1_verifies_a_row(capsys):
+    code, doc = run_json(capsys, "--budget", "120", "table1", "--primes", "199")
+    assert code == 0
+    assert doc["status"] == "ok"
+    (row,) = doc["results"]
+    assert row["status"] == "ok"
+    assert (row["h_gamma"], row["h_gamma3_divisors"]) == (9, [9])
+    assert row["h_certified"] is True
+    assert row["k_type"] == "(9,3)"
+
+
+def test_split_oracle_disagreement_is_a_mismatch(capsys, monkeypatch):
+    monkeypatch.setattr("purecubic.cli.brute_split", lambda F, q: SplitPattern.of((3, 1)))
+    code, doc = run_json(capsys, "split", "--d", "2", "--q", "5")
+    assert code == 1
+    assert doc["status"] == "mismatch"
+    (rec,) = doc["results"]
+    assert rec["oracle_pattern"] == [[3, 1]]
+    assert rec["oracle_agrees"] is False
 
 
 def test_arithmetic_error_is_a_mismatch_row(capsys, monkeypatch):
@@ -292,6 +321,8 @@ def test_usage_errors(capsys):
     assert code == 2
     code = main(["split", "--d", "2", "--q", "6"])
     assert code == 2
+    for p in ("4", "5"):  # not prime; prime but not 1 mod 3
+        assert main(["symbols", "--p", p]) == 2
     for nan in ("nan", "NaN", "-nan"):
         # a NaN budget would never reach any deadline
         with pytest.raises(SystemExit) as exc:
@@ -338,7 +369,7 @@ def test_internal_value_error_exits_3(capsys, monkeypatch):
         ("cli.class_group", ValueError, ["classgroup", "--d", "7"]),
         ("cli.cubic_residue", ArithmeticError, ["symbols", "--p", "199"]),
         ("cli.classify", ArithmeticError, ["split", "--d", "7", "--q", "5"]),
-        ("symbols.cubic_residue", ArithmeticError, ["table1", "--primes", "199"]),
+        ("symbols._residue_exponent", ArithmeticError, ["table1", "--primes", "199"]),
     ]
     for name, error, argv in cases:
         def fault(*args, **kwargs):

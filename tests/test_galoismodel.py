@@ -476,6 +476,30 @@ def test_dropped_constraint_models_fail_the_full_verifier(name):
     assert not any(verify_model(m, ModelConstraints()) for m in extra)
 
 
+@pytest.mark.parametrize("name", [
+    "ambiguous_order_3",
+    "cplus_cyclic_9",
+    "cminus_order_3",
+    "csigma_in_cplus",
+    "csigma_meets_cminus_trivially",
+])
+def test_verifier_rejects_each_subgroup_violation(name):
+    # The other nine constraints imply each of these five, so the test above
+    # finds no extra model for them.  The models of sigma^3 = tau^2 = 1 with
+    # both bijective break each of them somewhere; the verifier with only
+    # `name` on must reject exactly the models the reference verifier
+    # rejects (the kernel test above checks the subgroups themselves).
+    identities = ModelConstraints(**{
+        n: n in ("sigma_cubed_identity", "tau_squared_identity", "automorphisms")
+        for n in CONSTRAINT_NAMES
+    })
+    only = ModelConstraints(**{n: n == name for n in CONSTRAINT_NAMES})
+    models = enumerate_models(identities)
+    rejected = [m for m in models if not verify_model(m, only)]
+    assert rejected
+    assert rejected == [m for m in models if not ref_verify_model(m, only)]
+
+
 @pytest.mark.parametrize("name, which", [
     ("sigma_cubed_identity", "sigma"),
     ("tau_squared_identity", "tau"),

@@ -21,12 +21,12 @@ from purecubic.eisenstein import (
 from purecubic.symbols import (
     CubeRoot,
     TRIVIAL,
-    ambiguous_order,
     cubic_residue,
     cubic_residue_rational,
     hilbert_lambda,
     hilbert_tame,
     norm_compatibility_check,
+    prime_symbols,
     reciprocity_check,
     zeta_norm_test,
 )
@@ -194,7 +194,7 @@ def test_rational_entry_points_check_p_only_in_split_primaries(monkeypatch):
             if mod_name.startswith("purecubic") and getattr(mod, name, None) is target:
                 monkeypatch.setattr(mod, name, spy)
     for p in (7, 199, 8821, 20011):
-        for f, most in ((zeta_norm_test, 3), (ambiguous_order, 4),
+        for f, most in ((zeta_norm_test, 3), (lambda p: prime_symbols(p).ambiguous_order, 3),
                         (lambda p: cubic_residue_rational(3, p), 2)):
             counts.update(split_primaries=0, isprime=0)
             f(p)
