@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -48,10 +49,12 @@ def load_u_assignments(path: Optional[str] = None) -> Dict[int, Tuple[int, str]]
             raw = fh.read()
     u_map = {}
     for r in json.loads(raw)["records"]:
-        u = int(r["u"])
+        p, u = r["p"], r["u"]
+        if any(type(x) is not int for x in (p, u)):
+            raise ValueError(f"p and u must be JSON integers, not {p!r} and {u!r}")
         if u not in (1, 3):
-            raise ValueError(f"p = {r['p']}: u must be 1 or 3, not {u}")
-        u_map[int(r["p"])] = (u, str(r["provenance"]))
+            raise ValueError(f"p = {p}: u must be 1 or 3, not {u}")
+        u_map[p] = (u, str(r["provenance"]))
     return u_map
 
 
@@ -103,10 +106,11 @@ def cmd_scan(args, u_map) -> Report:
             return rec
         return scan_record(p, u_map)
 
-    if args.threads > 1:
+    workers = min(args.threads, os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=args.threads) as ex:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
             records = list(ex.map(compute, candidates))
     else:
         records = [compute(p) for p in candidates]
@@ -310,6 +314,14 @@ def _budget_arg(s: str) -> float:
     return budget
 
 
+def _threads_arg(s: str) -> int:
+    """A --threads count: at least 1; the scan pool is also capped at one thread per CPU."""
+    n = int(s)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"not a positive thread count: {s!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="purecubic",
@@ -320,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = ap.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="JSON output (default)")
     fmt.add_argument("--csv", action="store_true", help="CSV output (flattened records)")
-    ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--threads", type=_threads_arg, default=1)
     ap.add_argument("--u-file", default=None, help="override the bundled u-assignment file")
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -17,8 +17,6 @@ from typing import List, Sequence, Tuple
 
 from sympy import factorint, isprime
 
-from .zlinalg import IntMatrix
-
 
 @dataclass(frozen=True)
 class SplitPattern:
@@ -121,10 +119,6 @@ class PureCubicField:
             p0 * t[2] + p1 * t[5] + p2 * t[8] + p3 * t[11] + p4 * t[14]
             + p5 * t[17] + p6 * t[20] + p7 * t[23] + p8 * t[26],
         )
-
-    def regular_representation(self, coords) -> IntMatrix:
-        cols = [self.mul_coords(coords, w) for w in _UNIT_VECTORS]
-        return IntMatrix.from_rows([[cols[j][i] for j in range(3)] for i in range(3)])
 
     def norm_form(self, vectors: Sequence[Sequence[int]]) -> Tuple[int, ...]:
         """N(c0*v0 + c1*v1 + c2*v2) as a cubic form in (c0, c1, c2), over CUBIC_MONOMIALS.

@@ -286,50 +286,24 @@ def is_principal_bounded(I: IdealHNF, search_bound: int = 8) -> Optional[Tuple[i
     return None
 
 
-def ideal_quotient(A: IdealHNF, B: IdealHNF) -> IdealHNF:
-    """(A : B) = {x in O : x*B within A}, as an ideal of O (assumes it is integral).
-
-    With n = N(A), x*b lies in A exactly when adj(H_A^T) * M_b * x == 0
-    (mod n), H_A the basis rows of A and M_b the matrix of multiplication by
-    b.  Those rows r, together with n*e_i, span a lattice L, and the
-    solutions are the x with r.x in nZ for every r in L: that is n*L*, the
-    columns of n*adj(H)/det(H) for the HNF H of L (Cohen, GTM 138, 4.8).
-    """
-    if A.field != B.field:
-        raise ValueError("ambient mismatch")
-    field = A.field
-    n = A.norm()
-    adj_a = _adjugate3([[A.basis[j][i] for j in range(3)] for i in range(3)])
-    rows = [(n, 0, 0), (0, n, 0), (0, 0, n)]
-    for b in B.basis:
-        cols = [field.mul_coords(b, w) for w in _UNIT_VECTORS]
-        for a in adj_a:
-            rows.append(tuple(sum(x * y for x, y in zip(a, c)) % n for c in cols))
-    H = _lattice_hnf(rows)
-    det_h = H[0][0] * H[1][1] * H[2][2]
-    adj_h = _adjugate3(H)
-    vecs = []
-    for j in range(3):
-        col = [divmod(n * adj_h[i][j], det_h) for i in range(3)]
-        if any(r for _, r in col):
-            raise ArithmeticError(f"n*adj(H)/det(H) is not integral (n={n}, det(H)={det_h})")
-        vecs.append(tuple(q for q, _ in col))
-    return IdealHNF(field, _lattice_hnf(vecs))
-
-
-def _adjugate3(m) -> List[List[int]]:
-    """adj(m) for a 3x3 matrix given as rows: adj(m) * m = det(m) * I."""
-    adj = [[0] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            sub = [
-                [m[r][c] for c in range(3) if c != i] for r in range(3) if r != j
-            ]
-            sgn = -1 if (i + j) % 2 else 1
-            adj[i][j] = sgn * (sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0])
-    return adj
-
-
 def class_inverse_representative(J: IdealHNF) -> IdealHNF:
-    """An integral ideal in the inverse class of J: N(J) * J^{-1} = ((N(J)) : J)."""
-    return ideal_quotient(IdealHNF.from_integer(J.field, J.norm()), J)
+    """N(J) * J^{-1}, an integral ideal in the inverse class of J.
+
+    With n = N(J), an x in O lies in n*J^{-1} exactly when M_r*x == 0
+    (mod n) for each basis row r of J, M_r the matrix of multiplication
+    by r.  The rows of the M_r and n*Z^3 span a lattice L with triangular
+    HNF H = ((a, b, c), (0, d, e), (0, 0, f)); the solutions n*L* are
+    spanned by the columns of n*adj(H)/det(H) (Cohen, GTM 138, 4.8),
+    n/det(H) times (df, 0, 0), (-bf, af, 0) and (be - cd, -ae, ad).
+    """
+    n = J.norm()
+    rows = [(n, 0, 0), (0, n, 0), (0, 0, n)]
+    for r in J.basis:
+        # column i of M_r is r * w_i
+        rows += zip(*(J.field.mul_coords(r, w) for w in _UNIT_VECTORS))
+    (a, b, c), (_, d, e), (_, _, f) = _lattice_hnf(rows)
+    det_h = a * d * f
+    adj = ((d * f, 0, 0), (-b * f, a * f, 0), (b * e - c * d, -a * e, a * d))
+    if any(n * x % det_h for col in adj for x in col):
+        raise ArithmeticError(f"n*adj(H)/det(H) is not integral (n={n}, det(H)={det_h})")
+    return IdealHNF(J.field, _lattice_hnf([tuple(n * x // det_h for x in col) for col in adj]))

@@ -6,8 +6,8 @@ Hermite normal form one row at a time (`HNFLattice`, up to a few hundred
 columns for the catalogued fields, with sparse rows), and `snf` runs only
 on the block of its basis whose pivots exceed 1, a few rows at most; the
 other matrices are tiny.  There is no integer-kernel routine: the
-ideal quotient's congruence system is solved through a dual lattice in
-`ideals`.
+congruence system for an inverse-class representative N(J)*J^-1 is
+solved through the dual of a triangular lattice in `ideals`.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
 """CLI surface: report schema, caching, exit codes."""
 
+import concurrent.futures
 import json
+import os
 import sys
 
 import pytest
@@ -360,6 +362,57 @@ def test_u_outside_1_and_3_is_usage_error(capsys, tmp_path):
                  ["table1", "--primes", "199"]):
         assert main(["--u-file", str(ufile), *argv]) == 2, argv
         assert "cannot read u assignments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [("u", 1.9), ("u", True), ("p", 487.7)])
+def test_u_file_value_that_is_not_an_integer_is_usage_error(capsys, tmp_path, field, value):
+    # int() would have read these as u = 1, u = 1 and p = 487
+    record = {"p": 487, "u": 1, "provenance": "typo", field: value}
+    ufile = tmp_path / "u.json"
+    ufile.write_text(json.dumps({"records": [record]}))
+    for argv in (["classgroup", "--d", "7"], ["scan", "--max-p", "100"],
+                 ["table1", "--primes", "487"], ["split", "--d", "2", "--q", "5"],
+                 ["symbols", "--p", "199"], ["model-check", "--drop", "x"]):
+        assert main(["--u-file", str(ufile), *argv]) == 2, argv
+        assert "JSON integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-5", "x"])
+def test_threads_below_one_is_usage_error(capsys, threads):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", threads, "scan", "--max-p", "100"])
+    assert exc.value.code == 2
+
+
+def test_scan_pool_is_at_most_one_thread_per_cpu(capsys, monkeypatch):
+    # a serial stand-in records the pool size: no thread is started
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    _, serial = run_json(capsys, "scan", "--max-p", "400")
+    assert sizes == []
+    _, pooled = run_json(capsys, "--threads", "100000", "scan", "--max-p", "400")
+    assert sizes == [4]
+    assert pooled["inputs"]["threads"] == 100000
+    strip = lambda rs: [{k: v for k, v in r.items() if k != "timestamp"} for r in rs]
+    assert strip(pooled["results"]) == strip(serial["results"])
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    run_json(capsys, "--threads", "100000", "scan", "--max-p", "400")
+    assert sizes == [4]  # one CPU assumed: no pool
 
 
 def test_internal_value_error_exits_3(capsys, monkeypatch):

@@ -12,6 +12,7 @@ from sympy import primerange
 
 from purecubic import cubicfield
 from purecubic.cubicfield import (
+    _UNIT_VECTORS,
     PureCubicField,
     SplitPattern,
     brute_split,
@@ -20,7 +21,7 @@ from purecubic.cubicfield import (
     split_in_gamma,
     split_in_k,
 )
-from purecubic.zlinalg import det
+from purecubic.zlinalg import IntMatrix, det
 
 coords = st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9))
 
@@ -60,7 +61,10 @@ def test_element_norm_matches_regular_representation_det(d):
     points = [(0, 0, 0), (1, 0, 0), (0, -1, 0), (0, 0, -1), (-3, 0, 2), (0, 5, -7)]
     points += [tuple(rng.randint(-40, 40) for _ in range(3)) for _ in range(300)]
     for v in points:
-        assert F.element_norm(v) == det(F.regular_representation(v)), v
+        # the regular representation: column i is v * w_i; Bareiss det is the reference
+        cols = [F.mul_coords(v, w) for w in _UNIT_VECTORS]
+        M = IntMatrix.from_rows([[cols[j][i] for j in range(3)] for i in range(3)])
+        assert F.element_norm(v) == det(M), v
 
 
 @pytest.mark.parametrize("d", [2, 245, 10, 28, 199])
