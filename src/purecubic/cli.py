@@ -54,7 +54,12 @@ def load_u_assignments(path: Optional[str] = None) -> Dict[int, Tuple[int, str]]
             raise ValueError(f"p and u must be JSON integers, not {p!r} and {u!r}")
         if u not in (1, 3):
             raise ValueError(f"p = {p}: u must be 1 or 3, not {u}")
-        u_map[p] = (u, str(r["provenance"]))
+        prov = r["provenance"]
+        if type(prov) is not str:
+            raise ValueError(f"p = {p}: provenance must be a JSON string, not {prov!r}")
+        if p in u_map:
+            raise ValueError(f"p = {p} is listed twice")
+        u_map[p] = (u, prov)
     return u_map
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import List, NamedTuple, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from sympy import isprime
 
@@ -48,15 +48,21 @@ class Eisenstein(NamedTuple):
         # a tuple subclass would otherwise repeat itself: 2 * ZETA == (0, 1, 0, 1)
         raise TypeError(f"cannot multiply {type(other).__name__!r} by 'Eisenstein'")
 
-    def __pow__(self, e: int) -> "Eisenstein":
+    def __pow__(self, e: int, q: Optional[int] = None) -> "Eisenstein":
+        """self ** e, or `pow(self, e, q)`: both coordinates reduced mod q
+        after each product."""
         if e < 0:
             raise ValueError("negative power")
-        r = ONE
+        r = ONE if q is None else _new(Eisenstein, (1 % q, 0))
         base = self
         while e:
             if e & 1:
                 r = r * base
+                if q is not None:
+                    r = _new(Eisenstein, (r[0] % q, r[1] % q))
             base = base * base
+            if q is not None:
+                base = _new(Eisenstein, (base[0] % q, base[1] % q))
             e >>= 1
         return r
 
@@ -119,13 +125,6 @@ def divides(y: Eisenstein, x: Eisenstein) -> bool:
         return x.is_zero()
     _, r = divrem(x, y)
     return r.is_zero()
-
-
-def exact_div(x: Eisenstein, y: Eisenstein) -> Eisenstein:
-    q, r = divrem(x, y)
-    if not r.is_zero():
-        raise ValueError("not divisible")
-    return q
 
 
 def gcd(x: Eisenstein, y: Eisenstein) -> Eisenstein:
@@ -217,28 +216,6 @@ def split_primaries(p: int) -> Tuple[Eisenstein, Eisenstein]:
     positive = [c for c in cands if c.a > 0]
     pi1 = positive[0] if positive else cands[0]
     return pi1, conj(pi1)
-
-
-def factor_rational_prime(q: int) -> EisensteinFactorization:
-    """Factor a rational prime over Z[zeta]."""
-    if not isprime(q):
-        raise ValueError(f"{q} is not prime")
-    if q == 3:
-        # 3 = (1 + zeta) * lam^2
-        return EisensteinFactorization(Eisenstein(1, 1), 2, ())
-    if q % 3 == 1:
-        pi1, pi2 = split_primaries(q)
-        prod = pi1 * pi2
-        u = exact_div(Eisenstein(q, 0), prod)
-        if not is_unit(u):
-            raise ArithmeticError(f"split factors of {q} leave a non-unit cofactor")
-        return EisensteinFactorization(u, 0, ((pi1, 1), (pi2, 1)))
-    # inert: q == 2 (mod 3), primary-normalized
-    _, prim = primary_associate(Eisenstein(q, 0))
-    cof = exact_div(Eisenstein(q, 0), prim)
-    if not is_unit(cof):
-        raise ArithmeticError(f"primary associate of {q} leaves a non-unit cofactor")
-    return EisensteinFactorization(cof, 0, ((prim, 1),))
 
 
 def valuation(x: Eisenstein, pi: Eisenstein) -> Tuple[int, Eisenstein]:

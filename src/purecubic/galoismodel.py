@@ -139,9 +139,6 @@ class Endo93:
     def apply(self, g: Elem93) -> Elem93:
         return ALL_ELEMS[self.images[_INDEX[g]]]
 
-    def compose(self, other: "Endo93") -> "Endo93":
-        return Endo93(self.apply(other.e1_img), self.apply(other.e2_img))
-
     def is_automorphism(self) -> bool:
         return len(set(self.images)) == 27
 
@@ -150,13 +147,9 @@ IDENTITY93 = Endo93(E1, E2)
 
 
 @lru_cache(maxsize=None)
-def _all_endos() -> Tuple[Endo93, ...]:
-    return tuple(Endo93(e1, e2) for e1 in ALL_ELEMS for e2 in ALL_ELEMS if e2.x % 3 == 0)
-
-
-def all_endos() -> List[Endo93]:
+def all_endos() -> Tuple[Endo93, ...]:
     """The 243 endomorphisms, built once on first use."""
-    return list(_all_endos())
+    return tuple(Endo93(e1, e2) for e1 in ALL_ELEMS for e2 in ALL_ELEMS if e2.x % 3 == 0)
 
 
 def _after(phi: Tuple[int, ...], psi: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -276,7 +269,7 @@ def verify_model(m: GaloisModel, c: ModelConstraints) -> bool:
 def enumerate_models(constraints: Optional[ModelConstraints] = None) -> List[GaloisModel]:
     """All consistent (sigma, tau) pairs, sorted by canonical encoding."""
     c = constraints if constraints is not None else ModelConstraints()
-    endos = _all_endos()
+    endos = all_endos()
 
     # Every table here is an endomorphism, and so is each composite or sum
     # of them, so an identity between them holds on G once it holds on the

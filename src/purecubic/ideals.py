@@ -171,13 +171,6 @@ def ideal_of_element(field: PureCubicField, v: Tuple[int, int, int]) -> IdealHNF
     return IdealHNF.from_generators(field, [v])
 
 
-def ideal_power(I: IdealHNF, e: int) -> IdealHNF:
-    out = IdealHNF.unit_ideal(I.field)
-    for _ in range(e):
-        out = mul(out, I)
-    return out
-
-
 def primes_above(field: PureCubicField, q: int) -> List[Tuple[IdealHNF, int, int]]:
     """Prime ideals above q as (ideal, e, f), consistent with split_in_gamma.
 

@@ -16,15 +16,14 @@ Where each check is made:
   `zeta_norm_test`, `prime_symbols` and `norm_compatibility_check` read;
   `_residue_exponent` does not check pi again.
 - A rational p is checked only by `split_primaries(p)` (prime, 1 mod 3),
-  which `cubic_residue_rational`, `zeta_norm_test` and `prime_symbols`
-  each call once.
+  which `zeta_norm_test` and `prime_symbols` each call once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional
 
 from .cubicfield import PureCubicField, ring_maps
 from .eisenstein import (
@@ -116,7 +115,7 @@ def _residue_exponent(alpha: Eisenstein, place: _Place) -> int:
     a = Eisenstein(alpha.a % n, alpha.b % n)
     if divides(pi, a):
         raise ValueError("alpha not coprime to pi")
-    r = _pow_mod_q(a, (n * n - 1) // 3, n)
+    r = pow(a, (n * n - 1) // 3, n)
     for e, z in enumerate((Eisenstein(1, 0), ZETA, Eisenstein(-1, -1))):
         if (r.a - z.a) % n == 0 and (r.b - z.b) % n == 0:
             return e
@@ -129,30 +128,6 @@ def _zeta_exponent(r: int, w: int, p: int) -> int:
         if r == z % p:
             return e
     raise ArithmeticError("power residue is not a cube root of unity")
-
-
-def _pow_mod_q(x: Eisenstein, e: int, q: int) -> Eisenstein:
-    r = Eisenstein(1, 0)
-    while e:
-        if e & 1:
-            r = r * x
-            r = Eisenstein(r.a % q, r.b % q)
-        x = x * x
-        x = Eisenstein(x.a % q, x.b % q)
-        e >>= 1
-    return r
-
-
-def cubic_residue_rational(c: int, p: int) -> CubeRoot:
-    """(c / p)_3 via the canonical primary factor pi1 of p.
-
-    Trivial iff c is a cube mod p; the exponent convention is fixed by
-    the canonical choice of pi1.
-    """
-    pi1, _ = split_primaries(p)
-    if c % p == 0:
-        raise ValueError("c divisible by p")
-    return cubic_residue(Eisenstein(c, 0), pi1)
 
 
 def hilbert_tame(a: Eisenstein, b: Eisenstein, pi: Eisenstein) -> CubeRoot:
@@ -174,10 +149,6 @@ def _hilbert(a: Eisenstein, b: Eisenstein, place: _Place) -> CubeRoot:
     return CubeRoot(e)
 
 
-def _tame_support(x: Eisenstein) -> List[Eisenstein]:
-    return [p for p, _ in factor(x).primary_primes]
-
-
 def hilbert_lambda(a: Eisenstein, b: Eisenstein) -> CubeRoot:
     """The wild symbol (a, b / lam)_3, defined by the product formula.
 
@@ -187,11 +158,9 @@ def hilbert_lambda(a: Eisenstein, b: Eisenstein) -> CubeRoot:
     """
     if a.is_zero() or b.is_zero():
         raise ValueError("symbol arguments must be nonzero")
-    seen: Dict[Tuple[int, int], Eisenstein] = {}
-    for pi in _tame_support(a) + _tame_support(b):
-        seen[(pi.a, pi.b)] = pi
+    support = dict.fromkeys(pi for x in (a, b) for pi, _ in factor(x).primary_primes)
     total = TRIVIAL
-    for pi in seen.values():
+    for pi in support:
         total = total * hilbert_tame(a, b, pi)
     return total.inverse()
 
@@ -230,9 +199,10 @@ class PrimeSymbols(NamedTuple):
 
 
 def prime_symbols(p: int) -> PrimeSymbols:
-    """The values of `cubic_residue_rational(3, p)` and `zeta_norm_test(p)`
-    and the ambiguous-class order, from one `split_primaries(p)` and one
-    check of each of its places.
+    """The 3-symbol (3 / pi1)_3, the value of `zeta_norm_test(p)` and the
+    ambiguous-class order, from one `split_primaries(p)` and one check of
+    each of its places.  The 3-symbol is trivial exactly when 3 is a cube
+    mod p.
 
     The ambiguous classes of the sextic closure of Q(cbrt p) number
     3^(t - 2 + q*): t counts the primes ramified over Q(zeta), the two

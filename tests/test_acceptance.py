@@ -38,7 +38,6 @@ from purecubic.galoismodel import (
 )
 from purecubic.symbols import (
     cubic_residue,
-    cubic_residue_rational,
     hilbert_tame,
     prime_symbols,
     zeta_norm_test,
@@ -55,7 +54,7 @@ def report(num, name, ok, elapsed, note=""):
 def test_criterion_1_table1_predicates():
     t0 = time.monotonic()
     ok = all(
-        p % 9 == 1 and not cubic_residue_rational(3, p).is_trivial()
+        p % 9 == 1 and not prime_symbols(p).three.is_trivial()
         for p in TABLE1_PRIMES
     )
     elapsed = time.monotonic() - t0
@@ -150,11 +149,8 @@ def test_criterion_5_lambda_three_consistency():
     for p in primerange(19, 5000):
         if p % 9 != 1:
             continue
-        pi1, _ = split_primaries(p)
-        ok = ok and (
-            cubic_residue_rational(3, p).is_trivial()
-            == cubic_residue(LAMBDA, pi1).is_trivial()
-        )
+        sym = prime_symbols(p)
+        ok = ok and sym.three.is_trivial() == cubic_residue(LAMBDA, sym.pi1).is_trivial()
     elapsed = time.monotonic() - t0
     assert report(5, "lambda vs 3 symbol consistency below 5000", ok, elapsed)
 

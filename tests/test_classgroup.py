@@ -27,7 +27,6 @@ from purecubic.ideals import (
     IdealHNF,
     class_inverse_representative,
     ideal_of_element,
-    ideal_power,
     is_principal_bounded,
     mul,
     valuation,
@@ -106,8 +105,8 @@ def _valuation_row(F, fb, alpha):
         return None
     prod = IdealHNF.unit_ideal(F)
     for p, r in zip(fb.primes, row):
-        if r:
-            prod = mul(prod, ideal_power(p.ideal, r))
+        for _ in range(r):
+            prod = mul(prod, p.ideal)
     assert prod == ideal
     return row
 

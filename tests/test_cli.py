@@ -13,8 +13,8 @@ from purecubic import __version__, eisenstein
 from purecubic.classgroup import class_group
 from purecubic.cli import TABLE1_PRIMES, load_u_assignments, main, scan_record
 from purecubic.cubicfield import SplitPattern
-from purecubic.eisenstein import LAMBDA, split_primaries
-from purecubic.symbols import cubic_residue, cubic_residue_rational, prime_symbols, zeta_norm_test
+from purecubic.eisenstein import LAMBDA, Eisenstein, split_primaries
+from purecubic.symbols import cubic_residue, prime_symbols, zeta_norm_test
 from purecubic.galoismodel import ModelConstraints, full_report
 
 
@@ -123,7 +123,7 @@ def test_symbols_command_agrees_with_the_symbol_functions(capsys, p):
     _, doc = run_json(capsys, "symbols", "--p", str(p))
     (rec,) = doc["results"]
     pi1, pi2 = split_primaries(p)
-    three = cubic_residue_rational(3, p)
+    three = cubic_residue(Eisenstein(3, 0), pi1)
     assert rec["three_symbol_exponent"] == three.e
     assert rec["three_symbol_trivial"] == three.is_trivial()
     assert rec["lambda_symbol_exponent"] == cubic_residue(LAMBDA, pi1).e
@@ -325,11 +325,13 @@ def test_usage_errors(capsys):
     assert code == 2
     for p in ("4", "5"):  # not prime; prime but not 1 mod 3
         assert main(["symbols", "--p", p]) == 2
-    for nan in ("nan", "NaN", "-nan"):
-        # a NaN budget would never reach any deadline
+    for budget in ("nan", "NaN", "-nan", "x"):
+        # a NaN budget would never reach any deadline; "--budget -nan" would
+        # be refused as a missing value before the budget parser saw it
         with pytest.raises(SystemExit) as exc:
-            main(["--budget", nan, "classgroup", "--d", "199"])
+            main([f"--budget={budget}", "classgroup", "--d", "199"])
         assert exc.value.code == 2
+        assert f"not a number of seconds: {budget!r}" in capsys.readouterr().err
 
 
 def test_unreadable_cache_is_usage_error(capsys, tmp_path):
@@ -375,6 +377,25 @@ def test_u_file_value_that_is_not_an_integer_is_usage_error(capsys, tmp_path, fi
                  ["symbols", "--p", "199"], ["model-check", "--drop", "x"]):
         assert main(["--u-file", str(ufile), *argv]) == 2, argv
         assert "JSON integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("records,message", [
+    # the second record would have replaced the first, its null read as 'None'
+    ([{"p": 487, "u": 1, "provenance": "a"}, {"p": 487, "u": 3, "provenance": None}],
+     "JSON string"),
+    ([{"p": 487, "u": 1, "provenance": "a"}, {"p": 487, "u": 3, "provenance": "b"}],
+     "listed twice"),
+    ([{"p": 487, "u": 1, "provenance": 7}], "JSON string"),
+])
+def test_u_file_with_a_repeated_p_or_a_provenance_that_is_not_a_string_is_usage_error(
+        capsys, tmp_path, records, message):
+    ufile = tmp_path / "u.json"
+    ufile.write_text(json.dumps({"records": records}))
+    for argv in (["classgroup", "--d", "7"], ["scan", "--max-p", "100"],
+                 ["table1", "--primes", "487"], ["split", "--d", "2", "--q", "5"],
+                 ["symbols", "--p", "199"], ["model-check", "--drop", "x"]):
+        assert main(["--u-file", str(ufile), *argv]) == 2, argv
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("threads", ["0", "-5", "x"])

@@ -17,7 +17,6 @@ from purecubic.eisenstein import (
     conj,
     divrem,
     factor,
-    factor_rational_prime,
     gcd,
     is_primary,
     is_prime_element,
@@ -92,17 +91,32 @@ def test_split_primaries_examples():
     assert (pi1_19.a, pi1_19.b) < (pi2_19.a, pi2_19.b)
 
 
-def test_factor_rational_prime():
-    f3 = factor_rational_prime(3)
-    assert f3.lambda_exponent == 2
-    assert f3.value() == Eisenstein(3, 0)
-    f7 = factor_rational_prime(7)
-    assert len(f7.primary_primes) == 2
-    assert f7.value() == Eisenstein(7, 0)
-    f5 = factor_rational_prime(5)
-    assert len(f5.primary_primes) == 1
-    assert f5.primary_primes[0][0].a % 3 == 1
-    assert f5.value() == Eisenstein(5, 0)
+def test_factor_of_rational_primes():
+    for q in primerange(2, 2000):
+        f = factor(Eisenstein(q, 0))
+        assert f.value() == Eisenstein(q, 0), q
+        if q == 3:
+            assert (f.lambda_exponent, f.primary_primes) == (2, ())
+            continue
+        assert f.lambda_exponent == 0, q
+        if q % 3 == 1:
+            assert f.primary_primes == tuple((pi, 1) for pi in split_primaries(q)), q
+        else:
+            ((pi, e),) = f.primary_primes
+            assert e == 1 and is_primary(pi) and norm(pi) == q * q, q
+
+
+@given(elems, st.integers(0, 40), st.integers(1, 60))
+@settings(max_examples=200, deadline=None)
+def test_modular_power_is_the_power_reduced(x, e, q):
+    r = x ** e
+    assert pow(x, e, q) == Eisenstein(r.a % q, r.b % q)
+
+
+def test_negative_power_is_refused():
+    for args in ((ZETA, -1), (ZETA, -1, 5)):
+        with pytest.raises(ValueError):
+            pow(*args)
 
 
 @given(nonzero)

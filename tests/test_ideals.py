@@ -1,5 +1,6 @@
 """Ideal arithmetic in HNF representation: primes above q, valuations, inverses."""
 
+from functools import reduce
 from itertools import product as iproduct
 from math import gcd
 
@@ -15,7 +16,6 @@ from purecubic.ideals import (
     _lattice_hnf,
     class_inverse_representative,
     ideal_of_element,
-    ideal_power,
     is_coprime_product,
     is_principal_bounded,
     mul,
@@ -123,13 +123,13 @@ def test_is_coprime_product_rejects_a_conjugate_part():
         others = [P for r in (2, 5) for P, _, _ in primes_above(F, r)]
         for P, Q in iproduct(split, others):
             for k in (1, 2):
-                Pk = ideal_power(P, k)
+                Pk = reduce(mul, [P] * k)
                 H = mul(Pk, Q)
                 assert is_coprime_product(H, [Pk, Q])
                 for P2 in split:
                     if P2 != P:
-                        assert not is_coprime_product(H, [ideal_power(P2, k), Q])
-                        assert not is_coprime_product(H, [Q, ideal_power(P2, k)])
+                        assert not is_coprime_product(H, [reduce(mul, [P2] * k), Q])
+                        assert not is_coprime_product(H, [Q, reduce(mul, [P2] * k)])
                         cases += 1
     assert cases > 100
 
@@ -143,7 +143,8 @@ def test_primes_above_reassemble():
             assert pattern == list(split_in_gamma(F, q).pairs)
             prod = IdealHNF.unit_ideal(F)
             for P, e, _ in parts:
-                prod = mul(prod, ideal_power(P, e))
+                for _ in range(e):
+                    prod = mul(prod, P)
             assert prod == IdealHNF.from_integer(F, q)
         for q in (0, 1, 4, -5):
             with pytest.raises(ValueError, match="q must be prime"):
@@ -301,7 +302,7 @@ def test_nonprincipal_with_principal_cube():
     F = classify(7)
     P5 = next(P for P, _, f in primes_above(F, 5) if f == 1)
     assert is_principal_bounded(P5, 10) is None
-    assert is_principal_bounded(ideal_power(P5, 3), 10) is not None
+    assert is_principal_bounded(reduce(mul, [P5] * 3), 10) is not None
 
 
 def _box_search(I, search_bound, rings=True):

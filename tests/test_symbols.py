@@ -12,6 +12,7 @@ from purecubic.eisenstein import (
     Eisenstein,
     LAMBDA,
     ZETA,
+    factor,
     gcd,
     is_primary,
     norm,
@@ -19,10 +20,10 @@ from purecubic.eisenstein import (
     split_primaries,
 )
 from purecubic.symbols import (
+    THREE,
     CubeRoot,
     TRIVIAL,
     cubic_residue,
-    cubic_residue_rational,
     hilbert_lambda,
     hilbert_tame,
     norm_compatibility_check,
@@ -119,12 +120,8 @@ def test_hilbert_lambda_product_formula_by_construction():
         if a.is_zero() or b.is_zero():
             continue
         total = hilbert_lambda(a, b)
-        from purecubic.symbols import _tame_support
-
-        seen = {}
-        for pi in _tame_support(a) + _tame_support(b):
-            seen[(pi.a, pi.b)] = pi
-        for pi in seen.values():
+        support = {pi for x in (a, b) for pi, _ in factor(x).primary_primes}
+        for pi in support:
             total = total * hilbert_tame(a, b, pi)
         assert total == TRIVIAL
 
@@ -140,8 +137,19 @@ def test_lambda_three_consistency():
     for p in primerange(19, 2000):
         if p % 9 != 1:
             continue
-        pi1, _ = split_primaries(p)
-        assert cubic_residue_rational(3, p).is_trivial() == cubic_residue(LAMBDA, pi1).is_trivial()
+        sym = prime_symbols(p)
+        assert sym.three.is_trivial() == cubic_residue(LAMBDA, sym.pi1).is_trivial()
+
+
+def test_prime_symbols_three_is_the_residue_symbol_of_3():
+    # (3 / pi1)_3 at every p = 1 (mod 3) below 5000; trivial exactly when
+    # 3 is a cube mod p (Euler's criterion)
+    for p in primerange(7, 5000):
+        if p % 3 != 1:
+            continue
+        sym = prime_symbols(p)
+        assert sym.three == cubic_residue(THREE, sym.pi1), p
+        assert sym.three.is_trivial() == (pow(3, (p - 1) // 3, p) == 1), p
 
 
 def test_norm_compatibility_split_place():
@@ -173,7 +181,7 @@ def test_symbol_argument_validation():
     with pytest.raises(ValueError):
         cubic_residue(Eisenstein(7, 0), pi1)  # not coprime
     with pytest.raises(ValueError):
-        cubic_residue_rational(3, 5)  # 5 not 1 mod 3
+        prime_symbols(5)  # 5 not 1 mod 3
     with pytest.raises(ValueError):
         hilbert_tame(Eisenstein(0, 0), Eisenstein(1, 0), pi1)
     with pytest.raises(ValueError):
@@ -195,7 +203,7 @@ def test_rational_entry_points_check_p_only_in_split_primaries(monkeypatch):
                 monkeypatch.setattr(mod, name, spy)
     for p in (7, 199, 8821, 20011):
         for f, most in ((zeta_norm_test, 3), (lambda p: prime_symbols(p).ambiguous_order, 3),
-                        (lambda p: cubic_residue_rational(3, p), 2)):
+                        (lambda p: cubic_residue(THREE, eisenstein.split_primaries(p)[0]), 2)):
             counts.update(split_primaries=0, isprime=0)
             f(p)
             assert counts["split_primaries"] == 1, (f, p)
