@@ -15,6 +15,8 @@ from typing import Any, Dict, List
 
 log = logging.getLogger(__name__)
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 class ResultCache:
     def __init__(self, path: str):
@@ -48,8 +50,6 @@ class ResultCache:
 
     def append(self, *records: Dict[str, Any]) -> None:
         """Write the records, one line each, in one write."""
-        text = "".join(
-            json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records
-        )
+        text = "".join(_ENCODER.encode(r) + "\n" for r in records)
         with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

@@ -94,7 +94,9 @@ def cmd_scan(args, u_map) -> Report:
     if cache is not None:
         try:
             for rec in cache.load():
-                known[int(rec["p"])] = rec
+                if type(rec) is not dict or type(rec.get("p")) is not int:
+                    raise ValueError(f"not a record with an integer p: {rec!r}")
+                known[rec["p"]] = rec
         except (OSError, ValueError) as e:
             raise UsageError(f"cannot read cache: {e}")
     # an odd prime = 1 (mod 9) is 1 (mod 18): 19, 37, 73, ...
@@ -380,9 +382,59 @@ def _flatten(record: Dict[str, Any]) -> Dict[str, Any]:
     return out
 
 
+_SCALARS = (str, int, float, type(None))
+_ENCODER = json.JSONEncoder(sort_keys=True)
+_FLAT_ENCODERS: Dict[int, json.JSONEncoder] = {}
+
+
+def _flat(v: Any) -> bool:
+    """Whether v prints on one line under `indent=2`: a scalar or an empty container."""
+    return isinstance(v, _SCALARS) or (isinstance(v, (dict, list, tuple)) and not v)
+
+
+def _json_key(k: Any) -> str:
+    """A dict key as `json` writes it: str, or a scalar converted to str."""
+    if isinstance(k, str):
+        return k
+    if isinstance(k, _SCALARS):
+        return _ENCODER.encode(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _indented(o: Any, depth: int) -> str:
+    """`json.dumps(o, indent=2, sort_keys=True, default=list)` for o printed
+    at nesting depth `depth`.  The indenting encoder is pure Python; a
+    container whose items are all flat is written by the C encoder in one
+    call instead, with the newline and the indent in its item separator."""
+    if isinstance(o, _SCALARS):
+        return _ENCODER.encode(o)
+    if not isinstance(o, (dict, list, tuple)):
+        return _indented(list(o), depth)
+    if not o:
+        return "{}" if isinstance(o, dict) else "[]"
+    pad = "\n" + "  " * (depth + 1)
+    values = o.values() if isinstance(o, dict) else o
+    if all(map(_flat, values)):
+        enc = _FLAT_ENCODERS.get(depth)
+        if enc is None:
+            enc = _FLAT_ENCODERS[depth] = json.JSONEncoder(
+                sort_keys=True, separators=("," + pad, ": ")
+            )
+        body = enc.encode(o)
+        return body[0] + pad + body[1:-1] + pad[:-2] + body[-1]
+    if isinstance(o, dict):
+        items = [
+            _ENCODER.encode(_json_key(k)) + ": " + _indented(v, depth + 1)
+            for k, v in sorted(o.items())
+        ]
+        return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
+    items = [_indented(v, depth + 1) for v in o]
+    return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
+
+
 def emit(doc: Dict[str, Any], as_csv: bool) -> str:
     if not as_csv:
-        return json.dumps(doc, indent=2, sort_keys=True, default=list)
+        return _indented(doc, 0)
     rows = [_flatten(r) for r in doc["results"]]
     fields: List[str] = []
     for r in rows:

@@ -7,6 +7,10 @@ a^2 - a*b + b^2, which gives gcds, the six units, primary normalization
     3 = (1 + zeta) * lam^2            with lam = 1 - zeta,
     p = pi1 * pi2                     for p == 1 (mod 3),
     q stays prime                     for q == 2 (mod 3).
+
+A split p is factored by Cornacchia's algorithm in O(log p) steps
+(`_split_prime`), so `split_primaries` costs one `isprime(p)` and a few
+modular powers even at p near 2^64.
 """
 
 from __future__ import annotations
@@ -138,10 +142,6 @@ def is_unit(x: Eisenstein) -> bool:
     return norm(x) == 1
 
 
-def associates(x: Eisenstein) -> List[Eisenstein]:
-    return [u * x for u in UNITS]
-
-
 def is_primary(x: Eisenstein) -> bool:
     """x == 1 (mod 3 Z[zeta])."""
     return x.a % 3 == 1 and x.b % 3 == 0
@@ -151,7 +151,13 @@ def primary_associate(x: Eisenstein) -> Tuple[Eisenstein, Eisenstein]:
     """Return (u, p) with p = u*x primary; exactly one associate qualifies."""
     if norm(x) % 3 == 0:
         raise ValueError("no primary associate: norm divisible by 3")
-    hits = [(u, y) for u, y in zip(UNITS, associates(x)) if is_primary(y)]
+    a, b = x
+    # u*x for u in UNITS, in the same order: 1, -1, zeta, -zeta, zeta^2, -zeta^2
+    assoc = [
+        _new(Eisenstein, y)
+        for y in ((a, b), (-a, -b), (-b, a - b), (b, b - a), (b - a, -a), (a - b, a))
+    ]
+    hits = [(u, y) for u, y in zip(UNITS, assoc) if is_primary(y)]
     if len(hits) != 1:  # cannot happen for norm coprime to 3
         raise ArithmeticError(f"primary associate not unique for {x}")
     return hits[0]
@@ -186,18 +192,29 @@ class EisensteinFactorization:
 
 
 def _split_prime(p: int) -> Eisenstein:
-    """Some pi with norm(pi) = p, for p == 1 (mod 3), by scanning the norm form."""
-    t = 4 * p  # 4p - 3a^2 = (2b - a)^2 for the current a
-    for a in range(isqrt(t // 3) + 1):
-        s = isqrt(t)
-        if s * s == t:
-            # s = a (mod 2), so both b = (a +- s)/2 are integers
-            for b in ((a + s) // 2, (a - s) // 2):
-                cand = _new(Eisenstein, (a, b))
-                if norm(cand) == p:
-                    return cand
-        t -= 6 * a + 3
-    raise ArithmeticError(f"norm form has no representation of {p}")
+    """Some pi with norm(pi) = p, for a prime p == 1 (mod 3), by Cornacchia's
+    algorithm (Cohen, GTM 138, Alg. 1.5.2) for x^2 + 3y^2 = p.
+
+    w = g^((p-1)/3) for the least g >= 2 with w != 1 is a cube root of
+    unity mod p, so r = 2w + 1 is a square root of -3.  Euclid on (p, r),
+    stopped at the first remainder x <= sqrt(p), leaves p - x^2 = 3y^2, and
+    pi = (x + y) + 2y*zeta has norm x^2 + 3y^2 = p.
+    """
+    e = (p - 1) // 3
+    g = 2
+    w = pow(g, e, p)
+    while w == 1:  # for 2/3 of all g, g^e is a primitive cube root of unity
+        g += 1
+        w = pow(g, e, p)
+    a, x = p, (2 * w + 1) % p
+    root = isqrt(p)
+    while x > root:
+        a, x = x, a % x
+    y = isqrt((p - x * x) // 3)
+    pi = _new(Eisenstein, (x + y, 2 * y))
+    if norm(pi) != p:
+        raise ArithmeticError(f"Cornacchia found no representation of {p}")
+    return pi
 
 
 def split_primaries(p: int) -> Tuple[Eisenstein, Eisenstein]:
@@ -222,6 +239,8 @@ def valuation(x: Eisenstein, pi: Eisenstein) -> Tuple[int, Eisenstein]:
     """(v, x / pi^v) for a prime element pi."""
     if x.is_zero():
         raise ValueError("valuation of zero")
+    if norm(x) % norm(pi):  # pi | x forces N(pi) | N(x)
+        return 0, x
     v = 0
     while True:
         q, r = divrem(x, pi)

@@ -11,12 +11,15 @@ product formula: it is the inverse of the product of all tame symbols.
 
 Where each check is made:
 
-- `_place(pi)` checks a pi once (prime by one `isprime`, primary, tame)
-  and returns its `_Place`, which `cubic_residue`, `hilbert_tame`,
-  `zeta_norm_test`, `prime_symbols` and `norm_compatibility_check` read;
-  `_residue_exponent` does not check pi again.
+- `_place(pi)` checks an arbitrary pi once (prime by one `isprime`,
+  primary, tame) and returns its `_Place`, which `cubic_residue`,
+  `hilbert_tame` and `norm_compatibility_check` read; `_residue_exponent`
+  does not check pi again.
 - A rational p is checked only by `split_primaries(p)` (prime, 1 mod 3),
-  which `zeta_norm_test` and `prime_symbols` each call once.
+  which `zeta_norm_test` and `prime_symbols` each call once.  Its two
+  places come from `_split_place(pi, p)`, which needs no second primality
+  proof: a pi of norm p is prime because p is.  So each of these entry
+  points makes exactly one `isprime` call per p.
 """
 
 from __future__ import annotations
@@ -97,6 +100,18 @@ def _place(pi: Eisenstein) -> _Place:
     return _Place(pi, n, -pi.a * pow(pi.b, -1, n) % n)  # zeta == -a/b mod pi
 
 
+def _split_place(pi: Eisenstein, p: int) -> _Place:
+    """The place of a primary pi of norm p, for p that `split_primaries`
+    proved prime and 1 mod 3; `_place` without a second `isprime`."""
+    if norm(pi) != p:
+        raise ArithmeticError(f"{pi} does not have norm {p}")
+    if not is_primary(pi):
+        raise ArithmeticError(f"{pi} is not primary")
+    if pi.b % p == 0:
+        raise ArithmeticError("degenerate split prime")
+    return _Place(pi, p, -pi.a * pow(pi.b, -1, p) % p)  # zeta == -a/b mod pi
+
+
 def cubic_residue(alpha: Eisenstein, pi: Eisenstein) -> CubeRoot:
     """(alpha / pi)_3 for a primary tame prime pi coprime to alpha."""
     return CubeRoot(_residue_exponent(alpha, _place(pi)))
@@ -134,11 +149,11 @@ def hilbert_tame(a: Eisenstein, b: Eisenstein, pi: Eisenstein) -> CubeRoot:
     """Tame cubic Hilbert symbol (a, b / pi)_3."""
     if a.is_zero() or b.is_zero():
         raise ValueError("symbol arguments must be nonzero")
-    return _hilbert(a, b, _place(pi))
+    return CubeRoot(_hilbert(a, b, _place(pi)))
 
 
-def _hilbert(a: Eisenstein, b: Eisenstein, place: _Place) -> CubeRoot:
-    """`hilbert_tame` at a place that `_place` returned, for nonzero a and b."""
+def _hilbert(a: Eisenstein, b: Eisenstein, place: _Place) -> int:
+    """The exponent of `hilbert_tame` at a checked place, for nonzero a and b."""
     v, a0 = valuation(a, place.pi)
     w, b0 = valuation(b, place.pi)
     e = 0
@@ -146,7 +161,7 @@ def _hilbert(a: Eisenstein, b: Eisenstein, place: _Place) -> CubeRoot:
         e += w * _residue_exponent(a0, place)
     if v:
         e -= v * _residue_exponent(b0, place)
-    return CubeRoot(e)
+    return e % 3
 
 
 def hilbert_lambda(a: Eisenstein, b: Eisenstein) -> CubeRoot:
@@ -173,16 +188,16 @@ def zeta_norm_test(p: int) -> bool:
     (The independent congruence oracle is p == 1 mod 9.)
     """
     pi1, pi2 = split_primaries(p)
-    return _zeta_is_norm(p, _place(pi1), _place(pi2))
+    return _zeta_is_norm(p, _split_place(pi1, p), _split_place(pi2, p))
 
 
 def _zeta_is_norm(p: int, place1: _Place, place2: _Place) -> bool:
     """`zeta_norm_test(p)` at the places of split_primaries(p); both local
     symbols are evaluated."""
     pz = Eisenstein(p, 0)
-    s1 = _hilbert(ZETA, pz, place1)
-    s2 = _hilbert(ZETA, pz, place2)
-    return s1.is_trivial() and s2.is_trivial()
+    e1 = _hilbert(ZETA, pz, place1)
+    e2 = _hilbert(ZETA, pz, place2)
+    return e1 == 0 and e2 == 0
 
 
 THREE = Eisenstein(3, 0)
@@ -210,8 +225,8 @@ def prime_symbols(p: int) -> PrimeSymbols:
     when zeta is a norm, 0 otherwise.
     """
     pi1, pi2 = split_primaries(p)
-    place1 = _place(pi1)
-    zeta_is_norm = _zeta_is_norm(p, place1, _place(pi2))
+    place1 = _split_place(pi1, p)
+    zeta_is_norm = _zeta_is_norm(p, place1, _split_place(pi2, p))
     three = CubeRoot(_residue_exponent(THREE, place1))
     t = 2 if p % 9 == 1 else 3
     return PrimeSymbols(pi1, pi2, three, zeta_is_norm, 3 ** (t - 2 + int(zeta_is_norm)))
@@ -277,4 +292,4 @@ def norm_compatibility_check(a_coords, b: Eisenstein, pi: Eisenstein, field) -> 
     rhs = _hilbert(Eisenstein(rel_norm, 0), b, place)
     if norm_residues != rel_norm % p:  # product of local values is the norm
         raise ArithmeticError("local values do not multiply to the relative norm")
-    return CubeRoot(lhs).e == rhs.e
+    return lhs % 3 == rhs

@@ -9,11 +9,11 @@ import pytest
 import sympy
 from sympy import primerange
 
-from purecubic import __version__, eisenstein
+from purecubic import __version__, cli, eisenstein
 from purecubic.classgroup import class_group
-from purecubic.cli import TABLE1_PRIMES, load_u_assignments, main, scan_record
+from purecubic.cli import TABLE1_PRIMES, emit, load_u_assignments, main, scan_record
 from purecubic.cubicfield import SplitPattern
-from purecubic.eisenstein import LAMBDA, Eisenstein, split_primaries
+from purecubic.eisenstein import LAMBDA, Eisenstein, norm, split_primaries
 from purecubic.symbols import cubic_residue, prime_symbols, zeta_norm_test
 from purecubic.galoismodel import ModelConstraints, full_report
 
@@ -133,8 +133,8 @@ def test_symbols_command_agrees_with_the_symbol_functions(capsys, p):
 
 
 def test_scan_record_factors_p_once(monkeypatch):
-    # one split_primaries(p) per record, and one primality proof per prime
-    # above p: at most 5 isprime calls where there were 13
+    # one split_primaries(p) per record, and one primality proof of p, which
+    # also proves pi1 and pi2 prime: 1 isprime call where there were 13
     counts = {"split_primaries": 0, "isprime": 0}
     targets = (("split_primaries", eisenstein.split_primaries), ("isprime", sympy.isprime))
     for name, target in targets:
@@ -149,7 +149,7 @@ def test_scan_record_factors_p_once(monkeypatch):
         counts.update(split_primaries=0, isprime=0)
         scan_record(p, {})
         assert counts["split_primaries"] == 1, p
-        assert 1 <= counts["isprime"] <= 5, p
+        assert counts["isprime"] == 1, p
 
 
 def test_table1_predicates_only(capsys):
@@ -339,6 +339,87 @@ def test_unreadable_cache_is_usage_error(capsys, tmp_path):
     bad.write_text('{"p": 19}\nnot json\n{"p": 37}\n')
     code = main(["--cache", str(bad), "scan", "--max-p", "100"])
     assert code == 2
+
+
+@pytest.mark.parametrize("line", ['{"x": 1}', "[1]", '{"p": true}', '{"p": 19.0}', '{"p": "19"}'])
+def test_cache_line_that_is_not_a_record_is_usage_error(capsys, tmp_path, line):
+    # valid JSON, but not an object with an integer p
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(line + "\n")
+    code = main(["--cache", str(bad), "scan", "--max-p", "100"])
+    assert code == 2
+    assert "cannot read cache" in capsys.readouterr().err
+    assert bad.read_text() == line + "\n"  # refused, not truncated or appended to
+
+
+def test_symbols_at_a_61_bit_prime(capsys):
+    # the Mersenne prime 2^61 - 1: no step may scan anything of size sqrt(p)
+    p = 2**61 - 1
+    code, doc = run_json(capsys, "symbols", "--p", str(p))
+    assert code == 0
+    rec = doc["results"][0]
+    assert rec["three_symbol_trivial"] == (pow(3, (p - 1) // 3, p) == 1)
+    assert rec["zeta_is_norm"] == (p % 9 == 1)
+    assert norm(Eisenstein(*rec["pi1"])) == p
+
+
+EMIT_RUNS = (
+    ("scan", "--max-p", "2000"),
+    ("scan", "--keep-all", "--max-p", "2000"),
+    ("symbols", "--p", "8821"),
+    ("split", "--d", "10", "--q", "3"),
+    ("classgroup", "--d", "199"),
+    ("model-check",),
+    ("model-check", "--drop", "cplus_cyclic_9"),
+    ("table1", "--primes", "199"),
+)
+
+
+def _json_reference(doc):
+    return json.dumps(doc, indent=2, sort_keys=True, default=list)
+
+
+@pytest.mark.parametrize("argv", EMIT_RUNS, ids=" ".join)
+def test_emit_writes_the_bytes_of_json_dumps(capsys, monkeypatch, argv):
+    docs = []
+
+    def spy(doc, as_csv):
+        docs.append(doc)
+        return emit(doc, as_csv)
+
+    monkeypatch.setattr(cli, "emit", spy)
+    main(list(argv))
+    assert docs
+    for doc in docs:
+        assert emit(doc, False) == _json_reference(doc)
+    assert capsys.readouterr().out == emit(docs[-1], False) + "\n"
+
+
+def test_emit_of_nested_and_odd_values():
+    doc = {
+        "results": [
+            {"empty": [], "nested": [[1, [2, []]], {"k": ()}], "t": (1, 2.5)},
+            [{}, [None, True, False], {"z": {"y": [0.1, -1e300, float("inf")]}}],
+            (x for x in (1, 2)),  # not JSON: written through default=list
+            "",
+        ],
+        "text": "Zeta \u03b6 \u00e9\n\"q\"",
+        "none": None,
+        "keys": {2: [1], 1.5: {"a": [1]}, False: [[]], 0.5: {3: "x", 4.5: None, True: 1}},
+        "floats": [1.0, 1e-7, float("nan")],
+        "outer": {"inner": {"deep": [[], {}, [[]]]}, "flat": {"a": 1, "b": "x"}},
+    }
+    # a generator is used up by one encoding, so the reference sees its own copy
+    ref = dict(doc, results=doc["results"][:2] + [[1, 2]] + doc["results"][3:])
+    assert emit(doc, False) == _json_reference(ref)
+    for part in ref.values():
+        assert emit({"x": part}, False) == _json_reference({"x": part})
+    assert emit({}, False) == "{}"
+    for bad in ({1: 1, "a": 1}, {"a": {(1,): [1]}}):  # keys json.dumps refuses too
+        with pytest.raises(TypeError):
+            _json_reference(bad)
+        with pytest.raises(TypeError):
+            emit(bad, False)
 
 
 def test_field_that_is_not_cube_free_is_usage_error(capsys):

@@ -5,7 +5,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import primerange
+from sympy import prevprime, primerange
 
 from purecubic import eisenstein
 from purecubic.eisenstein import (
@@ -13,7 +13,6 @@ from purecubic.eisenstein import (
     LAMBDA,
     UNITS,
     ZETA,
-    associates,
     conj,
     divrem,
     factor,
@@ -74,9 +73,9 @@ def test_primary_associate_unique(z):
     if norm(z) % 3 == 0:
         return
     u, p = primary_associate(z)
-    assert u * p == z or u * z == p  # convention: z = u * p
+    assert u * z == p  # the six associates are formed inline, in UNITS order
     assert is_primary(p)
-    assert sum(1 for w in associates(z) if is_primary(w)) == 1
+    assert sum(1 for unit in UNITS if is_primary(unit * z)) == 1
 
 
 def test_split_primaries_examples():
@@ -152,24 +151,27 @@ def _pair_mul(x, y):
     return (a * c - b * d, a * d + b * c - b * d)
 
 
-def _reference_split_primaries(p):
-    """The canonical pair on plain int pairs: the first norm-form solution
-    pi = a + b*zeta with the least a >= 0, its one primary associate, and
-    the tie-break of `split_primaries` between it and its conjugate."""
-    pi = None
-    for a in range(isqrt(4 * p // 3) + 1):
-        t = 4 * p - 3 * a * a
+def _norm_form_split(p):
+    """Some pi = (a, b) with a^2 - ab + b^2 = p, the one with the least
+    a >= 0, by scanning the norm form in O(sqrt p) steps: the split that
+    Cornacchia's algorithm replaced."""
+    t = 4 * p  # 4p - 3a^2 = (2b - a)^2 for the current a
+    for a in range(isqrt(t // 3) + 1):
         s = isqrt(t)
-        if s * s != t:
-            continue
-        for twice_b in (a + s, a - s):
-            b = twice_b // 2
-            if twice_b % 2 == 0 and a * a - a * b + b * b == p:
-                pi = (a, b)
-                break
-        if pi is not None:
-            break
-    assert pi is not None
+        if s * s == t:
+            # s = a (mod 2), so both b = (a +- s)/2 are integers
+            for b in ((a + s) // 2, (a - s) // 2):
+                if a * a - a * b + b * b == p:
+                    return a, b
+        t -= 6 * a + 3
+    raise AssertionError(f"norm form has no representation of {p}")
+
+
+def _reference_split_primaries(p):
+    """The canonical pair on plain int pairs: the norm-form solution of
+    `_norm_form_split`, its one primary associate, and the tie-break of
+    `split_primaries` between it and its conjugate."""
+    pi = _norm_form_split(p)
     (c1,) = [y for y in (_pair_mul(u, pi) for u in _UNIT_PAIRS) if y[0] % 3 == 1 and y[1] % 3 == 0]
     cands = sorted([c1, (c1[0] - c1[1], -c1[1])])
     positive = [c for c in cands if c[0] > 0]
@@ -177,9 +179,10 @@ def _reference_split_primaries(p):
     return pi1, (pi1[0] - pi1[1], -pi1[1])
 
 
-def test_split_primaries_matches_reference_below_30000():
+def test_split_primaries_matches_reference_below_200000():
+    # whichever pi of norm p the split finds, the canonical pair is the same
     count = 0
-    for p in primerange(7, 30000):
+    for p in primerange(7, 200000):
         if p % 3 != 1:
             continue
         pi1, pi2 = split_primaries(p)
@@ -187,7 +190,47 @@ def test_split_primaries_matches_reference_below_30000():
         assert is_primary(pi1) and is_primary(pi2)
         assert pi1 * pi2 == Eisenstein(p, 0)
         count += 1
-    assert count == 1610  # the primes p = 1 (mod 3) below 30000
+    assert count == 8988  # the primes p = 1 (mod 3) below 200000
+
+
+def _prime_1_mod_3_at_most(n):
+    p = prevprime(n + 1)
+    while p % 3 != 1:
+        p = prevprime(p)
+    return p
+
+
+@given(st.integers(7, 2**64).map(_prime_1_mod_3_at_most))
+@settings(max_examples=60, deadline=None)
+def test_split_primaries_at_large_primes(p):
+    pi1, pi2 = split_primaries(p)
+    assert norm(pi1) == p
+    assert is_primary(pi1) and is_primary(pi2)
+    assert pi2 == conj(pi1)
+    # prefer a > 0, then the lexicographic minimum on (a, b)
+    assert pi1 == min([c for c in (pi1, pi2) if c.a > 0] or [pi1, pi2])
+
+
+def _divrem_valuation(x, pi):
+    """(v, x / pi^v) by trial division alone."""
+    v = 0
+    while True:
+        q, r = divrem(x, pi)
+        if not r.is_zero():
+            return v, x
+        x, v = q, v + 1
+
+
+@given(
+    st.one_of(st.sampled_from(UNITS), nonzero),
+    elems.filter(lambda z: norm(z) > 1),
+    st.integers(0, 3),
+)
+@settings(max_examples=300, deadline=None)
+def test_valuation_agrees_with_trial_division(x, pi, k):
+    # k > 0 puts pi in x; k = 0 mostly reaches the N(pi) !| N(x) shortcut
+    y = x * pi ** k
+    assert valuation(y, pi) == _divrem_valuation(y, pi)
 
 
 def test_eisenstein_is_an_immutable_value():

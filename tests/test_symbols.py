@@ -189,8 +189,8 @@ def test_symbol_argument_validation():
 
 
 def test_rational_entry_points_check_p_only_in_split_primaries(monkeypatch):
-    # p is checked once, by split_primaries; every other isprime call is the
-    # check of one pi at a local symbol
+    # p is proved prime once, by split_primaries, and its two places need no
+    # second proof; only cubic_residue, which takes an arbitrary pi, checks pi
     counts = {"split_primaries": 0, "isprime": 0}
     targets = (("split_primaries", eisenstein.split_primaries), ("isprime", sympy.isprime))
     for name, target in targets:
@@ -202,9 +202,9 @@ def test_rational_entry_points_check_p_only_in_split_primaries(monkeypatch):
             if mod_name.startswith("purecubic") and getattr(mod, name, None) is target:
                 monkeypatch.setattr(mod, name, spy)
     for p in (7, 199, 8821, 20011):
-        for f, most in ((zeta_norm_test, 3), (lambda p: prime_symbols(p).ambiguous_order, 3),
-                        (lambda p: cubic_residue(THREE, eisenstein.split_primaries(p)[0]), 2)):
+        for f, calls in ((zeta_norm_test, 1), (lambda p: prime_symbols(p).ambiguous_order, 1),
+                         (lambda p: cubic_residue(THREE, eisenstein.split_primaries(p)[0]), 2)):
             counts.update(split_primaries=0, isprime=0)
             f(p)
             assert counts["split_primaries"] == 1, (f, p)
-            assert 1 <= counts["isprime"] <= most, (f, p)
+            assert counts["isprime"] == calls, (f, p)
