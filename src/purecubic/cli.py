@@ -27,9 +27,9 @@ from . import __version__
 from .cache import ResultCache
 from .classgroup import BudgetExhausted, class_group, decide_k_structure
 from .cubicfield import PureCubicField, brute_split, classify, split_in_gamma, split_in_k
-from .eisenstein import LAMBDA
+from .eisenstein import LAMBDA, NotSplitPrime
 from .galoismodel import ModelConstraints, full_report
-from .symbols import cubic_residue, prime_symbols
+from .symbols import prime_symbols
 
 TABLE1_PRIMES = (
     199, 487, 1297, 1693, 1747, 1999, 2017, 2143, 2377, 2467, 2593, 2917,
@@ -68,6 +68,22 @@ def _u_for(u_map: Dict[int, Tuple[int, str]], p: int) -> Tuple[int, str]:
     return u_map.get(p, (1, "default-assumption"))
 
 
+_stamp: Tuple[int, str] = (-1, "")
+
+
+def _timestamp() -> str:
+    """The current UTC time to the second, as scan records write it; the
+    string is formatted once per second, not once per record.  `_stamp`
+    is replaced whole, so a scan thread reads a second and its own text."""
+    global _stamp
+    now = int(time.time())
+    second, text = _stamp
+    if second != now:
+        text = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(now))
+        _stamp = (now, text)
+    return text
+
+
 def scan_record(p: int, u_map: Dict[int, Tuple[int, str]]) -> Dict[str, Any]:
     sym = prime_symbols(p)
     u, prov = _u_for(u_map, p)
@@ -81,7 +97,7 @@ def scan_record(p: int, u_map: Dict[int, Tuple[int, str]]) -> Dict[str, Any]:
         "u_provenance": prov,
         "k_type": "undetermined",
         "ambiguous_order": sym.ambiguous_order,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "timestamp": _timestamp(),
         "tool_version": __version__,
     }
 
@@ -104,11 +120,11 @@ def cmd_scan(args, u_map) -> Report:
 
     def compute(p: int) -> Dict[str, Any]:
         # a cached record is reused only if it carries the u and the version
-        # that scan_record would write now
+        # that scan_record would write now; a prime not in the cache goes
+        # straight to scan_record, which looks its u up
         rec = known.get(p)
-        u, prov = _u_for(u_map, p)
         if rec is not None and (rec.get("u"), rec.get("u_provenance"), rec.get("tool_version")) == (
-            u, prov, __version__
+            *_u_for(u_map, p), __version__
         ):
             return rec
         return scan_record(p, u_map)
@@ -222,15 +238,16 @@ def cmd_split(args, u_map) -> Report:
 
 def cmd_symbols(args, u_map) -> Report:
     p = args.p
-    if p % 3 != 1 or not isprime(p):
+    try:
+        sym = prime_symbols(p)  # split_primaries proves p prime, once
+    except NotSplitPrime:
         raise UsageError("--p must be a prime congruent to 1 mod 3")
-    sym = prime_symbols(p)
     res = {
         "p": p,
         "p_mod9": p % 9,
         "three_symbol_exponent": sym.three.e,
         "three_symbol_trivial": sym.three.is_trivial(),
-        "lambda_symbol_exponent": cubic_residue(LAMBDA, sym.pi1).e,
+        "lambda_symbol_exponent": sym.residue(LAMBDA).e,
         "zeta_is_norm": sym.zeta_is_norm,
         "ambiguous_order": sym.ambiguous_order,
         "pi1": [sym.pi1.a, sym.pi1.b],
@@ -385,6 +402,10 @@ def _flatten(record: Dict[str, Any]) -> Dict[str, Any]:
 _SCALARS = (str, int, float, type(None))
 _ENCODER = json.JSONEncoder(sort_keys=True)
 _FLAT_ENCODERS: Dict[int, json.JSONEncoder] = {}
+# the C encoder holds every chunk of one call until it joins them, about
+# five times the text; batches keep that to the size of the records
+# themselves, at the speed of a single call
+_RECORDS_PER_CALL = 32
 
 
 def _flat(v: Any) -> bool:
@@ -401,11 +422,36 @@ def _json_key(k: Any) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
+def _flat_encoder(depth: int) -> json.JSONEncoder:
+    """The C encoder that writes a container of flat values at `depth` in
+    one call: its item separator carries the newline and the indent."""
+    enc = _FLAT_ENCODERS.get(depth)
+    if enc is None:
+        pad = "\n" + "  " * (depth + 1)
+        enc = _FLAT_ENCODERS[depth] = json.JSONEncoder(sort_keys=True, separators=("," + pad, ": "))
+    return enc
+
+
+def _flat_record(v: Any) -> bool:
+    """Whether v is a non-empty dict of flat values."""
+    return isinstance(v, dict) and bool(v) and all(map(_flat, v.values()))
+
+
 def _indented(o: Any, depth: int) -> str:
     """`json.dumps(o, indent=2, sort_keys=True, default=list)` for o printed
-    at nesting depth `depth`.  The indenting encoder is pure Python; a
-    container whose items are all flat is written by the C encoder in one
-    call instead, with the newline and the indent in its item separator."""
+    at nesting depth `depth`.  The indenting encoder is pure Python; two
+    shapes go through the C encoder instead:
+
+    - a container whose items are all flat, in one call, with the
+      newline and the indent in its item separator;
+    - a list of records (non-empty dicts of flat values), such as a scan's
+      results, encoded `_RECORDS_PER_CALL` records per call with the
+      records' item separator.  A raw newline occurs in no encoded
+      string, and inside a record the separator is always followed by a
+      key, never by "{", so "}" + separator + "{" is exactly the
+      boundary between two records: the text is split there and joined
+      again with the list's own separator.
+    """
     if isinstance(o, _SCALARS):
         return _ENCODER.encode(o)
     if not isinstance(o, (dict, list, tuple)):
@@ -415,12 +461,7 @@ def _indented(o: Any, depth: int) -> str:
     pad = "\n" + "  " * (depth + 1)
     values = o.values() if isinstance(o, dict) else o
     if all(map(_flat, values)):
-        enc = _FLAT_ENCODERS.get(depth)
-        if enc is None:
-            enc = _FLAT_ENCODERS[depth] = json.JSONEncoder(
-                sort_keys=True, separators=("," + pad, ": ")
-            )
-        body = enc.encode(o)
+        body = _flat_encoder(depth).encode(o)
         return body[0] + pad + body[1:-1] + pad[:-2] + body[-1]
     if isinstance(o, dict):
         items = [
@@ -428,6 +469,14 @@ def _indented(o: Any, depth: int) -> str:
             for k, v in sorted(o.items())
         ]
         return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
+    if all(map(_flat_record, o)):
+        inner = pad + "  "
+        enc = _flat_encoder(depth + 1)
+        records: List[str] = []
+        for i in range(0, len(o), _RECORDS_PER_CALL):
+            records += enc.encode(o[i:i + _RECORDS_PER_CALL])[2:-2].split("}," + inner + "{")
+        sep = pad + "}," + pad + "{" + inner
+        return "[" + pad + "{" + inner + sep.join(records) + pad + "}" + pad[:-2] + "]"
     items = [_indented(v, depth + 1) for v in o]
     return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
 

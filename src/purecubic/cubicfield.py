@@ -81,6 +81,14 @@ def _det3(u, v, w) -> int:
     )
 
 
+def _norm_coeffs(cols) -> Tuple[int, ...]:
+    """The norm form over CUBIC_MONOMIALS from cols[i][j] = M(v_i) w_j."""
+    coeffs = [0] * len(CUBIC_MONOMIALS)
+    for i, j, k, m in _NORM_TERMS:
+        coeffs[m] += _det3(cols[i][0], cols[j][1], cols[k][2])
+    return tuple(coeffs)
+
+
 @dataclass(frozen=True)
 class PureCubicField:
     d: int
@@ -101,7 +109,8 @@ class PureCubicField:
     def __post_init__(self):
         flat = tuple(c for row in self.table for t in row for c in t)
         object.__setattr__(self, "flat_table", flat)
-        object.__setattr__(self, "form", self.norm_form(_UNIT_VECTORS))
+        # the columns M(w_i) w_j of the unit vectors are the table's entries
+        object.__setattr__(self, "form", _norm_coeffs(self.table))
 
     def mul_coords(self, u, v) -> Tuple[int, int, int]:
         # the nine products u_i * v_j, each weighted by the coords of w_i * w_j
@@ -128,11 +137,7 @@ class PureCubicField:
         makes the mixed determinant det[M(v_i) w0 | M(v_j) w1 | M(v_k) w2]
         the coefficient of c_i * c_j * c_k, exactly.
         """
-        cols = [[self.mul_coords(v, w) for w in _UNIT_VECTORS] for v in vectors]
-        coeffs = [0] * len(CUBIC_MONOMIALS)
-        for i, j, k, m in _NORM_TERMS:
-            coeffs[m] += _det3(cols[i][0], cols[j][1], cols[k][2])
-        return tuple(coeffs)
+        return _norm_coeffs([[self.mul_coords(v, w) for w in _UNIT_VECTORS] for v in vectors])
 
     def element_norm(self, v) -> int:
         x, y, z = v
@@ -207,8 +212,9 @@ def classify(d: int) -> PureCubicField:
     basis, table = built
     fld = PureCubicField(d, a, b, kind, expected_disc, basis, table)
     # verify the discriminant from the trace form, not the formula alone:
-    # tr is linear, so tr(w_i w_j) = sum_k table[i][j][k] * tr(w_k)
-    traces = [fld.element_trace(w) for w in _UNIT_VECTORS]
+    # tr(w_k) is the trace of multiplication by w_k, whose column i is
+    # table[k][i], and tr is linear, so tr(w_i w_j) = sum_k table[i][j][k] * tr(w_k)
+    traces = [sum(row[i][i] for i in range(3)) for row in table]
     gram = [[sum(c * t for c, t in zip(wij, traces)) for wij in row] for row in table]
     got = _det3(*gram)
     if got != expected_disc:

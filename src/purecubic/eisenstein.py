@@ -143,8 +143,9 @@ def is_unit(x: Eisenstein) -> bool:
 
 
 def is_primary(x: Eisenstein) -> bool:
-    """x == 1 (mod 3 Z[zeta])."""
-    return x.a % 3 == 1 and x.b % 3 == 0
+    """x == 1 (mod 3 Z[zeta]); x may also be a plain pair (a, b)."""
+    a, b = x
+    return a % 3 == 1 and b % 3 == 0
 
 
 def primary_associate(x: Eisenstein) -> Tuple[Eisenstein, Eisenstein]:
@@ -152,15 +153,16 @@ def primary_associate(x: Eisenstein) -> Tuple[Eisenstein, Eisenstein]:
     if norm(x) % 3 == 0:
         raise ValueError("no primary associate: norm divisible by 3")
     a, b = x
+    hit = None
     # u*x for u in UNITS, in the same order: 1, -1, zeta, -zeta, zeta^2, -zeta^2
-    assoc = [
-        _new(Eisenstein, y)
-        for y in ((a, b), (-a, -b), (-b, a - b), (b, b - a), (b - a, -a), (a - b, a))
-    ]
-    hits = [(u, y) for u, y in zip(UNITS, assoc) if is_primary(y)]
-    if len(hits) != 1:  # cannot happen for norm coprime to 3
+    for u, y in zip(UNITS, ((a, b), (-a, -b), (-b, a - b), (b, b - a), (b - a, -a), (a - b, a))):
+        if is_primary(y):
+            if hit is not None:  # cannot happen for norm coprime to 3
+                raise ArithmeticError(f"primary associate not unique for {x}")
+            hit = u, y
+    if hit is None:
         raise ArithmeticError(f"primary associate not unique for {x}")
-    return hits[0]
+    return hit[0], _new(Eisenstein, hit[1])
 
 
 def is_prime_element(x: Eisenstein) -> bool:
@@ -217,6 +219,10 @@ def _split_prime(p: int) -> Eisenstein:
     return pi
 
 
+class NotSplitPrime(ValueError):
+    """The error of `split_primaries` for a p that is not a prime 1 mod 3."""
+
+
 def split_primaries(p: int) -> Tuple[Eisenstein, Eisenstein]:
     """Canonical (pi1, pi2) with p = pi1*pi2, both primary, pi2 = conj(pi1).
 
@@ -226,13 +232,11 @@ def split_primaries(p: int) -> Tuple[Eisenstein, Eisenstein]:
     lexicographic minimum is taken.
     """
     if p % 3 != 1 or not isprime(p):
-        raise ValueError("p must be a prime congruent to 1 mod 3")
-    pi = _split_prime(p)
-    _, c1 = primary_associate(pi)
-    cands = sorted((c1, conj(c1)))  # a pair orders lexicographically on (a, b)
-    positive = [c for c in cands if c.a > 0]
-    pi1 = positive[0] if positive else cands[0]
-    return pi1, conj(pi1)
+        raise NotSplitPrime("p must be a prime congruent to 1 mod 3")
+    _, c1 = primary_associate(_split_prime(p))
+    c2 = conj(c1)
+    lo, hi = (c1, c2) if c1 < c2 else (c2, c1)  # a pair orders lexicographically on (a, b)
+    return (hi, lo) if lo[0] <= 0 < hi[0] else (lo, hi)
 
 
 def valuation(x: Eisenstein, pi: Eisenstein) -> Tuple[int, Eisenstein]:

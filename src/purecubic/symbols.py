@@ -19,7 +19,13 @@ Where each check is made:
   which `zeta_norm_test` and `prime_symbols` each call once.  Its two
   places come from `_split_place(pi, p)`, which needs no second primality
   proof: a pi of norm p is prime because p is.  So each of these entry
-  points makes exactly one `isprime` call per p.
+  points makes exactly one `isprime` call per p, and a further symbol at
+  pi1 (`PrimeSymbols.residue`) reads the place already checked.
+- The zeta-norm test needs no valuation of p: `_zeta_is_norm` refuses
+  pi1 = pi2 and reads (zeta / pi_i)_3 at each place, which is
+  (zeta, p / pi_i)_3 because v_{pi_i}(p) = 1 (see its docstring).  The
+  Hilbert route `_hilbert(ZETA, p, place)` computes the same symbol
+  through `valuation` and is kept as its test.
 """
 
 from __future__ import annotations
@@ -66,6 +72,7 @@ class CubeRoot:
 
 
 TRIVIAL = CubeRoot(0)
+_ROOTS = (TRIVIAL, CubeRoot(1), CubeRoot(2))  # zeta^e by e, shared: a CubeRoot is immutable
 
 
 class _Place(NamedTuple):
@@ -103,13 +110,14 @@ def _place(pi: Eisenstein) -> _Place:
 def _split_place(pi: Eisenstein, p: int) -> _Place:
     """The place of a primary pi of norm p, for p that `split_primaries`
     proved prime and 1 mod 3; `_place` without a second `isprime`."""
-    if norm(pi) != p:
+    a, b = pi
+    if a * a - a * b + b * b != p:
         raise ArithmeticError(f"{pi} does not have norm {p}")
     if not is_primary(pi):
         raise ArithmeticError(f"{pi} is not primary")
-    if pi.b % p == 0:
+    if b % p == 0:
         raise ArithmeticError("degenerate split prime")
-    return _Place(pi, p, -pi.a * pow(pi.b, -1, p) % p)  # zeta == -a/b mod pi
+    return _Place(pi, p, -a * pow(b, -1, p) % p)  # zeta == -a/b mod pi
 
 
 def cubic_residue(alpha: Eisenstein, pi: Eisenstein) -> CubeRoot:
@@ -122,7 +130,8 @@ def _residue_exponent(alpha: Eisenstein, place: _Place) -> int:
     pi, n, w = place
     if w is not None:
         # split place: the residue field is F_p via zeta -> w
-        x = (alpha.a + alpha.b * w) % n
+        a, b = alpha
+        x = (a + b * w) % n
         if x == 0:
             raise ValueError("alpha not coprime to pi")
         return _zeta_exponent(pow(x, (n - 1) // 3, n), w, n)
@@ -138,10 +147,13 @@ def _residue_exponent(alpha: Eisenstein, place: _Place) -> int:
 
 
 def _zeta_exponent(r: int, w: int, p: int) -> int:
-    """e with r == w^e (mod p), for w the image of zeta in F_p."""
-    for e, z in enumerate((1, w, (w * w) % p)):
-        if r == z % p:
-            return e
+    """e with r == w^e (mod p), for r and w, the image of zeta, reduced mod p."""
+    if r == 1:
+        return 0
+    if r == w:
+        return 1
+    if r == w * w % p:
+        return 2
     raise ArithmeticError("power residue is not a cube root of unity")
 
 
@@ -192,11 +204,20 @@ def zeta_norm_test(p: int) -> bool:
 
 
 def _zeta_is_norm(p: int, place1: _Place, place2: _Place) -> bool:
-    """`zeta_norm_test(p)` at the places of split_primaries(p); both local
-    symbols are evaluated."""
-    pz = Eisenstein(p, 0)
-    e1 = _hilbert(ZETA, pz, place1)
-    e2 = _hilbert(ZETA, pz, place2)
+    """`zeta_norm_test(p)` at the places of split_primaries(p): whether
+    (zeta, p / pi_i)_3 is trivial at both.
+
+    p = pi1*pi2 with pi1, pi2 primary.  Two distinct primary primes are
+    not associate (the primary associate is unique), so v_{pi_i}(p) = 1,
+    and zeta is a unit, so v_{pi_i}(zeta) = 0.  The tame formula with
+    v = 0 and w = 1 reads (zeta, p / pi_i)_3 = (zeta / pi_i)_3: one
+    modular power at each place, with no valuation of p.  A pair with
+    pi1 = pi2 would make v_{pi1}(p) = 2 and is refused.
+    """
+    if place1.pi == place2.pi:
+        raise ArithmeticError(f"p = {p} has equal primes {place1.pi} above it")
+    e1 = _residue_exponent(ZETA, place1)
+    e2 = _residue_exponent(ZETA, place2)
     return e1 == 0 and e2 == 0
 
 
@@ -211,13 +232,19 @@ class PrimeSymbols(NamedTuple):
     three: CubeRoot  # (3 / pi1)_3
     zeta_is_norm: bool
     ambiguous_order: int
+    place1: _Place  # the place of pi1, checked once
+
+    def residue(self, alpha: Eisenstein) -> CubeRoot:
+        """(alpha / pi1)_3 at the place of pi1 that `prime_symbols` checked."""
+        return _ROOTS[_residue_exponent(alpha, self.place1)]
 
 
 def prime_symbols(p: int) -> PrimeSymbols:
     """The 3-symbol (3 / pi1)_3, the value of `zeta_norm_test(p)` and the
     ambiguous-class order, from one `split_primaries(p)` and one check of
     each of its places.  The 3-symbol is trivial exactly when 3 is a cube
-    mod p.
+    mod p.  A p that is not a prime 1 mod 3 raises `split_primaries`'
+    `NotSplitPrime`, a ValueError.
 
     The ambiguous classes of the sextic closure of Q(cbrt p) number
     3^(t - 2 + q*): t counts the primes ramified over Q(zeta), the two
@@ -227,9 +254,11 @@ def prime_symbols(p: int) -> PrimeSymbols:
     pi1, pi2 = split_primaries(p)
     place1 = _split_place(pi1, p)
     zeta_is_norm = _zeta_is_norm(p, place1, _split_place(pi2, p))
-    three = CubeRoot(_residue_exponent(THREE, place1))
+    three = _ROOTS[_residue_exponent(THREE, place1)]
     t = 2 if p % 9 == 1 else 3
-    return PrimeSymbols(pi1, pi2, three, zeta_is_norm, 3 ** (t - 2 + int(zeta_is_norm)))
+    return PrimeSymbols(
+        pi1, pi2, three, zeta_is_norm, 3 ** (t - 2 + int(zeta_is_norm)), place1
+    )
 
 
 def _symbol_over_ideal(alpha: Eisenstein, beta: Eisenstein) -> CubeRoot:

@@ -4,6 +4,7 @@ import concurrent.futures
 import json
 import os
 import sys
+import time
 
 import pytest
 import sympy
@@ -132,6 +133,30 @@ def test_symbols_command_agrees_with_the_symbol_functions(capsys, p):
     assert (rec["pi1"], rec["pi2"]) == ([pi1.a, pi1.b], [pi2.a, pi2.b])
 
 
+def test_symbols_command_proves_p_prime_once(capsys, monkeypatch):
+    # split_primaries proves p prime; the usage check and the lambda-symbol
+    # read what it proved
+    counts = {"isprime": 0}
+
+    def spy(*args):
+        counts["isprime"] += 1
+        return sympy.isprime(*args)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("purecubic") and getattr(mod, "isprime", None) is sympy.isprime:
+            monkeypatch.setattr(mod, "isprime", spy)
+    for p in (7, 199, 8821):
+        counts["isprime"] = 0
+        code, doc = run_json(capsys, "symbols", "--p", str(p))
+        assert code == 0
+        assert counts["isprime"] == 1, p
+        pi1 = Eisenstein(*doc["results"][0]["pi1"])
+        assert doc["results"][0]["lambda_symbol_exponent"] == cubic_residue(LAMBDA, pi1).e
+    for p in ("1", "91", "5", "4", "0", "-2"):  # 91 = 7 * 13 is 1 mod 3
+        assert main(["symbols", "--p", p]) == 2, p
+        assert "--p must be a prime congruent to 1 mod 3" in capsys.readouterr().err
+
+
 def test_scan_record_factors_p_once(monkeypatch):
     # one split_primaries(p) per record, and one primality proof of p, which
     # also proves pi1 and pi2 prime: 1 isprime call where there were 13
@@ -150,6 +175,16 @@ def test_scan_record_factors_p_once(monkeypatch):
         scan_record(p, {})
         assert counts["split_primaries"] == 1, p
         assert counts["isprime"] == 1, p
+
+
+def test_scan_timestamp_is_the_current_utc_second(monkeypatch):
+    # formatted once per second, the text is still the record's own second
+    now = [1_700_000_000.25]
+    monkeypatch.setattr(cli.time, "time", lambda: now[0])
+    for t in (1_700_000_000.25, 1_700_000_000.99, 1_700_000_001.0, 1_700_000_000.5, 86399.9):
+        now[0] = t
+        stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(int(t)))
+        assert scan_record(19, {})["timestamp"] == stamp, t
 
 
 def test_table1_predicates_only(capsys):
@@ -422,6 +457,35 @@ def test_emit_of_nested_and_odd_values():
             emit(bad, False)
 
 
+def test_emit_of_lists_of_flat_records():
+    # a list of records goes through one encoder call whose separators are
+    # rewritten; strings that look like those separators must survive
+    tricky = ["},", "{", "}, {", '"q"', "back\\slash", "\u03b6 \u00e9", "},\n    {", "[]", ""]
+    records = [
+        {"p": 19, "s": tricky[0], "empty": [], "none": None},
+        {"a": tricky[1], "b": {}, "c": 2.5, "d": True},
+        {"t": tricky[2], "u": tricky[3]},
+        {"v": tricky[4], "w": tricky[5], "x": tricky[6], "y": tricky[7], "z": tricky[8]},
+        {"only": 1},
+        {2: "int key", 1.5: -1, False: 0},
+    ]
+    lists = [[1, "},"], ["{", [], {}], [None], ["\\", '"']]
+    shapes = [
+        records,
+        records[:1],
+        lists,
+        records[:2] + lists[:2],  # dicts and lists mixed
+        records[:2] + [{}] + records[2:],  # an empty container among the items
+        records[:2] + [[]],
+        [records[0], {"nested": [1]}],  # a record with a value that is not flat
+        tuple(records),
+        records * 11,  # 66 records: more than one encoder call
+    ]
+    for shape in shapes:
+        for wrapped in (shape, {"x": shape}, {"x": {"y": shape}}, {"x": [{"y": shape}, 1]}):
+            assert emit(wrapped, False) == _json_reference(wrapped), wrapped
+
+
 def test_field_that_is_not_cube_free_is_usage_error(capsys):
     assert main(["classgroup", "--d", "8"]) == 2
     assert main(["split", "--d", "54", "--q", "5"]) == 2
@@ -522,7 +586,8 @@ def test_internal_value_error_exits_3(capsys, monkeypatch):
     # traceback: the table1 predicates run outside its class-group `try`
     cases = [
         ("cli.class_group", ValueError, ["classgroup", "--d", "7"]),
-        ("cli.cubic_residue", ArithmeticError, ["symbols", "--p", "199"]),
+        ("symbols._residue_exponent", ArithmeticError, ["symbols", "--p", "199"]),
+        ("symbols._residue_exponent", ValueError, ["symbols", "--p", "199"]),
         ("cli.classify", ArithmeticError, ["split", "--d", "7", "--q", "5"]),
         ("symbols._residue_exponent", ArithmeticError, ["table1", "--primes", "199"]),
     ]

@@ -103,6 +103,22 @@ def test_classify_checks_the_discriminant(monkeypatch, d):
         classify(d)
 
 
+def test_form_and_traces_read_off_the_table_match_mul_coords():
+    # classify reads the norm form's unit-vector columns and the traces
+    # tr(w_k) = sum_i table[k][i][i] off its table; mul_coords is the reference
+    checked = 0
+    for d in range(2, 1000):
+        try:
+            F = classify(d)
+        except ValueError:  # not cube-free
+            continue
+        assert F.form == F.norm_form(_UNIT_VECTORS), d
+        traces = [sum(F.table[k][i][i] for i in range(3)) for k in range(3)]
+        assert traces == [F.element_trace(w) for w in _UNIT_VECTORS], d
+        checked += 1
+    assert checked == sum(1 for d in range(2, 1000) if all(d % p**3 for p in primerange(2, 11)))
+
+
 def test_classify_rejects_bad_d():
     with pytest.raises(ValueError):
         classify(8)  # not cube-free

@@ -7,7 +7,7 @@ import pytest
 import sympy
 from sympy import isprime, primerange
 
-from purecubic import eisenstein
+from purecubic import eisenstein, symbols
 from purecubic.eisenstein import (
     Eisenstein,
     LAMBDA,
@@ -208,3 +208,59 @@ def test_rational_entry_points_check_p_only_in_split_primaries(monkeypatch):
             f(p)
             assert counts["split_primaries"] == 1, (f, p)
             assert counts["isprime"] == calls, (f, p)
+
+
+def _places(p):
+    pi1, pi2 = split_primaries(p)
+    return symbols._split_place(pi1, p), symbols._split_place(pi2, p)
+
+
+def test_zeta_is_norm_matches_the_hilbert_route_below_200000():
+    # (zeta / pi_i)_3, read off the split, is the Hilbert symbol
+    # (zeta, p / pi_i)_3 at both places, and zeta is a norm iff p = 1 (mod 9)
+    primes = [p for p in primerange(7, 200000) if p % 3 == 1]
+    assert len(primes) == 8988
+    for p in primes:
+        place1, place2 = _places(p)
+        pz = Eisenstein(p, 0)
+        e1 = symbols._hilbert(ZETA, pz, place1)
+        e2 = symbols._hilbert(ZETA, pz, place2)
+        assert e1 == symbols._residue_exponent(ZETA, place1), p
+        assert e2 == symbols._residue_exponent(ZETA, place2), p
+        assert symbols._zeta_is_norm(p, place1, place2) == (e1 == 0 and e2 == 0), p
+        assert symbols._zeta_is_norm(p, place1, place2) == (p % 9 == 1), p
+
+
+def test_zeta_is_norm_reads_both_places():
+    # the symbol is the same at both places of one p, so pair places of
+    # two primes: a nontrivial symbol at either place alone decides
+    norm_places, other_places = _places(19), _places(7)
+    assert symbols._zeta_is_norm(19, *norm_places) is True
+    for trivial, other in ((norm_places[0], other_places[1]), (norm_places[1], other_places[0])):
+        assert symbols._zeta_is_norm(19, trivial, other) is False
+        assert symbols._zeta_is_norm(19, other, trivial) is False
+
+
+def test_zeta_is_norm_refuses_equal_places():
+    # pi1 = pi2 would make v_pi(p) = 2, where (zeta / pi)_3 is not the symbol
+    for p in (7, 19):
+        place1, place2 = _places(p)
+        for place in (place1, place2):
+            with pytest.raises(ArithmeticError):
+                symbols._zeta_is_norm(p, place, place)
+
+
+def test_zeta_norm_symbols_make_no_valuation_of_p(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("valuation or divrem called")
+
+    for name in ("valuation", "divrem"):
+        target = getattr(eisenstein, name)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("purecubic") and getattr(mod, name, None) is target:
+                monkeypatch.setattr(mod, name, refuse)
+    for p in (7, 19, 199, 8821, 20011, 2**61 - 1):
+        assert zeta_norm_test(p) == (p % 9 == 1)
+        assert prime_symbols(p).zeta_is_norm == (p % 9 == 1)
+    with pytest.raises(AssertionError):  # the spy is in place
+        hilbert_tame(ZETA, Eisenstein(7, 0), split_primaries(7)[0])
