@@ -8,10 +8,12 @@ tested for smoothness by gcds with the product of the base's rational
 primes before any trial division.  The primes above one q multiply into
 a q-part, built once per factor base; the q-parts have coprime norms, so
 the HNF of (alpha) is checked against their CRT congruences rather than
-rebuilt from them.  The relation lattice is kept
-in Hermite normal form as rows arrive, and once the search stabilizes
-the cokernel is read off the Smith normal form of the basis block whose
-pivots exceed 1.
+rebuilt from them.  A relation row is a sparse {column: exponent} map of
+its nonzero exponents, a handful out of up to several hundred columns,
+and the relation lattice takes it in that form: it is kept in Hermite
+normal form as rows arrive, and once the search stabilizes the cokernel
+is read off the Smith normal form of the basis block whose pivots
+exceed 1.
 Stabilization is heuristic, so for small bounds the result is certified
 against an independent brute-force enumeration of ideal classes.  The
 enumeration tests each ideal first against the representatives that the
@@ -205,15 +207,21 @@ def _smooth_exponents(n: int, fb: FactorBase) -> Optional[Dict[int, int]]:
 
 def relation_row(
     F: PureCubicField, fb: FactorBase, alpha: Tuple[int, int, int]
-) -> Optional[List[int]]:
-    """Exponent vector of (alpha) over fb, verified by exact reassembly."""
+) -> Optional[Dict[int, int]]:
+    """The exponents of (alpha) over fb as {column: exponent}, nonzero
+    entries only, or None when N(alpha) is 0 or not smooth over fb.
+
+    The exponents of the primes above each q of N(alpha) are read by
+    membership in their powers, and (alpha) is then checked to be the
+    product of the q-parts they give, by exact reassembly.
+    """
     n = F.element_norm(alpha)
     if n == 0:
         return None
     sm = _smooth_exponents(n, fb)
     if sm is None:
         return None
-    row = [0] * len(fb.primes)
+    row: Dict[int, int] = {}
     parts = []
     for q, m in sm.items():
         exponents = []
@@ -225,8 +233,9 @@ def relation_row(
             k, top = 0, m // p.f
             while k < top and p.power(k + 1).contains_vector(alpha):
                 k += 1
-            row[j] = k
-            m -= k * p.f
+            if k:
+                row[j] = k
+                m -= k * p.f
             exponents.append(k)
         if m:
             return None  # some prime above q has norm beyond the bound
@@ -314,18 +323,16 @@ def class_group(F: PureCubicField, budget_seconds: float = 600.0) -> ClassGroupS
     return ClassGroupStructure(F.d, divisors, h, h3, p3, certified)
 
 
-def _all_ideals_up_to(
-    F: PureCubicField, fb: FactorBase
-) -> List[Tuple[IdealHNF, Tuple[int, ...]]]:
+def _all_ideals_up_to(F: PureCubicField, fb: FactorBase) -> List[Tuple[IdealHNF, Dict[int, int]]]:
     """Every integral ideal of norm <= fb.bound (products of factor-base
-    primes), each with its exponent vector over fb."""
-    items = [(IdealHNF.unit_ideal(F), 1, ())]
-    for p in fb.primes:
+    primes), each with its exponents over fb as {column: exponent}."""
+    items: List[Tuple[IdealHNF, int, Dict[int, int]]] = [(IdealHNF.unit_ideal(F), 1, {})]
+    for j, p in enumerate(fb.primes):
         new = []
         for I, nI, e in items:
             acc, nacc, k = I, nI, 0
             while True:
-                new.append((acc, nacc, e + (k,)))
+                new.append((acc, nacc, {**e, j: k} if k else e))
                 nacc *= p.norm
                 if nacc > fb.bound:
                     break
@@ -354,8 +361,8 @@ def _oracle_class_number(
     R*(N(I)/I), or when I becomes a representative: a first quotient
     that tests principal never needs it.
     """
-    reps: List[Tuple[IdealHNF, IdealHNF, Tuple[int, ...]]] = []  # R, N(R)/R, e(R)
-    keys: List[Tuple[int, ...]] = []
+    reps: List[Tuple[IdealHNF, IdealHNF, Dict[int, int]]] = []  # R, N(R)/R, e(R)
+    keys: List[Dict[int, int]] = []
     for I, e in _all_ideals_up_to(F, fb):
         if time.monotonic() > deadline:
             return None
@@ -378,7 +385,7 @@ def _oracle_class_number(
                 if ideal_of_element(F, alpha) != J:
                     raise ArithmeticError(f"oracle witness {alpha} does not generate its ideal")
                 # (alpha) is I/R or R/I times a rational integer
-                lattice.insert([x - y for x, y in zip(e, e_R)])
+                lattice.insert({j: e.get(j, 0) - e_R.get(j, 0) for j in e.keys() | e_R.keys()})
                 keys = [lattice.residue(r[2]) for r in reps]
             break
         else:

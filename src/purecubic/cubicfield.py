@@ -107,26 +107,30 @@ class PureCubicField:
     flat_table: Tuple[int, ...] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        flat = tuple(c for row in self.table for t in row for c in t)
+        table = self.table
+        # mul_coords reads only w1*w1, w1*w2 and w2*w2 off the table: the
+        # rest follows from w0 = 1 and commutativity, so check both here
+        if table[0] != _UNIT_VECTORS or any(
+            table[i][j] != table[j][i] for i in range(3) for j in range(i)
+        ):
+            raise ArithmeticError(f"table for d={self.d} is not commutative with w0 = 1")
+        flat = tuple(c for row in table for t in row for c in t)
         object.__setattr__(self, "flat_table", flat)
         # the columns M(w_i) w_j of the unit vectors are the table's entries
-        object.__setattr__(self, "form", _norm_coeffs(self.table))
+        object.__setattr__(self, "form", _norm_coeffs(table))
 
     def mul_coords(self, u, v) -> Tuple[int, int, int]:
-        # the nine products u_i * v_j, each weighted by the coords of w_i * w_j
+        # w0 = 1, so with U = u1*w1 + u2*w2 and V = v1*w1 + v2*w2,
+        # u*v = u0*v0 + u0*V + v0*U + U*V, and U*V reads the coords of
+        # w1*w1, w1*w2 and w2*w2 off the table
         u0, u1, u2 = u
         v0, v1, v2 = v
-        p0, p1, p2 = u0 * v0, u0 * v1, u0 * v2
-        p3, p4, p5 = u1 * v0, u1 * v1, u1 * v2
-        p6, p7, p8 = u2 * v0, u2 * v1, u2 * v2
+        p11, p12, p22 = u1 * v1, u1 * v2 + u2 * v1, u2 * v2
         t = self.flat_table
         return (
-            p0 * t[0] + p1 * t[3] + p2 * t[6] + p3 * t[9] + p4 * t[12]
-            + p5 * t[15] + p6 * t[18] + p7 * t[21] + p8 * t[24],
-            p0 * t[1] + p1 * t[4] + p2 * t[7] + p3 * t[10] + p4 * t[13]
-            + p5 * t[16] + p6 * t[19] + p7 * t[22] + p8 * t[25],
-            p0 * t[2] + p1 * t[5] + p2 * t[8] + p3 * t[11] + p4 * t[14]
-            + p5 * t[17] + p6 * t[20] + p7 * t[23] + p8 * t[26],
+            u0 * v0 + p11 * t[12] + p12 * t[15] + p22 * t[24],
+            u0 * v1 + u1 * v0 + p11 * t[13] + p12 * t[16] + p22 * t[25],
+            u0 * v2 + u2 * v0 + p11 * t[14] + p12 * t[17] + p22 * t[26],
         )
 
     def norm_form(self, vectors: Sequence[Sequence[int]]) -> Tuple[int, ...]:

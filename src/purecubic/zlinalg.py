@@ -3,19 +3,23 @@
 Everything here works on plain Python integers, so no precision is ever
 lost during the reductions.  A class group's relation lattice is kept in
 Hermite normal form one row at a time (`HNFLattice`, up to a few hundred
-columns for the catalogued fields, with sparse rows), and `snf` runs only
-on the block of its basis whose pivots exceed 1, a few rows at most; the
-other matrices are tiny.  There is no integer-kernel routine: the
-congruence system for an inverse-class representative N(J)*J^-1 is
-solved through the dual of a triangular lattice in `ideals`.
+columns for the catalogued fields).  Its rows, both those it takes and
+those it keeps, are sparse {column: value} maps of their nonzero entries,
+so no row of full length is ever built.  `snf` runs only on the block of
+its basis whose pivots exceed 1, a few rows at most; the other matrices
+are tiny.  The Bezout coefficients of `_xgcd` come from `math.gcd` and a
+modular inverse, not a Python-level Euclidean loop.  There is no
+integer-kernel routine: the congruence system for an inverse-class
+representative N(J)*J^-1 is solved through the dual of a triangular
+lattice in `ideals`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import compress
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import gcd
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -221,15 +225,13 @@ def snf(M: IntMatrix) -> List[int]:
 
 def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
     """(g, s, t) with g = gcd(a, b) = s*a + t*b and g >= 0."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if a < 0:
-        return -a, -s0, -t0
-    return a, s0, t0
+    g = gcd(a, b)
+    if not b:
+        return g, -1 if a < 0 else 1, 0
+    # a/g is a unit mod |b|/g, and s*(a/g) = 1 there makes s*a = g mod b;
+    # for |b| = g the modulus is 1 and s = 0
+    s = pow(a // g, -1, abs(b) // g)
+    return g, s, (g - s * a) // b
 
 
 class HNFLattice:
@@ -240,8 +242,10 @@ class HNFLattice:
     entry in [0, pivot) at c.  That basis is unique, so two lattices are
     equal exactly when their bases are.  Relation rows have a handful of
     nonzero entries, and so do the basis rows, so each row is a
-    {column: value} dict of its nonzero entries.  `insert` adds one row by
-    extended-gcd elimination (Hafner--McCurley; Cohen, GTM 138, 2.4.3).
+    {column: value} dict of its nonzero entries, and `insert` and
+    `residue` take rows in that form; a column outside range(ncols) is a
+    ValueError.  `insert` adds one row by extended-gcd elimination
+    (Hafner--McCurley; Cohen, GTM 138, 2.4.3).
     """
 
     def __init__(self, ncols: int):
@@ -292,27 +296,30 @@ class HNFLattice:
         block = [[self._basis[c].get(k, 0) for k in big] for c in big]
         return tuple(x for x in snf(IntMatrix.from_rows(block)) if x > 1)
 
-    def residue(self, v: Sequence[int]) -> Tuple[int, ...]:
-        """v reduced by the basis rows in ascending pivot column, so that
-        0 <= entry < pivot at every pivot column.
+    def _row(self, v: Mapping[int, int]) -> Dict[int, int]:
+        """A copy of the sparse row v without its zero entries."""
+        if v and (min(v) < 0 or max(v) >= self.ncols):
+            raise ValueError("row has a column outside the lattice dimension")
+        return {j: x for j, x in v.items() if x}
 
-        Two vectors have the same residue exactly when their difference
-        lies in the lattice: a nonzero lattice vector leads with a nonzero
+    def residue(self, v: Mapping[int, int]) -> Dict[int, int]:
+        """The sparse row v reduced by the basis rows in ascending pivot
+        column, so that 0 <= entry < pivot at every pivot column.
+
+        Two rows have the same residue exactly when their difference lies
+        in the lattice: a nonzero lattice vector leads with a nonzero
         multiple of the pivot in that column, and the difference of two
         residues is smaller than the pivot in size at every pivot column.
         """
-        if len(v) != self.ncols:
-            raise ValueError("vector length does not match the lattice dimension")
-        r = {j: int(v[j]) for j in compress(range(self.ncols), v)}
+        r = self._row(v)
         self._reduce_row(r, 0)
-        return tuple(r.get(j, 0) for j in range(self.ncols))
+        return r
 
-    def insert(self, row: Sequence[int]) -> bool:
-        """Add `row` to the lattice; return whether the lattice changed."""
-        if len(row) != self.ncols:
-            raise ValueError("row length does not match the lattice dimension")
+    def insert(self, row: Mapping[int, int]) -> bool:
+        """Add the sparse row {column: value} to the lattice; return whether
+        the lattice changed."""
         basis = self._basis
-        v = {j: int(row[j]) for j in compress(range(self.ncols), row)}
+        v = self._row(row)
         changed: List[int] = []
         while v:
             j = min(v)
@@ -351,12 +358,15 @@ class HNFLattice:
 
         A changed row is reduced in full.  An unchanged row was reduced
         before, so only an entry at a changed pivot column can have left
-        [0, pivot); a row with no entry there is skipped.
+        [0, pivot).  A row whose pivot lies right of the last changed
+        column is zero at every changed column, and so is a row with no
+        entry there: both are skipped.
         """
         basis = self._basis
         moved = set(changed)
+        last = changed[-1]
         for c, r in basis.items():
-            if moved.isdisjoint(r):
+            if c > last or moved.isdisjoint(r):
                 continue  # a changed row always has its own pivot column
             if c in moved:
                 self._reduce_row(r, c + 1)

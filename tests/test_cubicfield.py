@@ -95,7 +95,9 @@ def test_classify_checks_the_discriminant(monkeypatch, d):
         basis, table = built
         rows = [list(row) for row in table]
         c0, c1, c2 = rows[1][2]
-        rows[1][2] = (c0 + 1, c1, c2)  # w1 * w2 one off, still integral
+        # w1 * w2 one off, still integral and commutative, so that only the
+        # discriminant can tell
+        rows[1][2] = rows[2][1] = (c0 + 1, c1, c2)
         return basis, tuple(tuple(row) for row in rows)
 
     monkeypatch.setattr(cubicfield, "_build_table", off_by_one)
@@ -193,6 +195,34 @@ def test_mul_coords_matches_the_table_triple_loop(u, v):
                 for k in range(3):
                     expected[k] += u[i] * v[j] * F.table[i][j][k]
         assert F.mul_coords(u, v) == tuple(expected), F.d
+
+
+def _with_table_entry(F, i, j, value):
+    """F's fields with table[i][j] set to `value`, through the constructor."""
+    table = [list(row) for row in F.table]
+    table[i][j] = value
+    table = tuple(tuple(row) for row in table)
+    return PureCubicField(F.d, F.a, F.b, F.kind, F.disc, F.basis_theta_repr, table)
+
+
+@pytest.mark.parametrize("d", [2, 10, 199])
+def test_table_must_have_w0_as_identity(d):
+    # mul_coords reads w0 * w_j as w_j without looking; row 0 must say so
+    F = classify(d)
+    assert _with_table_entry(F, 0, 0, (1, 0, 0)) == F  # the unchanged table passes
+    for j in range(3):
+        with pytest.raises(ArithmeticError, match="w0 = 1"):
+            _with_table_entry(F, 0, j, tuple(x + (k == 1) for k, x in enumerate(F.table[0][j])))
+
+
+@pytest.mark.parametrize("d", [2, 10, 199])
+def test_table_must_be_symmetric(d):
+    # mul_coords reads w2 * w1 as w1 * w2 without looking
+    F = classify(d)
+    for i, j in ((1, 2), (2, 1), (1, 0), (2, 0)):
+        bumped = tuple(x + (k == 0) for k, x in enumerate(F.table[i][j]))
+        with pytest.raises(ArithmeticError, match="not commutative"):
+            _with_table_entry(F, i, j, bumped)
 
 
 def test_split_pattern_degree():

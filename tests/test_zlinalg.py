@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from purecubic import classgroup, ideals
 from purecubic.cubicfield import classify
 from purecubic.zlinalg import HNFLattice, IntMatrix, _xgcd, det, hnf, lll_reduce, snf
+from sparse_rows import dense, sparse
 
 small_entries = st.integers(min_value=-30, max_value=30)
 
@@ -129,7 +130,7 @@ def test_hnf_lattice_matches_direct_snf(case):
     seen = []
     for row in rows:
         before = _rank_and_gram_det(seen) if seen else (0, 1)
-        changed = lat.insert(row)
+        changed = lat.insert(sparse(row))
         seen.append(row)
         assert changed == (_rank_and_gram_det(seen) != before)
         expect = _direct_divisors(seen, n)
@@ -151,23 +152,49 @@ def test_hnf_lattice_matches_direct_snf(case):
 
 def test_hnf_lattice_known_example():
     lat = HNFLattice(2)
-    assert lat.insert([4, 6]) is True
-    assert lat.insert([8, 12]) is False  # already in the lattice
+    assert lat.insert(sparse([4, 6])) is True
+    assert lat.insert(sparse([8, 12])) is False  # already in the lattice
     assert lat.rank == 1 and lat.determinant() is None
-    assert lat.insert([2, 2]) is True
+    assert lat.insert(sparse([2, 2])) is True
     assert lat.matrix() == IntMatrix.from_rows([[2, 0], [0, 2]])
     assert lat.determinant() == 4
-    assert lat.insert([0, -2]) is False
-    assert lat.insert([0, 1]) is True
+    assert lat.insert(sparse([0, -2])) is False
+    assert lat.insert(sparse([0, 1])) is True
     assert snf(lat.matrix()) == [1, 2]
     assert lat.elementary_divisors() == (2,)
+
+
+def _euclid_xgcd(a, b):
+    """Reference Bezout coefficients by the extended Euclidean loop:
+    (g, s, t) with g = gcd(a, b) = s*a + t*b and g >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if a < 0:
+        return -a, -s0, -t0
+    return a, s0, t0
+
+
+xgcd_args = st.one_of(st.just(0), st.integers(-50, 50), st.integers(-(2**80), 2**80))
+
+
+@given(xgcd_args, xgcd_args)
+@settings(max_examples=300, deadline=None)
+def test_xgcd_is_a_bezout_identity(a, b):
+    g, s, t = _xgcd(a, b)
+    assert g == gcd(a, b) >= 0
+    assert s * a + t * b == g
 
 
 class DenseHNFLattice:
     """Reference: the same reduced HNF lattice with dense list rows.
 
     Each insert walks every column of the row, and the re-reduction
-    rewrites whole row tails; the library keeps sparse rows instead.
+    rewrites whole row tails; the library keeps sparse rows instead.  Its
+    Bezout coefficients come from its own Euclidean loop, not `_xgcd`.
     """
 
     def __init__(self, ncols):
@@ -207,7 +234,7 @@ class DenseHNFLattice:
                 q = x // p
                 v[j:] = [z - q * y for y, z in zip(h[j:], v[j:])]
                 continue
-            g, s, t = _xgcd(p, x)
+            g, s, t = _euclid_xgcd(p, x)
             a, b = p // g, x // g
             self._basis[j] = h[:j] + [s * y + t * z for y, z in zip(h[j:], v[j:])]
             v = v[:j] + [a * z - b * y for y, z in zip(h[j:], v[j:])]
@@ -271,7 +298,7 @@ def test_sparse_lattice_matches_dense_reference(case):
     n, rows = case
     lat, ref = HNFLattice(n), DenseHNFLattice(n)
     for row in rows:
-        assert lat.insert(row) == ref.insert(row)
+        assert lat.insert(sparse(row)) == ref.insert(row)
         _sparse_invariant(lat)
         assert (lat.rank, lat.determinant()) == (ref.rank, ref.determinant())
         if lat.rank:
@@ -284,26 +311,37 @@ def test_pivot_block_divisors_match_full_snf(case):
     n, rows = case
     lat = HNFLattice(n)
     for row in rows:
-        lat.insert(row)
-    for k in range(n):
-        lat.insert([1 + k % 3 if j == k else 0 for j in range(n)])  # full rank, some pivots 1
+        lat.insert(sparse(row))
+    for k in range(n):  # full rank, some pivots 1
+        lat.insert(sparse([1 + k % 3 if j == k else 0 for j in range(n)]))
     assert lat.elementary_divisors() == tuple(x for x in snf(lat.matrix()) if x > 1)
 
 
 def test_pivot_block_without_pivots_above_one():
     lat = HNFLattice(3)
     for row in ([1, 5, -2], [0, 1, 7], [0, 0, -1]):
-        lat.insert(row)
+        lat.insert(sparse(row))
     assert lat.determinant() == 1
     assert lat.elementary_divisors() == ()
 
 
 def test_pivot_block_below_full_rank():
     lat = HNFLattice(3)
-    lat.insert([2, 0, 1])
-    lat.insert([0, 3, 0])
+    lat.insert(sparse([2, 0, 1]))
+    lat.insert(sparse([0, 3, 0]))
     with pytest.raises(ValueError):
         lat.elementary_divisors()
+
+
+@pytest.mark.parametrize("row", [{3: 1}, {-1: 2}, {0: 1, 5: -1}, {4: 0}])
+def test_lattice_rejects_a_column_outside_its_dimension(row):
+    lat = HNFLattice(3)
+    lat.insert({0: 2, 2: 1})
+    for method in (lat.insert, lat.residue):
+        with pytest.raises(ValueError, match="outside the lattice dimension"):
+            method(row)
+    assert dense(lat.residue({0: 5, 1: 0, 2: 1}), 3) == (1, 0, -1)
+    assert lat.matrix() == IntMatrix.from_rows([[2, 0, 1]])
 
 
 @given(st.lists(st.lists(st.integers(-20, 20), min_size=3, max_size=3),
