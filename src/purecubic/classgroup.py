@@ -338,7 +338,7 @@ def _all_ideals_up_to(F: PureCubicField, fb: FactorBase) -> List[Tuple[IdealHNF,
                     break
                 acc, k = mul(acc, p.ideal), k + 1
         items = new
-    return [(I, e) for I, nI, e in items if nI <= fb.bound]
+    return [(I, e) for I, _, e in items]
 
 
 def _oracle_class_number(

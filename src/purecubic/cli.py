@@ -190,7 +190,7 @@ def cmd_table1(args, u_map) -> Report:
                 row["h_certified"] = cg.certified
                 rep = decide_k_structure(cg, u=u)
                 row["k_type"] = rep.k_type
-                if cg.p3_type != (9,) or rep.k_type != "(9,3)":
+                if rep.k_type != "(9,3)":
                     row["status"] = "mismatch"
                     any_mismatch = True
                 else:
@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.set_defaults(func=cmd_scan)
 
     p_t1 = sub.add_parser("table1", help="verify the 24 catalogued primes")
-    p_t1.add_argument("--primes", type=int, nargs="*", default=None,
+    p_t1.add_argument("--primes", type=int, nargs="+", default=None,
                       help="restrict to a subset of the catalogued primes")
     p_t1.set_defaults(func=cmd_table1)
 

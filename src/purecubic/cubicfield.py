@@ -3,10 +3,12 @@
 A field is of the *first kind* when a^2 != b^2 (mod 9) (writing d = a*b^2
 with a, b coprime and cube-free) and of the *second kind* otherwise.  For
 the first kind the ring of integers is Z + Z*theta + Z*theta^2/b; for the
-second kind there is an extra denominator 3, and rather than transcribing
-a formula we search the nine candidate glue vectors and keep the one whose
-lattice is closed under multiplication, verifying the discriminant drop
-exactly.
+second kind its third basis element is (g0 + g1*theta + theta^2/b)/3 with
+the glue (g0, g1) = (b mod 3, a*b mod 3), Dedekind's closed form (J. Reine
+Angew. Math. 121 (1900)).  Neither basis is taken on trust: every product
+of two basis elements must be integral in it, and the discriminant of its
+trace form must be -27*(a*b)^2 or -3*(a*b)^2; a failure of either is an
+ArithmeticError.
 """
 
 from __future__ import annotations
@@ -42,21 +44,6 @@ def _cube_free_split(d: int) -> Tuple[int, int]:
         else:
             raise ValueError(f"{d} is not cube-free")
     return a, b
-
-
-# multiplication table over the order Z[theta, thetabar], thetabar = theta^2/b:
-#   theta * theta   = b * thetabar
-#   theta * thetabar = a*b
-#   thetabar^2      = a * theta
-def _seed_table(a: int, b: int):
-    def mul(u, v):
-        # u, v coords over (1, theta, thetabar) -> product coords
-        c0 = u[0] * v[0] + a * b * (u[1] * v[2] + u[2] * v[1])
-        c1 = u[0] * v[1] + u[1] * v[0] + a * u[2] * v[2]
-        c2 = u[0] * v[2] + u[2] * v[0] + b * u[1] * v[1]
-        return (c0, c1, c2)
-
-    return mul
 
 
 #: exponents (i, j, k) of c0^i * c1^j * c2^k: the coefficient order of a cubic form
@@ -158,13 +145,15 @@ class PureCubicField:
 
 
 def _build_table(a: int, b: int, glue: Tuple[int, int] | None):
-    """Multiplication table over the basis (1, theta, w2).
+    """The basis (1, theta, w2) over (1, theta, theta^2) and its
+    multiplication table, or an ArithmeticError if the table is not integral.
 
-    w2 = thetabar for the first kind, (g0 + g1*theta + thetabar)/3 for the
-    second.  Returns (basis over (1,theta,theta^2), integer table) or None
-    if the glue lattice is not multiplicatively closed.
+    w2 = thetabar = theta^2/b for the first kind (glue None), and
+    (g0 + g1*theta + thetabar)/3 for the second, glue (g0, g1).  Products
+    are taken over the order Z[theta, thetabar], where
+    theta * theta = b * thetabar, theta * thetabar = a*b and
+    thetabar^2 = a * theta.
     """
-    mul_seed = _seed_table(a, b)
     # w2 = (g0 + g1*theta + thetabar)/m with m = 1 (first kind) or 3, so a
     # product p over (1, theta, thetabar) has coords (p0 - g0*p2,
     # p1 - g1*p2, m*p2) over (1, theta, w2).  `scaled` holds m*w_i over
@@ -177,10 +166,12 @@ def _build_table(a: int, b: int, glue: Tuple[int, int] | None):
     for u in scaled:
         row = []
         for v in scaled:
-            p0, p1, p2 = mul_seed(u, v)
+            p0 = u[0] * v[0] + a * b * (u[1] * v[2] + u[2] * v[1])
+            p1 = u[0] * v[1] + u[1] * v[0] + a * u[2] * v[2]
+            p2 = u[0] * v[2] + u[2] * v[0] + b * u[1] * v[1]
             c0, c1, c2 = p0 - g0 * p2, p1 - g1 * p2, m * p2
             if c0 % mm or c1 % mm or c2 % mm:
-                return None
+                raise ArithmeticError(f"glue {glue} gives no integral table for d={a * b * b}")
             row.append((c0 // mm, c1 // mm, c2 // mm))
         table.append(tuple(row))
     return basis, tuple(table)
@@ -194,26 +185,7 @@ def classify(d: int) -> PureCubicField:
     second = (a * a - b * b) % 9 == 0
     kind = "second" if second else "first"
     expected_disc = -3 * (a * b) ** 2 if second else -27 * (a * b) ** 2
-
-    if not second:
-        built = _build_table(a, b, None)
-        if built is None:
-            raise ArithmeticError("first-kind table must be integral")
-    else:
-        # any index-3 glue vector scales to thetabar-coefficient 1, so the
-        # search space is the nine (g0, g1, 1) candidates
-        built = None
-        for g0 in range(3):
-            for g1 in range(3):
-                candidate = _build_table(a, b, (g0, g1))
-                if candidate is not None:
-                    built = candidate
-                    break
-            if built:
-                break
-        if built is None:
-            raise ArithmeticError(f"no integral denominator-3 basis found for d={d}")
-    basis, table = built
+    basis, table = _build_table(a, b, (b % 3, a * b % 3) if second else None)
     fld = PureCubicField(d, a, b, kind, expected_disc, basis, table)
     # verify the discriminant from the trace form, not the formula alone:
     # tr(w_k) is the trace of multiplication by w_k, whose column i is

@@ -79,7 +79,6 @@ class Eisenstein(NamedTuple):
 
 _new = tuple.__new__
 
-ZERO = Eisenstein(0, 0)
 ONE = Eisenstein(1, 0)
 ZETA = Eisenstein(0, 1)
 LAMBDA = Eisenstein(1, -1)  # 1 - zeta
@@ -136,10 +135,6 @@ def gcd(x: Eisenstein, y: Eisenstein) -> Eisenstein:
         _, r = divrem(x, y)
         x, y = y, r
     return x
-
-
-def is_unit(x: Eisenstein) -> bool:
-    return norm(x) == 1
 
 
 def is_primary(x: Eisenstein) -> bool:
@@ -280,6 +275,6 @@ def factor(x: Eisenstein) -> EisensteinFactorization:
             v, x = valuation(x, prim)
             if v:
                 primes.append((prim, v))
-    if not is_unit(x):
+    if norm(x) != 1:
         raise ArithmeticError("leftover non-unit after factoring")
     return EisensteinFactorization(x, lam_e, tuple(primes))

@@ -4,10 +4,7 @@ The residue symbol (alpha / pi)_3 is evaluated as the unique power of
 zeta congruent to alpha^((N(pi)-1)/3) mod pi.  Tame Hilbert symbols use
 the explicit formula
 
-    (a, b / pi)_3 = ( (-1)^{vw} a^w b^{-v} / pi )_3,   v = v_pi(a), w = v_pi(b),
-
-and the symbol at the wild prime lam = 1 - zeta is *defined* through the
-product formula: it is the inverse of the product of all tame symbols.
+    (a, b / pi)_3 = ( (-1)^{vw} a^w b^{-v} / pi )_3,   v = v_pi(a), w = v_pi(b).
 
 Where each check is made:
 
@@ -63,9 +60,6 @@ class CubeRoot:
 
     def __pow__(self, k: int) -> "CubeRoot":
         return CubeRoot(self.e * k)
-
-    def inverse(self) -> "CubeRoot":
-        return CubeRoot(-self.e)
 
     def is_trivial(self) -> bool:
         return self.e == 0
@@ -174,22 +168,6 @@ def _hilbert(a: Eisenstein, b: Eisenstein, place: _Place) -> int:
     if v:
         e -= v * _residue_exponent(b0, place)
     return e % 3
-
-
-def hilbert_lambda(a: Eisenstein, b: Eisenstein) -> CubeRoot:
-    """The wild symbol (a, b / lam)_3, defined by the product formula.
-
-    Infinite places contribute trivially, and tame places where both
-    arguments are units carry the trivial symbol, so only primes in the
-    support of a or b matter.
-    """
-    if a.is_zero() or b.is_zero():
-        raise ValueError("symbol arguments must be nonzero")
-    support = dict.fromkeys(pi for x in (a, b) for pi, _ in factor(x).primary_primes)
-    total = TRIVIAL
-    for pi in support:
-        total = total * hilbert_tame(a, b, pi)
-    return total.inverse()
 
 
 def zeta_norm_test(p: int) -> bool:

@@ -8,10 +8,11 @@ those it keeps, are sparse {column: value} maps of their nonzero entries,
 so no row of full length is ever built.  `snf` runs only on the block of
 its basis whose pivots exceed 1, a few rows at most; the other matrices
 are tiny.  The Bezout coefficients of `_xgcd` come from `math.gcd` and a
-modular inverse, not a Python-level Euclidean loop.  There is no
-integer-kernel routine: the congruence system for an inverse-class
-representative N(J)*J^-1 is solved through the dual of a triangular
-lattice in `ideals`.
+modular inverse.  `det` and the batch `hnf` are reached by no command:
+the tests take them as references, and the benchmark tracer names them.
+There is no integer-kernel routine: the congruence system for an
+inverse-class representative N(J)*J^-1 is solved through the dual of a
+triangular lattice in `ideals`.
 """
 
 from __future__ import annotations
@@ -47,10 +48,6 @@ class IntMatrix:
             flat.extend(int(x) for x in r)
         return cls(rows, cols, tuple(flat))
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
     def __getitem__(self, ij: Tuple[int, int]) -> int:
         i, j = ij
         return self.entries[i * self.cols + j]
@@ -60,16 +57,6 @@ class IntMatrix:
 
     def to_lists(self) -> List[List[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        a, b = self.to_lists(), other.to_lists()
-        out = [
-            [sum(a[i][k] * b[k][j] for k in range(self.cols)) for j in range(other.cols)]
-            for i in range(self.rows)
-        ]
-        return IntMatrix.from_rows(out)
 
 
 def det(M: IntMatrix) -> int:
@@ -97,9 +84,16 @@ def det(M: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _hnf_inplace(a: List[List[int]], u: List[List[int]]) -> None:
-    """Row-reduce `a` to HNF, accumulating the row operations in `u`."""
-    rows, cols = len(a), len(a[0])
+def hnf(M: IntMatrix) -> IntMatrix:
+    """Hermite normal form H of M: the same shape, and its nonzero rows
+    are a basis of the lattice that M's rows span.
+
+    H is upper triangular (echelon) with positive pivots; entries above
+    each pivot are reduced modulo the pivot.  Zero rows sink to the
+    bottom when M is rank deficient.
+    """
+    rows, cols = M.rows, M.cols
+    a = M.to_lists()
     pr = 0
     for pc in range(cols):
         if pr >= rows:
@@ -116,15 +110,12 @@ def _hnf_inplace(a: List[List[int]], u: List[List[int]]) -> None:
                 break
             if pivot != pr:
                 a[pr], a[pivot] = a[pivot], a[pr]
-                u[pr], u[pivot] = u[pivot], u[pr]
             done = True
             for i in range(pr + 1, rows):
                 if a[i][pc] != 0:
                     q = a[i][pc] // a[pr][pc]
                     for j in range(cols):
                         a[i][j] -= q * a[pr][j]
-                    for j in range(len(u[0])):
-                        u[i][j] -= q * u[pr][j]
                     if a[i][pc] != 0:
                         done = False
             if done:
@@ -133,29 +124,14 @@ def _hnf_inplace(a: List[List[int]], u: List[List[int]]) -> None:
             continue
         if a[pr][pc] < 0:
             a[pr] = [-x for x in a[pr]]
-            u[pr] = [-x for x in u[pr]]
         # reduce the entries above the pivot
         for i in range(pr):
             q = a[i][pc] // a[pr][pc]
             if q:
                 for j in range(cols):
                     a[i][j] -= q * a[pr][j]
-                for j in range(len(u[0])):
-                    u[i][j] -= q * u[pr][j]
         pr += 1
-
-
-def hnf(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
-    """Hermite normal form H = U*M with U unimodular.
-
-    H is upper triangular (echelon) with positive pivots; entries above
-    each pivot are reduced modulo the pivot.  Zero rows sink to the
-    bottom when M is rank deficient.
-    """
-    a = M.to_lists()
-    u = IntMatrix.identity(M.rows).to_lists()
-    _hnf_inplace(a, u)
-    return IntMatrix.from_rows(a), IntMatrix.from_rows(u)
+    return IntMatrix.from_rows(a)
 
 
 def snf(M: IntMatrix) -> List[int]:

@@ -207,6 +207,14 @@ def test_table1_negative_control_u(capsys, tmp_path):
     assert doc["results"][0]["status"] == "mismatch"
 
 
+def test_table1_primes_without_values_is_usage_error(capsys):
+    # an empty --primes must not read as "no restriction" and run all 24 rows
+    with pytest.raises(SystemExit) as exc:
+        main(["--budget", "0.2", "table1", "--primes"])
+    assert exc.value.code == 2
+    assert "--primes" in capsys.readouterr().err
+
+
 def test_classgroup_command(capsys):
     code, doc = run_json(capsys, "--budget", "60", "classgroup", "--d", "7")
     assert code == 0

@@ -89,10 +89,7 @@ def test_classify_checks_the_discriminant(monkeypatch, d):
     real = cubicfield._build_table
 
     def off_by_one(a, b, glue):
-        built = real(a, b, glue)
-        if built is None:
-            return None
-        basis, table = built
+        basis, table = real(a, b, glue)
         rows = [list(row) for row in table]
         c0, c1, c2 = rows[1][2]
         # w1 * w2 one off, still integral and commutative, so that only the
@@ -165,6 +162,67 @@ def test_table_multiplies_the_stated_basis(d):
         for j in range(3):
             expected = [sum(c * wk[t] for c, wk in zip(F.table[i][j], w)) for t in range(3)]
             assert _theta_poly_mul(w[i], w[j], d) == expected, (i, j)
+
+
+def _glue_search(d, a, b):
+    """Every (g0, g1) in {0, 1, 2}^2 whose basis 1, theta,
+    w2 = (b*g0 + b*g1*theta + theta^2)/(3b) is closed under multiplication,
+    with that basis and its table.
+
+    Reference: the products are taken over (1, theta, theta^2) with
+    theta^3 = d, not over the order Z[theta, theta^2/b] that
+    `_build_table` multiplies in.  With W_i = 3b*w_i, the integer product
+    P = W_i*W_j is (3b)^2 * w_i*w_j, so w_i*w_j = c0 + c1*theta + c2*w2
+    reads c2 = P2/(3b) and c_k = (P_k - 3b^2*c2*g_k)/(9b^2), k = 0, 1.
+    """
+    found = []
+    for g0, g1 in product(range(3), repeat=2):
+        W = ((3 * b, 0, 0), (0, 3 * b, 0), (b * g0, b * g1, 1))
+        table = [[None] * 3 for _ in range(3)]
+        for i, j in product(range(3), repeat=2):
+            P = _theta_poly_mul(W[i], W[j], d)
+            c2, r2 = divmod(P[2], 3 * b)
+            c0, r0 = divmod(P[0] - 3 * b * b * c2 * g0, 9 * b * b)
+            c1, r1 = divmod(P[1] - 3 * b * b * c2 * g1, 9 * b * b)
+            if r0 or r1 or r2:
+                break
+            table[i][j] = (c0, c1, c2)
+        else:
+            basis = ((1, 0, 0, 1), (0, 1, 0, 1), (b * g0, b * g1, 1, 3 * b))
+            found.append(((g0, g1), basis, tuple(tuple(row) for row in table)))
+    return found
+
+
+def test_closed_form_glue_is_the_one_the_nine_way_search_finds():
+    # every second-kind cube-free d < 10^4: exactly one of the nine glue
+    # candidates gives an integral table, and classify's is that one
+    second = 0
+    for d in range(2, 10**4):
+        try:
+            F = classify(d)
+        except ValueError:  # not cube-free
+            continue
+        if F.kind != "second":
+            continue
+        ((glue, basis, table),) = _glue_search(d, F.a, F.b)
+        assert glue == (F.b % 3, F.a * F.b % 3), d
+        assert (F.basis_theta_repr, F.table) == (basis, table), d
+        second += 1
+    assert second == 1919
+
+
+@pytest.mark.parametrize("d", [2, 7, 12, 245, 10, 17, 19, 28, 44, 199, 325, 350])
+def test_build_table_refuses_a_glue_that_is_not_closed(d):
+    # first kind: no denominator-3 glue is integral; second kind: only
+    # classify's, whose (b mod 3, a*b mod 3) takes all four nonzero values here
+    F = classify(d)
+    closed = (F.b % 3, F.a * F.b % 3) if F.kind == "second" else None
+    for glue in product(range(3), repeat=2):
+        if glue == closed:
+            assert cubicfield._build_table(F.a, F.b, glue) == (F.basis_theta_repr, F.table)
+        else:
+            with pytest.raises(ArithmeticError, match="no integral table"):
+                cubicfield._build_table(F.a, F.b, glue)
 
 
 @given(coords, coords, coords)

@@ -451,8 +451,8 @@ def test_from_generators_rejects_degenerate():
 
 
 def _hnf_rows(vectors):
-    """Reference: the nonzero rows of zlinalg.hnf, which also builds the transform."""
-    H, _ = hnf(IntMatrix.from_rows([list(v) for v in vectors]))
+    """Reference: the nonzero rows of zlinalg.hnf, a dense batch elimination."""
+    H = hnf(IntMatrix.from_rows([list(v) for v in vectors]))
     rows = tuple(H.row(i) for i in range(H.rows) if any(H.row(i)))
     if len(rows) != 3:
         raise ValueError("generators do not span a full-rank lattice")
