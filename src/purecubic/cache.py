@@ -2,8 +2,8 @@
 
 Each record is one JSON object per line, UTF-8, LF endings.  A corrupted
 trailing line (the usual artifact of an interrupted write) is truncated
-with a warning; corruption anywhere else is an error, never silently
-skipped.
+with a warning, and a complete last line that lost its newline gets it
+back; corruption anywhere else is an error, never silently skipped.
 """
 
 from __future__ import annotations
@@ -46,6 +46,11 @@ class ResultCache:
                 raise ValueError(
                     f"cache {self.path}: corrupted line {i + 1} (not trailing)"
                 )
+        else:
+            if raw and not raw.endswith(b"\n"):
+                # a write cut off just after a whole record: end its line first
+                with open(self.path, "ab") as fh:
+                    fh.write(b"\n")
         return records
 
     def append(self, *records: Dict[str, Any]) -> None:

@@ -302,9 +302,7 @@ def class_group(F: PureCubicField, budget_seconds: float = 600.0) -> ClassGroupS
 
     certified = False
     if fb.bound <= ORACLE_BOUND_LIMIT:
-        oracle_h = _oracle_class_number(
-            F, fb, lattice, search_bound=ORACLE_SEARCH_BOUND, deadline=deadline
-        )
+        oracle_h = _oracle_class_number(F, fb, lattice, deadline)
         if lattice.determinant() != h:
             # the oracle inserted true relations that the search had missed
             divisors = lattice.elementary_divisors()
@@ -342,11 +340,11 @@ def _all_ideals_up_to(F: PureCubicField, fb: FactorBase) -> List[Tuple[IdealHNF,
 
 
 def _oracle_class_number(
-    F: PureCubicField, fb: FactorBase, lattice: HNFLattice, search_bound: int, deadline: float
+    F: PureCubicField, fb: FactorBase, lattice: HNFLattice, deadline: float
 ) -> Optional[int]:
     """Independent class number: enumerate ideals below the bound and merge
-    them into classes by bounded principality tests.  Returns None when the
-    deadline cuts the enumeration short.
+    them into classes by principality tests of radius ORACLE_SEARCH_BOUND.
+    Returns None when the deadline cuts the enumeration short.
 
     An ideal is tested first against the representatives in its class of
     Z^n/lattice (equal `lattice.residue` of the exponent vectors), then
@@ -373,12 +371,12 @@ def _oracle_class_number(
             R, R_inv, e_R = reps[i]
             # generators can be short in either direction, try both quotients
             J = mul(I, R_inv)
-            alpha = is_principal_bounded(J, search_bound)
+            alpha = is_principal_bounded(J, ORACLE_SEARCH_BOUND)
             if alpha is None:
                 if I_inv is None:
                     I_inv = class_inverse_representative(I)
                 J = mul(R, I_inv)
-                alpha = is_principal_bounded(J, search_bound)
+                alpha = is_principal_bounded(J, ORACLE_SEARCH_BOUND)
             if alpha is None:
                 continue
             if keys[i] != key:

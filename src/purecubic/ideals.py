@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product as iproduct
 from math import gcd
 from typing import Iterator, List, Optional, Tuple
 
@@ -175,10 +174,10 @@ def primes_above(field: PureCubicField, q: int) -> List[Tuple[IdealHNF, int, int
     """Prime ideals above q as (ideal, e, f), consistent with split_in_gamma.
 
     The primes of degree 1 are the kernels x0 + s*x1 + t*x2 = 0 (mod q) of
-    the ring maps O -> F_q, in the order `ring_maps` gives them.  When
-    x^3 - d has the single root r mod q, the degree-2 prime is
-    (q, theta^2 + r*theta + r^2); with no root q is inert (Cohen, GTM
-    138, 6.2).
+    the ring maps O -> F_q, in ring-map order (as `ring_maps` gives them),
+    q | 3b included.  When x^3 - d has the single root r mod q, the
+    degree-2 prime is (q, theta^2 + r*theta + r^2); with no root q is
+    inert (Cohen, GTM 138, 6.2).
     """
     maps = ring_maps(field, q)  # raises ValueError unless q is prime
     q_ideal = IdealHNF.from_integer(field, q)
@@ -204,16 +203,6 @@ def primes_above(field: PureCubicField, q: int) -> List[Tuple[IdealHNF, int, int
         raise ArithmeticError(f"a prime above {q} has the wrong norm")
     if reduce(mul, [P for P, e, _ in out for _ in range(e)]) != q_ideal:
         raise ArithmeticError(f"the primes above {q} do not reassemble {q}O")
-    if index_divisor and len(out) > 1:
-        # the order in which a scan of O/qO meets them: by the lex-least
-        # v in (Z/q)^3 with (v, q)O = P
-        first = {}
-        for v in iproduct(range(q), repeat=3):
-            P = IdealHNF.from_generators(field, [(q, 0, 0), v])
-            first.setdefault(P.basis, v)
-            if all(P.basis in first for P, _, _ in out):
-                break
-        out.sort(key=lambda item: first[item[0].basis])
     return out
 
 

@@ -96,9 +96,7 @@ def _place(pi: Eisenstein) -> _Place:
     q = isqrt(n)
     if q * q == n:
         return _Place(pi, q, None)
-    if pi.b % n == 0:
-        raise ArithmeticError("degenerate split prime")
-    return _Place(pi, n, -pi.a * pow(pi.b, -1, n) % n)  # zeta == -a/b mod pi
+    return _split_place(pi, n)
 
 
 def _split_place(pi: Eisenstein, p: int) -> _Place:

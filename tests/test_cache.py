@@ -40,3 +40,16 @@ def test_append_after_truncation(tmp_path):
     c.load()
     c.append({"p": 37})
     assert c.load() == [{"p": 19}, {"p": 37}]
+
+
+def test_append_after_a_lost_final_newline(tmp_path):
+    # a write interrupted just after a record's closing brace: the record is
+    # whole, and the next append must start a line of its own
+    path = tmp_path / "c.jsonl"
+    c = ResultCache(str(path))
+    c.append({"p": 19}, {"p": 37})
+    path.write_bytes(path.read_bytes().rstrip(b"\n"))
+    assert c.load() == [{"p": 19}, {"p": 37}]
+    c.append({"p": 73})
+    assert c.load() == [{"p": 19}, {"p": 37}, {"p": 73}]
+    assert path.read_text(encoding="utf-8") == '{"p":19}\n{"p":37}\n{"p":73}\n'

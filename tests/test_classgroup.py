@@ -266,6 +266,34 @@ def test_catalog_class_groups_beyond_the_oracle(d):
     assert (cg.h, cg.divisors, cg.p3_type, cg.certified) == (18, (18,), (9,), False)
 
 
+@pytest.mark.parametrize(
+    "d,h,divisors,certified",
+    [
+        (7, 3, (3,), True),
+        (10, 1, (), True),
+        (19, 3, (3,), True),
+        (29, 1, (), False),
+        (55, 1, (), False),
+        (91, 9, (3, 3), True),
+        (109, 3, (3,), False),
+        (163, 3, (3,), False),
+        (199, 9, (9,), True),
+        (487, 18, (18,), False),
+    ],
+)
+def test_class_group_reads_no_order_of_the_primes_above_q(d, h, divisors, certified, monkeypatch):
+    # h, the divisors and `certified` are properties of the relation lattice
+    # and of the oracle's classes, so reversing the primes above every q,
+    # which permutes the factor base's columns, leaves them unchanged
+    F = classify(d)
+    plain = [p.ideal for p in build_factor_base(F).primes]
+    primes_above = classgroup.primes_above
+    monkeypatch.setattr(classgroup, "primes_above", lambda F, q: primes_above(F, q)[::-1])
+    assert [p.ideal for p in build_factor_base(F).primes] != plain
+    cg = class_group(F)
+    assert (cg.h, cg.divisors, cg.certified) == (h, divisors, certified)
+
+
 @pytest.fixture(scope="module")
 def spied_class_group():
     """class_group(d) and the lattice it searched, each d run once, with the
@@ -377,7 +405,7 @@ def test_oracle_counts_as_the_unordered_loop(d, classes, spied_class_group):
     F = classify(d)
     fb = build_factor_base(F)
     lattice = copy.deepcopy(spied_class_group(d)[1])
-    got = classgroup._oracle_class_number(F, fb, lattice, 12, float("inf"))
+    got = classgroup._oracle_class_number(F, fb, lattice, float("inf"))
     assert got == _unordered_oracle(F, fb, 12) == classes
 
 
@@ -428,7 +456,7 @@ def test_oracle_inserts_only_true_relations(spied_class_group):
     for i in range(M.rows):
         coarse.insert(sparse([3 * x for x in M.row(i)]))
     before = coarse.determinant()
-    assert classgroup._oracle_class_number(F, fb, coarse, 12, float("inf")) == 3
+    assert classgroup._oracle_class_number(F, fb, coarse, float("inf")) == 3
     assert coarse.determinant() < before
     C = coarse.matrix()
     for i in range(C.rows):

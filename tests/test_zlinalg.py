@@ -446,7 +446,7 @@ def test_lll_matches_gso_recomputation_on_oracle_ideals(d, monkeypatch):
     F = classify(d)
     fb = classgroup.build_factor_base(F)
     lattice = HNFLattice(len(fb.primes))
-    classgroup._oracle_class_number(F, fb, lattice, search_bound=12, deadline=float("inf"))
+    classgroup._oracle_class_number(F, fb, lattice, deadline=float("inf"))
     assert len(bases) > 20
     for basis in bases:
         assert lll_reduce(basis) == _gso_lll(basis)
