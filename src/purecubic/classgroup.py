@@ -10,10 +10,11 @@ a q-part, built once per factor base; the q-parts have coprime norms, so
 the HNF of (alpha) is checked against their CRT congruences rather than
 rebuilt from them.  A relation row is a sparse {column: exponent} map of
 its nonzero exponents, a handful out of up to several hundred columns,
-and the relation lattice takes it in that form: it is kept in Hermite
-normal form as rows arrive, and once the search stabilizes the cokernel
-is read off the Smith normal form of the basis block whose pivots
-exceed 1.
+and the relation lattice takes it in that form, its columns in reverse
+factor-base order so that a row pivots on its largest prime: it is kept
+in Hermite normal form as rows arrive, and once the search stabilizes
+the cokernel is read off the Smith normal form of the basis block whose
+pivots exceed 1.
 Stabilization is heuristic, so for small bounds the result is certified
 against an independent brute-force enumeration of ideal classes.  The
 enumeration tests each ideal first against the representatives that the
@@ -271,6 +272,22 @@ def _three_part(n: int) -> int:
     return h3
 
 
+def _lattice_row(row: Dict[int, int], n: int) -> Dict[int, int]:
+    """A row over the n factor-base columns in the relation lattice's
+    column order: factor-base column j is lattice column n - 1 - j.
+
+    The factor base ascends in q, so under the identity map nearly every
+    row would pivot on the column of 2 or 3, and each insert would fill in
+    and re-reduce the dense small-prime rows.  Reversed, a row pivots on
+    its largest prime, which few rows share: the rarest columns are
+    eliminated first (LaMacchia--Odlyzko, CRYPTO '90).  No answer reads
+    the order: the rank, whether an insert changes the lattice, the
+    cokernel and the equality of residues are all invariant under a
+    column permutation.
+    """
+    return {n - 1 - j: k for j, k in row.items()}
+
+
 def class_group(F: PureCubicField, budget_seconds: float = 600.0) -> ClassGroupStructure:
     """Class group structure by relation search + SNF, oracle-certified when feasible."""
     deadline = time.monotonic() + budget_seconds
@@ -290,7 +307,7 @@ def class_group(F: PureCubicField, budget_seconds: float = 600.0) -> ClassGroupS
         if row is None:
             continue
         rows += 1
-        changed = lattice.insert(row)
+        changed = lattice.insert(_lattice_row(row, n))
         if lattice.rank == n:
             stable = 0 if changed else stable + 1
             if stable >= STABLE_WINDOW:
@@ -359,13 +376,14 @@ def _oracle_class_number(
     R*(N(I)/I), or when I becomes a representative: a first quotient
     that tests principal never needs it.
     """
+    n = lattice.ncols
     reps: List[Tuple[IdealHNF, IdealHNF, Dict[int, int]]] = []  # R, N(R)/R, e(R)
     keys: List[Dict[int, int]] = []
     for I, e in _all_ideals_up_to(F, fb):
         if time.monotonic() > deadline:
             return None
         I_inv: Optional[IdealHNF] = None
-        key = lattice.residue(e)
+        key = lattice.residue(_lattice_row(e, n))
         # a stable sort: the representatives with the ideal's key first
         for i in sorted(range(len(reps)), key=lambda i: keys[i] != key):
             R, R_inv, e_R = reps[i]
@@ -383,8 +401,9 @@ def _oracle_class_number(
                 if ideal_of_element(F, alpha) != J:
                     raise ArithmeticError(f"oracle witness {alpha} does not generate its ideal")
                 # (alpha) is I/R or R/I times a rational integer
-                lattice.insert({j: e.get(j, 0) - e_R.get(j, 0) for j in e.keys() | e_R.keys()})
-                keys = [lattice.residue(r[2]) for r in reps]
+                diff = {j: e.get(j, 0) - e_R.get(j, 0) for j in e.keys() | e_R.keys()}
+                lattice.insert(_lattice_row(diff, n))
+                keys = [lattice.residue(_lattice_row(r[2], n)) for r in reps]
             break
         else:
             if I_inv is None:

@@ -157,6 +157,9 @@ def cmd_table1(args, u_map) -> Report:
         bad = [p for p in primes if p not in TABLE1_PRIMES]
         if bad:
             raise UsageError(f"not table rows: {bad}")
+        repeated = sorted({p for p in primes if primes.count(p) > 1})
+        if repeated:
+            raise UsageError(f"--primes lists {repeated} more than once")
     deadline = time.monotonic() + args.budget
     results = []
     any_mismatch = False
@@ -328,13 +331,17 @@ class UsageError(Exception):
 
 
 def _budget_arg(s: str) -> float:
-    """A --budget in seconds.  NaN is refused: it compares false with every deadline."""
+    """A --budget in seconds, finite and at least 0.  NaN is refused: it
+    compares false with every deadline.  So is an infinite budget, which
+    the JSON document would carry as `Infinity`, and that is not JSON."""
     try:
         budget = float(s)
     except ValueError:
         budget = float("nan")
     if budget != budget:
         raise argparse.ArgumentTypeError(f"not a number of seconds: {s!r}")
+    if not 0 <= budget < float("inf"):
+        raise argparse.ArgumentTypeError(f"not a finite budget of 0 seconds or more: {s!r}")
     return budget
 
 

@@ -120,7 +120,7 @@ class IdealHNF:
 
 
 def mul(I: IdealHNF, J: IdealHNF) -> IdealHNF:
-    if I.field != J.field:
+    if I.field is not J.field and I.field != J.field:
         raise ValueError("ambient mismatch")
     vecs = []
     for u in I.basis:
@@ -147,7 +147,7 @@ def is_coprime_product(H: IdealHNF, parts: List[IdealHNF]) -> bool:
     (A, B, C), (_, D, E), (_, _, F) = H.basis
     pa = pd = pf = 1
     for P in parts:
-        if P.field != H.field:
+        if P.field is not H.field and P.field != H.field:
             raise ValueError("ambient mismatch")
         (a, _, _), (_, d, _), (_, _, f) = P.basis
         if gcd(pa * pd * pf, a * d * f) != 1:

@@ -215,6 +215,14 @@ def test_table1_primes_without_values_is_usage_error(capsys):
     assert "--primes" in capsys.readouterr().err
 
 
+def test_table1_duplicate_prime_is_usage_error(capsys):
+    # a repeated p would compute its class group twice and emit two rows
+    assert main(["--budget", "0.2", "table1", "--primes", "199", "487", "199"]) == 2
+    captured = capsys.readouterr()
+    assert "[199] more than once" in captured.err
+    assert captured.out == ""
+
+
 def test_classgroup_command(capsys):
     code, doc = run_json(capsys, "--budget", "60", "classgroup", "--d", "7")
     assert code == 0
@@ -375,6 +383,13 @@ def test_usage_errors(capsys):
             main([f"--budget={budget}", "classgroup", "--d", "199"])
         assert exc.value.code == 2
         assert f"not a number of seconds: {budget!r}" in capsys.readouterr().err
+    for budget in ("inf", "-inf", "1e400", "-1"):
+        # an infinite budget would reach the JSON document as `Infinity`,
+        # which a strict parser refuses
+        with pytest.raises(SystemExit) as exc:
+            main([f"--budget={budget}", "classgroup", "--d", "7"])
+        assert exc.value.code == 2
+        assert f"not a finite budget of 0 seconds or more: {budget!r}" in capsys.readouterr().err
 
 
 def test_unreadable_cache_is_usage_error(capsys, tmp_path):

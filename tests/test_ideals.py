@@ -93,6 +93,22 @@ def test_is_coprime_product_rejects_norms_that_share_a_prime():
         is_coprime_product(P10, [P])
 
 
+def test_ideals_of_equal_fields_that_are_not_one_object_multiply():
+    # mul and is_coprime_product test the fields for identity first and
+    # fall back to equality, so a second classify(7) is the same ambient
+    F, G = classify(7), classify(7)
+    assert F is not G and F == G
+    (P, _, _), (Q, _, _) = primes_above(F, 3)[0], primes_above(G, 2)[0]
+    PQ = mul(P, Q)
+    assert mul(Q, P) == PQ
+    assert is_coprime_product(PQ, [P, Q])
+    assert is_coprime_product(mul(Q, primes_above(G, 3)[0][0]), [P, Q])
+    P10 = primes_above(classify(10), 7)[0][0]
+    for I, J in ((P, P10), (P10, Q)):
+        with pytest.raises(ValueError, match="ambient"):
+            mul(I, J)
+
+
 @pytest.mark.parametrize("d", [7, 199, 487])
 def test_is_coprime_product_rejects_a_changed_entry(d):
     # H is canonical, so any other value of B (in [0, D)), C or E (in
