@@ -14,7 +14,11 @@ and the relation lattice takes it in that form, its columns in reverse
 factor-base order so that a row pivots on its largest prime: it is kept
 in Hermite normal form as rows arrive, and once the search stabilizes
 the cokernel is read off the Smith normal form of the basis block whose
-pivots exceed 1.
+pivots exceed 1.  An element alpha = g*beta whose coordinates share a
+factor g > 1 is decided from rows the search already has: (alpha) =
+(g)(beta) and beta came earlier, so alpha is a row exactly when beta and
+gO are, and once gO's row is in the lattice that row leaves it
+unchanged, with no norm, valuation or reassembly of alpha.
 Stabilization is heuristic, so for small bounds the result is certified
 against an independent brute-force enumeration of ideal classes.  The
 enumeration tests each ideal first against the representatives that the
@@ -36,7 +40,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import count
 from math import gcd, isqrt, prod
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from sympy import isprime, primerange
 
@@ -250,7 +254,13 @@ def relation_row(
 
 def _element_stream() -> Iterator[Tuple[int, int, int]]:
     """Deterministic expanding-box enumeration of nonzero elements, one of
-    each pair +-alpha."""
+    each pair +-alpha.
+
+    Of each pair, the element yielded is the one whose first nonzero
+    coordinate, read in the order z, y, x, is positive.  Dividing by a
+    positive g keeps that sign and shrinks the box, so if g divides every
+    coordinate of alpha, alpha/g was yielded before alpha.
+    """
     for r in count(1):
         for x in range(-r, r + 1):
             for y in range(-r, r + 1):
@@ -288,6 +298,49 @@ def _lattice_row(row: Dict[int, int], n: int) -> Dict[int, int]:
     return {n - 1 - j: k for j, k in row.items()}
 
 
+# the verdicts of _decide_non_primitive
+NO_ROW, UNCHANGED_ROW, COMPUTE = "no row", "unchanged row", "compute"
+
+
+def _decide_non_primitive(
+    F: PureCubicField,
+    fb: FactorBase,
+    lattice: HNFLattice,
+    alpha: Tuple[int, int, int],
+    g: int,
+    found: Set[Tuple[int, int, int]],
+    g_rows: Dict[int, Optional[Dict[int, int]]],
+) -> str:
+    """What the search does with alpha = g*beta, g > 1 the gcd of its
+    coordinates, before any arithmetic on alpha.
+
+    (alpha) = (g)(beta), and beta, primitive, came earlier in the stream,
+    so its row is known: it is in `found`, the primitive elements that
+    gave rows, all inserted into `lattice`.  The row of alpha is the sum
+    of the rows of beta and gO, and a row exactly when both are.  So
+    alpha is NO_ROW when either is none, UNCHANGED_ROW when both are
+    rows in the lattice, and COMPUTE when gO's row is not yet in it.
+
+    `g_rows` keeps, per g, None when gO is no row, else the residue of
+    its lattice row, computed once and reduced again only while it is
+    nonzero, since the lattice only grows.
+    """
+    if tuple(x // g for x in alpha) not in found:
+        return NO_ROW
+    if g in g_rows:
+        residue = g_rows[g]
+    else:
+        row = relation_row(F, fb, (g, 0, 0))
+        residue = g_rows[g] = None if row is None else _lattice_row(row, lattice.ncols)
+    if residue is None:
+        return NO_ROW
+    if residue:
+        residue = g_rows[g] = lattice.residue(residue)
+        if residue:
+            return COMPUTE
+    return UNCHANGED_ROW
+
+
 def class_group(F: PureCubicField, budget_seconds: float = 600.0) -> ClassGroupStructure:
     """Class group structure by relation search + SNF, oracle-certified when feasible."""
     deadline = time.monotonic() + budget_seconds
@@ -300,14 +353,27 @@ def class_group(F: PureCubicField, budget_seconds: float = 600.0) -> ClassGroupS
     lattice = HNFLattice(n)
     rows = 0
     stable = 0
+    found: Set[Tuple[int, int, int]] = set()
+    g_rows: Dict[int, Optional[Dict[int, int]]] = {}
     for alpha in _element_stream():
         if time.monotonic() >= deadline:  # so a zero budget stops before any row
             raise BudgetExhausted(F.d, rows, lattice.rank, n, lattice.determinant())
-        row = relation_row(F, fb, alpha)
-        if row is None:
+        g = gcd(*alpha)
+        verdict = COMPUTE
+        if g > 1:
+            verdict = _decide_non_primitive(F, fb, lattice, alpha, g, found, g_rows)
+        if verdict == NO_ROW:
             continue
+        if verdict == UNCHANGED_ROW:
+            changed = False
+        else:
+            row = relation_row(F, fb, alpha)
+            if row is None:
+                continue
+            if g == 1:
+                found.add(alpha)
+            changed = lattice.insert(_lattice_row(row, n))
         rows += 1
-        changed = lattice.insert(_lattice_row(row, n))
         if lattice.rank == n:
             stable = 0 if changed else stable + 1
             if stable >= STABLE_WINDOW:

@@ -5,6 +5,7 @@ import gc
 import random
 from fractions import Fraction
 from itertools import count, islice
+from math import gcd
 
 import pytest
 from sympy import primerange
@@ -237,6 +238,36 @@ def test_element_stream_matches_the_cube_scan():
     assert len(set(got)) == 20000
 
 
+@pytest.mark.parametrize("d", [7, 28, 199, 487])
+def test_non_primitive_row_is_the_sum_of_its_parts(d):
+    # (alpha) = (g)(alpha/g), so the search may decide alpha from the row
+    # of alpha/g, which it met earlier, and the row of gO
+    F = classify(d)
+    fb = build_factor_base(F)
+    stream = list(islice(_element_stream(), 3000))
+    position = {alpha: i for i, alpha in enumerate(stream)}
+    outcomes = set()
+    for i, alpha in enumerate(stream):
+        g = gcd(*alpha)
+        if g == 1:
+            continue
+        beta = tuple(x // g for x in alpha)
+        assert position[beta] < i, alpha
+        parts = relation_row(F, fb, beta), relation_row(F, fb, (g, 0, 0))
+        row = relation_row(F, fb, alpha)
+        if None in parts:
+            assert row is None, alpha
+        else:
+            b, c = parts
+            assert row == {j: b.get(j, 0) + c.get(j, 0) for j in b.keys() | c.keys()}, alpha
+        outcomes.add(row is None)
+    assert outcomes == {True, False}
+    if d == 7:
+        # 5 = P P' with N(P') = 25 beyond the bound 11: only P is in the base
+        assert [fb.primes[j].norm for j in fb.columns[5]] == [5] and fb.bound == 11
+        assert relation_row(F, fb, (5, 0, 0)) is None
+
+
 @pytest.mark.parametrize("d,h", [(2, 1), (3, 1), (5, 1), (7, 3)])
 def test_class_numbers_certified(d, h):
     cg = class_group(classify(d), budget_seconds=120)
@@ -335,7 +366,7 @@ def spied_class_group():
             class Spy(HNFLattice):
                 def __init__(self, ncols):
                     super().__init__(ncols)
-                    self.flags = []  # (changed, full rank) after each insert
+                    self.flags = []  # (changed, full rank) after each row
                     made.append(self)
 
                 def insert(self, row):
@@ -343,8 +374,18 @@ def spied_class_group():
                     self.flags.append((changed, self.rank == self.ncols))
                     return changed
 
+            decide = classgroup._decide_non_primitive
+
+            def decide_and_flag(F, fb, lattice, *rest):
+                # a decided row leaves the lattice unchanged without an insert
+                verdict = decide(F, fb, lattice, *rest)
+                if verdict == classgroup.UNCHANGED_ROW:
+                    lattice.flags.append((False, lattice.rank == lattice.ncols))
+                return verdict
+
             with pytest.MonkeyPatch.context() as m:
                 m.setattr(classgroup, "HNFLattice", Spy)
+                m.setattr(classgroup, "_decide_non_primitive", decide_and_flag)
                 m.setattr(classgroup, "ORACLE_BOUND_LIMIT", 0)
                 cg = class_group(classify(d))
             (lattice,) = made
@@ -365,6 +406,41 @@ def test_search_stops_after_a_full_stable_window(d, spied_class_group):
     # STABLE_WINDOW unchanged full-rank rows, right after the last change
     assert tail == STABLE_WINDOW
     assert lattice.flags[-tail - 1] == (True, True)
+
+
+# tallies of the verdicts on non-primitive alpha = g*beta: no row with beta
+# no row, no row with gO no row (110: the prime above 13 of norm 169 is
+# beyond the bound 162), unchanged row, compute (gO's row not yet in the
+# lattice)
+@pytest.mark.parametrize(
+    "d,tally",
+    [(7, (1, 0, 15, 0)), (28, (4, 0, 10, 0)), (110, (160, 11, 85, 3)),
+     (199, (34, 0, 41, 1)), (487, (39, 0, 46, 0))],
+    ids=["7", "28", "110", "199", "487"],
+)
+def test_each_decided_element_gets_the_verdict_of_its_row(d, tally, monkeypatch):
+    # a non-primitive element is no row exactly when relation_row says so,
+    # and an unchanged row exactly when its row is already in the lattice
+    decide = classgroup._decide_non_primitive
+    got = [0, 0, 0, 0]
+
+    def checked(F, fb, lattice, alpha, g, *rest):
+        verdict = decide(F, fb, lattice, alpha, g, *rest)
+        row = relation_row(F, fb, alpha)
+        if row is None:
+            assert verdict == classgroup.NO_ROW, alpha
+            got[relation_row(F, fb, tuple(x // g for x in alpha)) is not None] += 1
+        elif lattice.residue(classgroup._lattice_row(row, lattice.ncols)):
+            assert verdict == classgroup.COMPUTE, alpha
+            got[3] += 1
+        else:
+            assert verdict == classgroup.UNCHANGED_ROW, alpha
+            got[2] += 1
+        return verdict
+
+    monkeypatch.setattr(classgroup, "_decide_non_primitive", checked)
+    class_group(classify(d))
+    assert tuple(got) == tally
 
 
 # the number of pivots above 1 in each field's final HNF
