@@ -15,10 +15,10 @@ factor-base order so that a row pivots on its largest prime: it is kept
 in Hermite normal form as rows arrive, and once the search stabilizes
 the cokernel is read off the Smith normal form of the basis block whose
 pivots exceed 1.  An element alpha = g*beta whose coordinates share a
-factor g > 1 is decided from rows the search already has: (alpha) =
-(g)(beta) and beta came earlier, so alpha is a row exactly when beta and
-gO are, and once gO's row is in the lattice that row leaves it
-unchanged, with no norm, valuation or reassembly of alpha.
+factor g > 1 needs no arithmetic of its own: (alpha) = (g)(beta) and beta
+came earlier, so alpha is a row exactly when beta and gO are, and since
+beta's row is in the lattice, the first such alpha inserts gO's row and
+every later one the empty row.
 Stabilization is heuristic, so for small bounds the result is certified
 against an independent brute-force enumeration of ideal classes.  The
 enumeration tests each ideal first against the representatives that the
@@ -298,49 +298,6 @@ def _lattice_row(row: Dict[int, int], n: int) -> Dict[int, int]:
     return {n - 1 - j: k for j, k in row.items()}
 
 
-# the verdicts of _decide_non_primitive
-NO_ROW, UNCHANGED_ROW, COMPUTE = "no row", "unchanged row", "compute"
-
-
-def _decide_non_primitive(
-    F: PureCubicField,
-    fb: FactorBase,
-    lattice: HNFLattice,
-    alpha: Tuple[int, int, int],
-    g: int,
-    found: Set[Tuple[int, int, int]],
-    g_rows: Dict[int, Optional[Dict[int, int]]],
-) -> str:
-    """What the search does with alpha = g*beta, g > 1 the gcd of its
-    coordinates, before any arithmetic on alpha.
-
-    (alpha) = (g)(beta), and beta, primitive, came earlier in the stream,
-    so its row is known: it is in `found`, the primitive elements that
-    gave rows, all inserted into `lattice`.  The row of alpha is the sum
-    of the rows of beta and gO, and a row exactly when both are.  So
-    alpha is NO_ROW when either is none, UNCHANGED_ROW when both are
-    rows in the lattice, and COMPUTE when gO's row is not yet in it.
-
-    `g_rows` keeps, per g, None when gO is no row, else the residue of
-    its lattice row, computed once and reduced again only while it is
-    nonzero, since the lattice only grows.
-    """
-    if tuple(x // g for x in alpha) not in found:
-        return NO_ROW
-    if g in g_rows:
-        residue = g_rows[g]
-    else:
-        row = relation_row(F, fb, (g, 0, 0))
-        residue = g_rows[g] = None if row is None else _lattice_row(row, lattice.ncols)
-    if residue is None:
-        return NO_ROW
-    if residue:
-        residue = g_rows[g] = lattice.residue(residue)
-        if residue:
-            return COMPUTE
-    return UNCHANGED_ROW
-
-
 def class_group(F: PureCubicField, budget_seconds: float = 600.0) -> ClassGroupStructure:
     """Class group structure by relation search + SNF, oracle-certified when feasible."""
     deadline = time.monotonic() + budget_seconds
@@ -359,20 +316,25 @@ def class_group(F: PureCubicField, budget_seconds: float = 600.0) -> ClassGroupS
         if time.monotonic() >= deadline:  # so a zero budget stops before any row
             raise BudgetExhausted(F.d, rows, lattice.rank, n, lattice.determinant())
         g = gcd(*alpha)
-        verdict = COMPUTE
-        if g > 1:
-            verdict = _decide_non_primitive(F, fb, lattice, alpha, g, found, g_rows)
-        if verdict == NO_ROW:
-            continue
-        if verdict == UNCHANGED_ROW:
-            changed = False
-        else:
+        if g == 1:
             row = relation_row(F, fb, alpha)
             if row is None:
                 continue
-            if g == 1:
-                found.add(alpha)
-            changed = lattice.insert(_lattice_row(row, n))
+            found.add(alpha)
+        else:
+            # (alpha) = (g)(beta) and beta = alpha/g came earlier, so alpha is
+            # a row exactly when beta and gO are; beta's row is in the
+            # lattice, so alpha's row changes it as gO's row does, once, and
+            # the empty row stands for it after that
+            if tuple(x // g for x in alpha) not in found:
+                continue
+            if g not in g_rows:
+                g_rows[g] = relation_row(F, fb, (g, 0, 0))
+            row = g_rows[g]
+            if row is None:
+                continue
+            g_rows[g] = {}
+        changed = lattice.insert(_lattice_row(row, n))
         rows += 1
         if lattice.rank == n:
             stable = 0 if changed else stable + 1

@@ -33,6 +33,7 @@ from purecubic.ideals import (
     valuation,
 )
 from purecubic.zlinalg import HNFLattice, snf
+from relation_search import BUDGET_SECONDS, reference_search, spied_search
 from sparse_rows import dense, sparse
 
 
@@ -270,14 +271,14 @@ def test_non_primitive_row_is_the_sum_of_its_parts(d):
 
 @pytest.mark.parametrize("d,h", [(2, 1), (3, 1), (5, 1), (7, 3)])
 def test_class_numbers_certified(d, h):
-    cg = class_group(classify(d), budget_seconds=120)
+    cg = class_group(classify(d), budget_seconds=BUDGET_SECONDS)
     assert cg.h == h
     assert cg.certified
 
 
 def test_class_group_deterministic():
-    a = class_group(classify(7), budget_seconds=120)
-    b = class_group(classify(7), budget_seconds=120)
+    a = class_group(classify(7), budget_seconds=BUDGET_SECONDS)
+    b = class_group(classify(7), budget_seconds=BUDGET_SECONDS)
     assert (a.h, a.divisors, a.p3_type) == (b.h, b.divisors, b.p3_type)
 
 
@@ -293,7 +294,7 @@ def test_budget_exhaustion_signal():
 def test_catalog_class_groups_beyond_the_oracle(d):
     # bounds 239 and 636 (56 and 112 factor-base primes) are above the
     # oracle's limit of 100, so these answers are heuristic, not certified
-    cg = class_group(classify(d))
+    cg = class_group(classify(d), budget_seconds=BUDGET_SECONDS)
     assert (cg.h, cg.divisors, cg.p3_type, cg.certified) == (18, (18,), (9,), False)
 
 
@@ -321,7 +322,7 @@ def test_class_group_reads_no_order_of_the_primes_above_q(d, h, divisors, certif
     primes_above = classgroup.primes_above
     monkeypatch.setattr(classgroup, "primes_above", lambda F, q: primes_above(F, q)[::-1])
     assert [p.ideal for p in build_factor_base(F).primes] != plain
-    cg = class_group(F)
+    cg = class_group(F, budget_seconds=BUDGET_SECONDS)
     assert (cg.h, cg.divisors, cg.certified) == (h, divisors, certified)
 
 
@@ -346,7 +347,7 @@ def test_class_group_reads_no_lattice_column_order(d, monkeypatch):
         with pytest.MonkeyPatch.context() as m:
             m.setattr(classgroup, "relation_row", row)
             m.setattr(classgroup, "is_principal_bounded", test)
-            return class_group(classify(d)), counts
+            return class_group(classify(d), budget_seconds=BUDGET_SECONDS), counts
 
     reversed_order = run()
     monkeypatch.setattr(classgroup, "_lattice_row", lambda row, n: row)
@@ -355,41 +356,12 @@ def test_class_group_reads_no_lattice_column_order(d, monkeypatch):
 
 @pytest.fixture(scope="module")
 def spied_class_group():
-    """class_group(d) and the lattice it searched, each d run once, with the
-    oracle off (it runs after the search and may add relations)."""
+    """spied_search(classify(d)), each d run once."""
     runs = {}
 
     def run(d):
         if d not in runs:
-            made = []
-
-            class Spy(HNFLattice):
-                def __init__(self, ncols):
-                    super().__init__(ncols)
-                    self.flags = []  # (changed, full rank) after each row
-                    made.append(self)
-
-                def insert(self, row):
-                    changed = super().insert(row)
-                    self.flags.append((changed, self.rank == self.ncols))
-                    return changed
-
-            decide = classgroup._decide_non_primitive
-
-            def decide_and_flag(F, fb, lattice, *rest):
-                # a decided row leaves the lattice unchanged without an insert
-                verdict = decide(F, fb, lattice, *rest)
-                if verdict == classgroup.UNCHANGED_ROW:
-                    lattice.flags.append((False, lattice.rank == lattice.ncols))
-                return verdict
-
-            with pytest.MonkeyPatch.context() as m:
-                m.setattr(classgroup, "HNFLattice", Spy)
-                m.setattr(classgroup, "_decide_non_primitive", decide_and_flag)
-                m.setattr(classgroup, "ORACLE_BOUND_LIMIT", 0)
-                cg = class_group(classify(d))
-            (lattice,) = made
-            runs[d] = cg, lattice
+            runs[d] = spied_search(classify(d))
         return runs[d]
 
     return run
@@ -408,39 +380,37 @@ def test_search_stops_after_a_full_stable_window(d, spied_class_group):
     assert lattice.flags[-tail - 1] == (True, True)
 
 
-# tallies of the verdicts on non-primitive alpha = g*beta: no row with beta
-# no row, no row with gO no row (110: the prime above 13 of norm 169 is
-# beyond the bound 162), unchanged row, compute (gO's row not yet in the
-# lattice)
+# the number of non-primitive alpha = g*beta whose insert changes the
+# lattice: at most one per g, the first alpha whose beta gave a row, when
+# gO's row is not yet in the lattice
 @pytest.mark.parametrize(
-    "d,tally",
-    [(7, (1, 0, 15, 0)), (28, (4, 0, 10, 0)), (110, (160, 11, 85, 3)),
-     (199, (34, 0, 41, 1)), (487, (39, 0, 46, 0))],
+    "d,changing",
+    [(7, 0), (28, 0), (110, 3), (199, 1), (487, 0)],
     ids=["7", "28", "110", "199", "487"],
 )
-def test_each_decided_element_gets_the_verdict_of_its_row(d, tally, monkeypatch):
-    # a non-primitive element is no row exactly when relation_row says so,
-    # and an unchanged row exactly when its row is already in the lattice
-    decide = classgroup._decide_non_primitive
-    got = [0, 0, 0, 0]
-
-    def checked(F, fb, lattice, alpha, g, *rest):
-        verdict = decide(F, fb, lattice, alpha, g, *rest)
-        row = relation_row(F, fb, alpha)
-        if row is None:
-            assert verdict == classgroup.NO_ROW, alpha
-            got[relation_row(F, fb, tuple(x // g for x in alpha)) is not None] += 1
-        elif lattice.residue(classgroup._lattice_row(row, lattice.ncols)):
-            assert verdict == classgroup.COMPUTE, alpha
-            got[3] += 1
-        else:
-            assert verdict == classgroup.UNCHANGED_ROW, alpha
-            got[2] += 1
-        return verdict
-
-    monkeypatch.setattr(classgroup, "_decide_non_primitive", checked)
-    class_group(classify(d))
-    assert tuple(got) == tally
+def test_search_takes_the_rows_of_the_loop_that_computes_every_element(d, changing, spied_class_group):
+    # a non-primitive element inserts gO's row once and the empty row after
+    # that, so the search counts the same elements as rows as the loop that
+    # computes the row of every element, sees each change the lattice alike,
+    # and ends on the same basis
+    _, lattice = spied_class_group(d)
+    F = classify(d)
+    rows, reference = reference_search(F)
+    assert [(alpha, *f) for (alpha, _), f in zip(lattice.rows, lattice.flags)] == rows
+    assert lattice.matrix() == reference.matrix()
+    # every row the lattice takes is the row of a primitive element met, or
+    # of gO for a non-primitive one that is a row itself
+    fb = build_factor_base(F)
+    n = lattice.ncols
+    got = 0
+    for (alpha, row), (changed, _) in zip(lattice.rows, lattice.flags):
+        g = gcd(*alpha)
+        assert relation_row(F, fb, alpha) is not None, alpha
+        got += g > 1 and changed
+        if row:
+            source = (g, 0, 0) if g > 1 else alpha
+            assert row == classgroup._lattice_row(relation_row(F, fb, source), n), alpha
+    assert got == changing
 
 
 # the number of pivots above 1 in each field's final HNF
@@ -522,7 +492,7 @@ def test_oracle_tests_the_predicted_class_first(d, tests, monkeypatch):
         return is_principal_bounded(I, search_bound)
 
     monkeypatch.setattr(classgroup, "is_principal_bounded", counting)
-    assert class_group(classify(d)).certified
+    assert class_group(classify(d), budget_seconds=BUDGET_SECONDS).certified
     assert len(calls) == tests
 
 
@@ -536,14 +506,14 @@ def test_oracle_builds_an_inverse_only_when_it_is_read(d, inverses, monkeypatch)
         return class_inverse_representative(I)
 
     monkeypatch.setattr(classgroup, "class_inverse_representative", counting)
-    assert class_group(classify(d)).certified
+    assert class_group(classify(d), budget_seconds=BUDGET_SECONDS).certified
     assert len(calls) == inverses
 
 
 def test_oracle_witness_across_relation_classes_is_a_relation():
     # the search stops at h = 2 for d = 29; one oracle merge joins two of
     # its relation classes, and that relation gives the true h = 1
-    cg = class_group(classify(29))
+    cg = class_group(classify(29), budget_seconds=BUDGET_SECONDS)
     assert (cg.h, cg.divisors, cg.p3_type) == (1, (), ())
     assert not cg.certified  # the oracle still counts 5 classes
 
@@ -626,6 +596,9 @@ def test_honda_three_divides_h_exactly_when_p_is_1_mod_3(monkeypatch):
     # a missed one.
     monkeypatch.setattr(classgroup, "ORACLE_BOUND_LIMIT", 0)
     primes = [p for p in primerange(2, 500) if p != 3]
-    wrong = [p for p in primes if (class_group(classify(p)).h % 3 == 0) != (p % 3 == 1)]
+    wrong = [
+        p for p in primes
+        if (class_group(classify(p), budget_seconds=BUDGET_SECONDS).h % 3 == 0) != (p % 3 == 1)
+    ]
     assert len(primes) == 94
     assert wrong == []

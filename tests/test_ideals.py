@@ -23,6 +23,7 @@ from purecubic.ideals import (
     valuation,
 )
 from purecubic.zlinalg import HNFLattice, IntMatrix, hnf, lll_reduce
+from relation_search import BUDGET_SECONDS
 
 vec3 = st.tuples(*[st.integers(-40, 40)] * 3)
 
@@ -398,7 +399,7 @@ def test_is_principal_bounded_matches_box_search_on_certified_fields(monkeypatch
 
     monkeypatch.setattr(classgroup, "is_principal_bounded", recording)
     for d in (7, 11, 44, 242):
-        assert classgroup.class_group(classify(d)).certified
+        assert classgroup.class_group(classify(d), budget_seconds=BUDGET_SECONDS).certified
     assert len(calls) >= 60
     assert any(gen is None for _, _, gen in calls)
     assert any(gen is not None for _, _, gen in calls)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from purecubic import classgroup, ideals
 from purecubic.cubicfield import classify
 from purecubic.zlinalg import HNFLattice, IntMatrix, _xgcd, det, hnf, lll_reduce, snf
+from relation_search import BUDGET_SECONDS
 from sparse_rows import dense, sparse
 
 small_entries = st.integers(min_value=-30, max_value=30)
@@ -469,7 +470,7 @@ def test_lll_matches_gso_recomputation_on_certified_fields(monkeypatch):
     monkeypatch.setattr(ideals, "lll_reduce", recording)
     monkeypatch.setattr(classgroup, "is_principal_bounded", principal)
     for d in (7, 11, 44, 242):
-        assert classgroup.class_group(classify(d)).certified
+        assert classgroup.class_group(classify(d), budget_seconds=BUDGET_SECONDS).certified
     assert len(bases) == len(found) >= 60
     assert set(found) == {True, False}
     for basis in bases:
