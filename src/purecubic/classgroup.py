@@ -42,8 +42,6 @@ from itertools import count
 from math import gcd, isqrt, prod
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from sympy import isprime, primerange
-
 from .cubicfield import PureCubicField
 from .ideals import (
     IdealHNF,
@@ -54,6 +52,7 @@ from .ideals import (
     mul,
     primes_above,
 )
+from .primes import isprime, primerange
 from .zlinalg import HNFLattice
 
 STABLE_WINDOW = 32  # full-rank rows in a row that leave the lattice unchanged

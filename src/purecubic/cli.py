@@ -21,14 +21,13 @@ from dataclasses import asdict
 from importlib import resources
 from typing import Any, Dict, List, Optional, Tuple
 
-from sympy import isprime
-
 from . import __version__
 from .cache import ResultCache
 from .classgroup import BudgetExhausted, class_group, decide_k_structure
 from .cubicfield import PureCubicField, brute_split, classify, split_in_gamma, split_in_k
 from .eisenstein import LAMBDA, NotSplitPrime
 from .galoismodel import ModelConstraints, full_report
+from .primes import isprime, primerange
 from .symbols import prime_symbols
 
 TABLE1_PRIMES = (
@@ -115,8 +114,9 @@ def cmd_scan(args, u_map) -> Report:
                 known[rec["p"]] = rec
         except (OSError, ValueError) as e:
             raise UsageError(f"cannot read cache: {e}")
-    # an odd prime = 1 (mod 9) is 1 (mod 18): 19, 37, 73, ...
-    candidates = [p for p in range(19, args.max_p + 1, 18) if isprime(p)]
+    # an odd prime = 1 (mod 9) is 1 (mod 18): 19, 37, 73, ...; the sieve
+    # picks them, and split_primaries in scan_record proves each computed one
+    candidates = [p for p in primerange(19, args.max_p + 1) if p % 18 == 1]
 
     def compute(p: int) -> Dict[str, Any]:
         # a cached record is reused only if it carries the u and the version

@@ -15,9 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from itertools import product
-from typing import List, Sequence, Tuple
+from math import isqrt
+from typing import Dict, List, Sequence, Tuple
 
-from sympy import factorint, isprime
+from .primes import isprime
+
+#: trial division stops here; it reaches it only for d >= 10^12
+TRIAL_DIVISION_LIMIT = 10 ** 4
 
 
 @dataclass(frozen=True)
@@ -34,9 +38,35 @@ class SplitPattern:
         return sum(e * f for e, f in self.pairs)
 
 
+def _coprime_powers(d: int) -> Dict[int, int]:
+    """{f: e} with d the product of the f^e, each f > 1 squarefree and
+    the f pairwise coprime, for d >= 1.
+
+    Trial division takes out each p while p^3 <= the cofactor m.  Then
+    every prime factor of m is at least p and m < p^3, so m is 1, a
+    prime, a product of two primes or the square of one.  Past
+    TRIAL_DIVISION_LIMIT sympy's factorint factors d instead.
+    """
+    powers: Dict[int, int] = {}
+    m, p = d, 2
+    while p ** 3 <= m:
+        if p > TRIAL_DIVISION_LIMIT:
+            from sympy import factorint
+
+            return factorint(d)
+        while m % p == 0:
+            m //= p
+            powers[p] = powers.get(p, 0) + 1
+        p += 1 if p == 2 else 2
+    if m > 1:
+        r = isqrt(m)
+        powers.update({r: 2} if r * r == m else {m: 1})
+    return powers
+
+
 def _cube_free_split(d: int) -> Tuple[int, int]:
     a = b = 1
-    for p, e in factorint(d).items():
+    for p, e in _coprime_powers(d).items():
         if e == 1:
             a *= p
         elif e == 2:

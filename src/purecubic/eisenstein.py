@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import List, NamedTuple, Optional, Tuple
 
-from sympy import isprime
+from .primes import isprime
 
 
 class Eisenstein(NamedTuple):

@@ -3,14 +3,14 @@
 import concurrent.futures
 import json
 import os
+import subprocess
 import sys
 import time
 
 import pytest
-import sympy
 from sympy import primerange
 
-from purecubic import __version__, cli, eisenstein
+from purecubic import __version__, cli, eisenstein, primes
 from purecubic.classgroup import class_group
 from purecubic.cli import TABLE1_PRIMES, emit, load_u_assignments, main, scan_record
 from purecubic.cubicfield import SplitPattern
@@ -137,13 +137,14 @@ def test_symbols_command_proves_p_prime_once(capsys, monkeypatch):
     # split_primaries proves p prime; the usage check and the lambda-symbol
     # read what it proved
     counts = {"isprime": 0}
+    real = primes.isprime  # read before the loop patches purecubic.primes
 
     def spy(*args):
         counts["isprime"] += 1
-        return sympy.isprime(*args)
+        return real(*args)
 
     for mod_name, mod in list(sys.modules.items()):
-        if mod_name.startswith("purecubic") and getattr(mod, "isprime", None) is sympy.isprime:
+        if mod_name.startswith("purecubic") and getattr(mod, "isprime", None) is real:
             monkeypatch.setattr(mod, "isprime", spy)
     for p in (7, 199, 8821):
         counts["isprime"] = 0
@@ -161,7 +162,7 @@ def test_scan_record_factors_p_once(monkeypatch):
     # one split_primaries(p) per record, and one primality proof of p, which
     # also proves pi1 and pi2 prime: 1 isprime call where there were 13
     counts = {"split_primaries": 0, "isprime": 0}
-    targets = (("split_primaries", eisenstein.split_primaries), ("isprime", sympy.isprime))
+    targets = (("split_primaries", eisenstein.split_primaries), ("isprime", primes.isprime))
     for name, target in targets:
         def spy(*args, _target=target, _name=name):
             counts[_name] += 1
@@ -622,3 +623,38 @@ def test_internal_value_error_exits_3(capsys, monkeypatch):
             m.setattr(f"purecubic.{name}", fault)
             assert main(argv) == 3, argv
         assert "internal error: lattice dimension must be positive" in capsys.readouterr().err
+
+
+_NO_SYMPY = """
+import sys
+sys.modules["sympy"] = None  # any import of sympy now raises ImportError
+from purecubic.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _without_timestamps(doc):
+    for rec in doc["results"]:
+        rec.pop("timestamp", None)
+    return doc
+
+
+@pytest.mark.parametrize("argv", [
+    ["classgroup", "--d", "199"],
+    ["table1", "--primes", "199"],
+    ["scan", "--max-p", "2000"],
+    ["split", "--d", "60", "--q", "7"],
+    ["symbols", "--p", "8821"],
+    ["model-check"],
+], ids=" ".join)
+def test_commands_run_without_sympy(capsys, argv):
+    # no desk-scale command loads sympy: a fresh interpreter that cannot
+    # import it gives the answer of a normal run
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _NO_SYMPY, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, doc = run_json(capsys, *argv)
+    assert code == 0
+    assert _without_timestamps(json.loads(proc.stdout)) == _without_timestamps(doc)

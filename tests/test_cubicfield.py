@@ -53,6 +53,39 @@ def test_classify_exponent_two_part():
     assert F28.disc == -3 * 14 ** 2
 
 
+def _factorint_split(d):
+    """(a, b) with d = a * b^2 from sympy's factorint, or None unless d is cube-free."""
+    from sympy import factorint
+
+    a = b = 1
+    for p, e in factorint(d).items():
+        if e > 2:
+            return None
+        a, b = (a * p, b) if e == 1 else (a, b * p)
+    return a, b
+
+
+def _split_or_none(d):
+    try:
+        return cubicfield._cube_free_split(d)
+    except ValueError as e:
+        assert str(e) == f"{d} is not cube-free"
+        return None
+
+
+def test_cube_free_split_matches_factorint():
+    assert [d for d in range(1, 2 * 10 ** 5) if _split_or_none(d) != _factorint_split(d)] == []
+    # d >= 10^12, where trial division can pass TRIAL_DIVISION_LIMIT and
+    # hand d to factorint: cofactors of three primes above 10^4, a cube of
+    # one, and d whose small primes leave a large cofactor
+    big = [10 ** 12 + i for i in range(60)] + [
+        10007 * 10009 * 10037, 10007 ** 2 * 10009, 10007 ** 3, 2 * 10007 ** 3,
+        4 * 10007 * 10009 * 10037, 8 * 10007 * 10009, 9 * 999999999989, 1000003 ** 2 * 5,
+    ]
+    assert [d for d in big if _split_or_none(d) != _factorint_split(d)] == []
+    assert _split_or_none(10007 ** 3) is None and _split_or_none(2 * 10007 ** 3) is None
+
+
 @pytest.mark.parametrize("d", [2, 7, 12, 10, 19, 28])
 def test_element_norm_matches_regular_representation_det(d):
     # first kind: 2, 7, 12; second kind: 10, 19, 28

@@ -4,10 +4,9 @@ import random
 import sys
 
 import pytest
-import sympy
 from sympy import isprime, primerange
 
-from purecubic import eisenstein, symbols
+from purecubic import eisenstein, primes, symbols
 from purecubic.eisenstein import (
     Eisenstein,
     LAMBDA,
@@ -175,7 +174,7 @@ def test_rational_entry_points_check_p_only_in_split_primaries(monkeypatch):
     # p is proved prime once, by split_primaries, and its two places need no
     # second proof; only cubic_residue, which takes an arbitrary pi, checks pi
     counts = {"split_primaries": 0, "isprime": 0}
-    targets = (("split_primaries", eisenstein.split_primaries), ("isprime", sympy.isprime))
+    targets = (("split_primaries", eisenstein.split_primaries), ("isprime", primes.isprime))
     for name, target in targets:
         def spy(*args, _target=target, _name=name):
             counts[_name] += 1
