@@ -148,8 +148,6 @@ class ClassGroupStructure:
 class KStructureReport:
     h_k3: int
     k_type: str
-    #: status of h = h_k/27; only its 3-part is decidable from h_k3
-    h_over_27: str
 
 
 def minkowski_bound(F: PureCubicField) -> Fraction:
@@ -462,5 +460,4 @@ def decide_k_structure(cg: ClassGroupStructure, u: int) -> KStructureReport:
         k_type = "(3,3,3)"
     else:
         k_type = "outside classified cases"
-    h_over_27 = "3 does not divide h" if h_k3 == 27 else "undetermined"
-    return KStructureReport(h_k3, k_type, h_over_27)
+    return KStructureReport(h_k3, k_type)

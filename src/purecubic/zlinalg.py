@@ -7,9 +7,10 @@ columns for the catalogued fields).  Its rows, both those it takes and
 those it keeps, are sparse {column: value} maps of their nonzero entries,
 so no row of full length is ever built.  `snf` runs only on the block of
 its basis whose pivots exceed 1, a few rows at most; the other matrices
-are tiny.  The Bezout coefficients of `_xgcd` come from `math.gcd` and a
-modular inverse.  `det` and the batch `hnf` are reached by no command:
-the tests take them as references, and the benchmark tracer names them.
+are tiny.  `snf` alternates the batch `hnf` on rows and on columns.  The
+Bezout coefficients of `_xgcd` come from `math.gcd` and a modular inverse.
+`det` is reached by no command: the tests take it as a reference, and
+the benchmark tracer names it.
 There is no integer-kernel routine: the congruence system for an
 inverse-class representative N(J)*J^-1 is solved through the dual of a
 triangular lattice in `ideals`.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 
@@ -138,65 +139,20 @@ def snf(M: IntMatrix) -> List[int]:
     """Elementary divisors of M: the diagonal d of its Smith normal form.
 
     d has min(rows, cols) entries, d_i | d_{i+1}, and the zeros at the end
-    count the rank deficit.  Only the divisors are computed; the unimodular
-    transforms are not.
+    count the rank deficit.  Row and column Hermite forms alternate, `hnf`
+    of the matrix and then of its transpose, until it is diagonal
+    (Kannan--Bachem); each pair of diagonal entries then becomes its
+    (gcd, lcm), which keeps the quotient and pushes the zeros to the end.
+    The unimodular transforms are not computed.
     """
-    rows, cols = M.rows, M.cols
-    a = M.to_lists()
-
-    def smallest(t):
-        # first nonzero entry of least absolute value in the trailing block
-        best, pos = 0, None
-        for i in range(t, rows):
-            row = a[i]
-            for j in range(t, cols):
-                w = abs(row[j])
-                if w and (pos is None or w < best):
-                    best, pos = w, (i, j)
-                    if w == 1:
-                        return pos
-        return pos
-
-    d: List[int] = []
-    n = min(rows, cols)
-    for t in range(n):
-        pivot = smallest(t)
-        if pivot is None:
-            break
-        while True:
-            i0, j0 = pivot
-            if i0 != t:
-                a[t], a[i0] = a[i0], a[t]
-            if j0 != t:
-                for row in a:
-                    row[t], row[j0] = row[j0], row[t]
-            p = a[t][t]
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    q = a[i][t] // p
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    dirty = dirty or a[i][t] != 0
-            for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    q = a[t][j] // p
-                    for row in a:
-                        row[j] -= q * row[t]
-                    dirty = dirty or a[t][j] != 0
-            # the pivot must divide every remaining entry
-            if not dirty:
-                if abs(p) == 1:
-                    break
-                offender = next(
-                    (i for i in range(t + 1, rows) if any(x % p for x in a[i][t + 1 :])), None
-                )
-                if offender is None:
-                    break
-                # fold the offending row into the pivot row
-                a[t] = [x + y for x, y in zip(a[t], a[offender])]
-            pivot = smallest(t)
-        d.append(abs(a[t][t]))
-    return d + [0] * (n - len(d))
+    a, n = hnf(M), min(M.rows, M.cols)
+    while sum(map(bool, a.entries)) > sum(map(bool, a.entries[:: a.cols + 1][:n])):
+        a = hnf(IntMatrix.from_rows([a.entries[j :: a.cols] for j in range(a.cols)]))
+    d = list(a.entries[:: a.cols + 1][:n])
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    return d
 
 
 def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
@@ -332,26 +288,17 @@ class HNFLattice:
         """Restore 0 <= entry < pivot above every pivot after the rows in `changed`
         (ascending pivot columns) moved.
 
-        A changed row is reduced in full.  An unchanged row was reduced
-        before, so only an entry at a changed pivot column can have left
-        [0, pivot).  A row whose pivot lies right of the last changed
-        column is zero at every changed column, and so is a row with no
-        entry there: both are skipped.
+        An unchanged row was reduced before, so only an entry at a changed
+        pivot column can have left [0, pivot).  A row whose pivot lies right
+        of the last changed column is zero at every changed column, and so
+        is a row with no entry there: both are skipped.  Every other row,
+        a changed one included, is reduced from the column after its pivot.
         """
-        basis = self._basis
         moved = set(changed)
         last = changed[-1]
-        for c, r in basis.items():
-            if c > last or moved.isdisjoint(r):
-                continue  # a changed row always has its own pivot column
-            if c in moved:
+        for c, r in self._basis.items():
+            if c <= last and not moved.isdisjoint(r):
                 self._reduce_row(r, c + 1)
-                continue
-            start = next(
-                (k for k in changed if k > c and k in r and not 0 <= r[k] < basis[k][k]), None
-            )
-            if start is not None:
-                self._reduce_row(r, start)
 
     def _reduce_row(self, r: Dict[int, int], start: int) -> None:
         """Reduce the entries of r at pivot columns from `start` on, in

@@ -562,7 +562,6 @@ def test_decide_k_structure_classified_cases():
     rep = decide_k_structure(_cg((9,), 9), u=1)
     assert rep.h_k3 == 27
     assert rep.k_type == "(9,3)"
-    assert rep.h_over_27 == "3 does not divide h"
     rep2 = decide_k_structure(_cg((3, 3), 9), u=1)
     assert rep2.k_type == "(3,3,3)"
     assert rep2.h_k3 == 27

@@ -43,6 +43,19 @@ def test_snf_zero_matrix():
     assert list(d) == [0, 0]
 
 
+@pytest.mark.parametrize(
+    "rows, divisors",
+    [
+        ([[2, 0], [0, 3]], [1, 6]),  # diagonal at once: only the gcd/lcm fold makes 1 | 6
+        ([[0, 5]], [5]),  # the row form leaves its pivot in column 1
+        ([[0, 0, 0], [0, 6, 0]], [6, 0]),  # rank deficient: the zero comes last
+        ([[2, 3]], [1]),  # the row form is not diagonal: a column pass is needed
+    ],
+)
+def test_snf_known_answers(rows, divisors):
+    assert snf(IntMatrix.from_rows(rows)) == divisors
+
+
 @given(matrices())
 @settings(max_examples=80, deadline=None)
 def test_hnf_spans_the_row_lattice(M):
@@ -289,10 +302,13 @@ def sparse_runs(draw, max_n=40):
 
 
 def _sparse_invariant(lat):
-    """Every stored entry is nonzero and no row has an entry before its pivot."""
-    for c, row in lat._basis.items():
+    """Every stored entry is nonzero, no row has an entry before its pivot,
+    and every entry at another row's pivot column k lies in [0, pivot of k)."""
+    basis = lat._basis
+    for c, row in basis.items():
         assert all(row.values()), (c, row)
         assert min(row) == c and row[c] > 0, (c, row)
+        assert all(0 <= x < basis[k][k] for k, x in row.items() if k != c and k in basis), (c, row)
 
 
 @given(sparse_runs())
