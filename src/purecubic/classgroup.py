@@ -19,8 +19,10 @@ factor g > 1 needs no arithmetic of its own: (alpha) = (g)(beta) and beta
 came earlier, so alpha is a row exactly when beta and gO are, and since
 beta's row is in the lattice, the first such alpha inserts gO's row and
 every later one the empty row.
-Stabilization is heuristic, so for small bounds the result is certified
-against an independent brute-force enumeration of ideal classes.  The
+Stabilization is heuristic.  A search that ends at determinant 1 has
+proven h = 1, since the base's classes generate the class group; other
+results for small bounds are certified against an independent
+brute-force enumeration of ideal classes.  The
 enumeration tests each ideal first against the representatives that the
 relation lattice puts in its class (equal exponent vectors modulo the
 lattice), so most tests hit.  A merge across two relation classes is a
@@ -61,22 +63,24 @@ ORACLE_SEARCH_BOUND = 12  # the oracle's principality-test box radius
 
 
 class BudgetExhausted(RuntimeError):
-    """Raised when class_group cannot stabilize within its time budget.
+    """Raised when class_group runs out of its time budget.
 
-    It says how far the relation search got: `rows` relations found, their
-    lattice of rank `rank` out of the factor-base size `n`, and the
-    lattice's determinant `det` once the rank is full (None before).
+    It says how far the run got: `rows` relations found, their lattice of
+    rank `rank` out of the factor-base size `n`, and the lattice's
+    determinant `det` once the rank is full (None before).  A run that
+    runs out while building the factor base has no rows yet: `reason`
+    then says how far the base got, and `n` counts its primes so far.
     """
 
-    def __init__(self, d: int, rows: int, rank: int, n: int, det: Optional[int] = None):
+    def __init__(
+        self, d: int, rows: int, rank: int, n: int, det: Optional[int] = None, reason: Optional[str] = None
+    ):
         self.d, self.rows, self.rank, self.n, self.det = d, rows, rank, n, det
-        msg = (
-            f"class group for d={d} did not stabilize in budget: "
-            f"{rows} relation rows, lattice rank {rank} of {n}"
-        )
-        if det is not None:
-            msg += f", determinant {det}"
-        super().__init__(msg)
+        if reason is None:
+            reason = f"did not stabilize in budget: {rows} relation rows, lattice rank {rank} of {n}"
+            if det is not None:
+                reason += f", determinant {det}"
+        super().__init__(f"class group for d={d} {reason}")
 
 
 @dataclass(frozen=True)
@@ -141,7 +145,7 @@ class ClassGroupStructure:
     h: int
     h3: int
     p3_type: Tuple[int, ...]
-    certified: bool  # True when the brute-force oracle confirmed h
+    certified: bool  # True when h is proven: h_rel = 1, or the brute-force oracle confirmed h
 
 
 @dataclass(frozen=True)
@@ -160,12 +164,20 @@ def minkowski_bound(F: PureCubicField) -> Fraction:
     return four_over_pi_up * Fraction(6, 27) * sqrt_up
 
 
-def build_factor_base(F: PureCubicField) -> FactorBase:
+def build_factor_base(F: PureCubicField, deadline: Optional[float] = None) -> FactorBase:
+    """The primes of norm up to the Minkowski bound.  With a `deadline`,
+    it is checked once per rational prime q, before the primes above q."""
     bound = minkowski_bound(F)
     top = int(bound) + (0 if bound.denominator == 1 else 1)
     primes: List[FactorBasePrime] = []
     columns: Dict[int, Tuple[int, ...]] = {}
     for q in primerange(2, top + 1):
+        if deadline is not None and time.monotonic() >= deadline:
+            raise BudgetExhausted(
+                F.d, 0, 0, len(primes),
+                reason=f"did not finish its factor base in budget: {len(primes)} prime ideals "
+                f"above the rational primes below {q}, of bound {top}",
+            )
         for P, _, f in primes_above(F, q):
             if q ** f <= top:
                 columns[q] = columns.get(q, ()) + (len(primes),)
@@ -295,16 +307,15 @@ def _lattice_row(row: Dict[int, int], n: int) -> Dict[int, int]:
     return {n - 1 - j: k for j, k in row.items()}
 
 
-def class_group(F: PureCubicField, budget_seconds: float = 600.0) -> ClassGroupStructure:
-    """Class group structure by relation search + SNF, oracle-certified when feasible."""
-    deadline = time.monotonic() + budget_seconds
-    fb = build_factor_base(F)
-    n = len(fb.primes)
-
-    # Below full rank the cokernel is infinite.  At full rank the lattice
-    # changes exactly when its determinant h drops, so the search stops after
-    # STABLE_WINDOW rows without a change and reads the cokernel once.
-    lattice = HNFLattice(n)
+def _relation_search(
+    F: PureCubicField, fb: FactorBase, lattice: HNFLattice, deadline: float
+) -> Iterator[Tuple[Tuple[int, int, int], Dict[int, int], bool]]:
+    """Insert the element stream's relation rows into `lattice`, yielding
+    (alpha, the row as the lattice took it, changed) after each insert.
+    Below full rank the cokernel is infinite; at full rank the lattice
+    changes exactly when its determinant drops, so the search stops after
+    STABLE_WINDOW rows without a change."""
+    n = lattice.ncols
     rows = 0
     stable = 0
     found: Set[Tuple[int, int, int]] = set()
@@ -331,19 +342,39 @@ def class_group(F: PureCubicField, budget_seconds: float = 600.0) -> ClassGroupS
             if row is None:
                 continue
             g_rows[g] = {}
-        changed = lattice.insert(_lattice_row(row, n))
+        row = _lattice_row(row, n)
+        changed = lattice.insert(row)
         rows += 1
+        yield alpha, row, changed
         if lattice.rank == n:
             stable = 0 if changed else stable + 1
             if stable >= STABLE_WINDOW:
-                break
+                return
+
+
+def class_group(F: PureCubicField, budget_seconds: float = 600.0) -> ClassGroupStructure:
+    """Class group structure by relation search + SNF, certified when
+    proven.
+
+    h is proven when the search ends at determinant 1, or when the oracle,
+    run for small bounds, confirms it.  h_rel = 1 is a proof: the factor
+    base holds every prime of norm up to the Minkowski bound, so its
+    classes generate Cl, and every row passed exact reassembly, so the
+    searched lattice lies in the lattice of all relations.  So Cl is a
+    quotient of Z^n/lattice, and a determinant of 1 gives h = 1.
+    """
+    deadline = time.monotonic() + budget_seconds
+    fb = build_factor_base(F, deadline)
+    lattice = HNFLattice(len(fb.primes))
+    for _ in _relation_search(F, fb, lattice, deadline):
+        pass
     # read here, where perfbench's tracer ends the relation phase (at the
     # last snf), and again only if the oracle adds relations
     divisors = lattice.elementary_divisors()
     h = prod(divisors)
 
-    certified = False
-    if fb.bound <= ORACLE_BOUND_LIMIT:
+    certified = h == 1
+    if not certified and fb.bound <= ORACLE_BOUND_LIMIT:
         oracle_h = _oracle_class_number(F, fb, lattice, deadline)
         if lattice.determinant() != h:
             # the oracle inserted true relations that the search had missed

@@ -107,10 +107,14 @@ def cmd_scan(args, u_map) -> Report:
     cache = ResultCache(args.cache) if args.cache else None
     known: Dict[int, Dict[str, Any]] = {}
     if cache is not None:
+        keys = scan_record(19, {}).keys()  # the keys every scan record has
         try:
             for rec in cache.load():
                 if type(rec) is not dict or type(rec.get("p")) is not int:
                     raise ValueError(f"not a record with an integer p: {rec!r}")
+                missing = keys - rec.keys()
+                if missing:
+                    raise ValueError(f"record for p = {rec['p']} lacks {sorted(missing)}")
                 known[rec["p"]] = rec
         except (OSError, ValueError) as e:
             raise UsageError(f"cannot read cache: {e}")
@@ -360,9 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--cache", default=None, help="JSON-lines result cache path")
     ap.add_argument("--budget", type=_budget_arg, default=60.0, help="time budget in seconds")
-    fmt = ap.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="JSON output (default)")
-    fmt.add_argument("--csv", action="store_true", help="CSV output (flattened records)")
+    ap.add_argument("--csv", action="store_true", help="CSV output (flattened records) instead of JSON")
     ap.add_argument("--threads", type=_threads_arg, default=1)
     ap.add_argument("--u-file", default=None, help="override the bundled u-assignment file")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -525,7 +527,7 @@ def main(argv=None) -> int:
         "command": args.command,
         "inputs": {
             k: v for k, v in vars(args).items()
-            if k not in ("func", "json", "csv") and not callable(v)
+            if k not in ("func", "csv") and not callable(v)
         },
         "results": results,
         "status": status,

@@ -4,22 +4,23 @@
 of its 600 s default: each field they run finishes in seconds, so a
 search that stalls fails promptly as `BudgetExhausted`.
 
-`spied_search` runs `class_group` with a lattice that records each row
-it takes.  `reference_search` is the relation search that computes every
-element: `relation_row` on each element of the stream, each row inserted,
-and a stop after STABLE_WINDOW full-rank rows that leave the lattice
-unchanged.  `class_group` reads a non-primitive element off earlier rows
-instead, and must count the same elements as rows, in the same order,
-with the same effect on the lattice, and end on the same basis.
+`spied_search` drains `class_group`'s relation search and keeps each
+insert it yields.  `reference_search` is the relation search that
+computes every element: `relation_row` on each element of the stream,
+each row inserted, and a stop after STABLE_WINDOW full-rank rows that
+leave the lattice unchanged.  `class_group` reads a non-primitive element
+off earlier rows instead, and must count the same elements as rows, in
+the same order, with the same effect on the lattice, and end on the same
+basis.
 """
 
-from unittest import mock
+import time
 
-from purecubic import classgroup
 from purecubic.classgroup import (
     STABLE_WINDOW,
     _element_stream,
     _lattice_row,
+    _relation_search,
     build_factor_base,
     relation_row,
 )
@@ -29,36 +30,14 @@ BUDGET_SECONDS = 60.0
 
 
 def spied_search(F):
-    """class_group(F) with the oracle off (it runs after the search and may
-    add relations), and the lattice it searched, whose `flags` hold
-    (changed, full rank) and whose `rows` hold (the element met last, the
-    row) after each insert."""
-    made, met = [], [None]
-
-    class Spy(HNFLattice):
-        def __init__(self, ncols):
-            super().__init__(ncols)
-            self.flags = []
-            self.rows = []
-            made.append(self)
-
-        def insert(self, row):
-            changed = super().insert(row)
-            self.flags.append((changed, self.rank == self.ncols))
-            self.rows.append((met[0], row))
-            return changed
-
-    def stream():
-        for alpha in _element_stream():
-            met[0] = alpha
-            yield alpha
-
-    with mock.patch.multiple(
-        classgroup, HNFLattice=Spy, _element_stream=stream, ORACLE_BOUND_LIMIT=0
-    ):
-        cg = classgroup.class_group(F, budget_seconds=BUDGET_SECONDS)
-    (lattice,) = made
-    return cg, lattice
+    """(alpha, row as the lattice took it, changed, full rank) after each
+    insert of class_group(F)'s relation search, and the lattice it
+    searched, before any oracle relation."""
+    fb = build_factor_base(F)
+    lattice = HNFLattice(len(fb.primes))
+    search = _relation_search(F, fb, lattice, time.monotonic() + BUDGET_SECONDS)
+    inserts = [(alpha, row, changed, lattice.rank == lattice.ncols) for alpha, row, changed in search]
+    return inserts, lattice
 
 
 def reference_search(F):

@@ -164,7 +164,7 @@ def test_criterion_6_class_numbers():
     big_ok = cg199.p3_type == (9,)
     note = f"d=199 p3={cg199.p3_type} certified={cg199.certified}"
     elapsed = time.monotonic() - t0
-    assert report(6, "class numbers (oracle-certified small d; d=199 3-part)",
+    assert report(6, "class numbers (certified small d: h_rel = 1 or oracle; d=199 3-part)",
                   small_ok and big_ok, elapsed, note)
     assert small_ok  # unconditional
     assert big_ok

@@ -3,6 +3,7 @@
 import copy
 import gc
 import random
+import time
 from fractions import Fraction
 from itertools import count, islice
 from math import gcd
@@ -17,6 +18,7 @@ from purecubic.classgroup import (
     ClassGroupStructure,
     build_factor_base,
     _element_stream,
+    _relation_search,
     class_group,
     decide_k_structure,
     minkowski_bound,
@@ -283,11 +285,33 @@ def test_class_group_deterministic():
 
 
 def test_budget_exhaustion_signal():
+    # a search whose deadline has passed stops before any row
+    F = classify(199)
     with pytest.raises(BudgetExhausted) as exc:
-        class_group(classify(199), budget_seconds=0)
+        next(_relation_search(F, build_factor_base(F), HNFLattice(26), 0))
     e = exc.value
     assert (e.d, e.rows, e.rank, e.n, e.det) == (199, 0, 0, 26, None)
     assert "0 relation rows, lattice rank 0 of 26" in str(e)
+    # a zero budget stops class_group before the factor base's first prime
+    with pytest.raises(BudgetExhausted) as exc:
+        class_group(F, budget_seconds=0)
+    e = exc.value
+    assert (e.d, e.rows, e.rank, e.n, e.det) == (199, 0, 0, 0, None)
+    assert str(e) == (
+        "class group for d=199 did not finish its factor base in budget: "
+        "0 prime ideals above the rational primes below 2, of bound 98"
+    )
+
+
+def test_factor_base_honours_the_budget():
+    # d = 1000003 has a bound of 1470217 and about 110,000 rational primes
+    # below it: the base takes seconds, and the budget must stop it
+    F = classify(1000003)
+    start = time.monotonic()
+    with pytest.raises(BudgetExhausted, match="did not finish its factor base in budget") as exc:
+        class_group(F, budget_seconds=0.5)
+    assert time.monotonic() - start < 2
+    assert exc.value.rows == 0 and exc.value.n > 0
 
 
 @pytest.mark.parametrize("d", [487, 1297])
@@ -305,7 +329,7 @@ def test_catalog_class_groups_beyond_the_oracle(d):
         (10, 1, (), True),
         (19, 3, (3,), True),
         (29, 1, (), False),
-        (55, 1, (), False),
+        (55, 1, (), True),
         (91, 9, (3, 3), True),
         (109, 3, (3,), False),
         (163, 3, (3,), False),
@@ -369,15 +393,15 @@ def spied_class_group():
 
 @pytest.mark.parametrize("d", [7, 65, 122, 182, 487])
 def test_search_stops_after_a_full_stable_window(d, spied_class_group):
-    _, lattice = spied_class_group(d)
+    inserts, _ = spied_class_group(d)
     tail = 0
-    for changed, full_rank in reversed(lattice.flags):
+    for _, _, changed, full_rank in reversed(inserts):
         if changed or not full_rank:
             break
         tail += 1
     # STABLE_WINDOW unchanged full-rank rows, right after the last change
     assert tail == STABLE_WINDOW
-    assert lattice.flags[-tail - 1] == (True, True)
+    assert inserts[-tail - 1][2:] == (True, True)
 
 
 # the number of non-primitive alpha = g*beta whose insert changes the
@@ -393,17 +417,17 @@ def test_search_takes_the_rows_of_the_loop_that_computes_every_element(d, changi
     # that, so the search counts the same elements as rows as the loop that
     # computes the row of every element, sees each change the lattice alike,
     # and ends on the same basis
-    _, lattice = spied_class_group(d)
+    inserts, lattice = spied_class_group(d)
     F = classify(d)
     rows, reference = reference_search(F)
-    assert [(alpha, *f) for (alpha, _), f in zip(lattice.rows, lattice.flags)] == rows
+    assert [(alpha, changed, full_rank) for alpha, _, changed, full_rank in inserts] == rows
     assert lattice.matrix() == reference.matrix()
     # every row the lattice takes is the row of a primitive element met, or
     # of gO for a non-primitive one that is a row itself
     fb = build_factor_base(F)
     n = lattice.ncols
     got = 0
-    for (alpha, row), (changed, _) in zip(lattice.rows, lattice.flags):
+    for alpha, row, changed, _ in inserts:
         g = gcd(*alpha)
         assert relation_row(F, fb, alpha) is not None, alpha
         got += g > 1 and changed
@@ -416,16 +440,20 @@ def test_search_takes_the_rows_of_the_loop_that_computes_every_element(d, changi
 # the number of pivots above 1 in each field's final HNF
 @pytest.mark.parametrize("d,m", [(65, 2), (122, 3), (182, 3), (487, 2)])
 def test_pivot_block_of_a_relation_lattice(d, m, spied_class_group):
-    cg, lattice = spied_class_group(d)
+    _, lattice = spied_class_group(d)
     M = lattice.matrix()
     assert sum(M[i, i] > 1 for i in range(M.rows)) == m
     full = tuple(x for x in snf(M) if x > 1)
-    assert lattice.elementary_divisors() == full == cg.divisors
+    assert lattice.elementary_divisors() == full
+    F = classify(d)
+    if build_factor_base(F).bound > classgroup.ORACLE_BOUND_LIMIT:
+        # no oracle relation: class_group reports the searched lattice's divisors
+        assert class_group(F, budget_seconds=BUDGET_SECONDS).divisors == full
 
 
 @pytest.mark.parametrize("d", [7, 11, 199])
 def test_residue_is_the_class_key(d, spied_class_group):
-    cg, lattice = spied_class_group(d)
+    _, lattice = spied_class_group(d)
     n = lattice.ncols
     M = lattice.matrix()
     pivots = [M[i, i] for i in range(n)]
@@ -454,8 +482,8 @@ def test_residue_is_the_class_key(d, spied_class_group):
         assert (ku == kv) == (not changed)
         outcomes.add(ku == kv)
     assert outcomes == {True, False}
-    # Z^n/L has h classes, so the keys take at most h values
-    assert len({residue(v) for v in vectors}) <= cg.h
+    # Z^n/L has det L classes, so the keys take at most that many values
+    assert len({residue(v) for v in vectors}) <= lattice.determinant()
 
 
 def _unordered_oracle(F, fb, search_bound):
@@ -496,9 +524,10 @@ def test_oracle_tests_the_predicted_class_first(d, tests, monkeypatch):
     assert len(calls) == tests
 
 
-@pytest.mark.parametrize("d,inverses", [(6, 1), (7, 3), (11, 2), (199, 16)])
+@pytest.mark.parametrize("d,inverses", [(6, 0), (7, 3), (11, 2), (199, 16)])
 def test_oracle_builds_an_inverse_only_when_it_is_read(d, inverses, monkeypatch):
-    # one per representative, and one per placed ideal that needed the second quotient
+    # one per representative, and one per placed ideal that needed the second
+    # quotient; 6 ends its search at h_rel = 1 and runs no oracle
     calls = []
 
     def counting(I):
@@ -518,11 +547,30 @@ def test_oracle_witness_across_relation_classes_is_a_relation():
     assert not cg.certified  # the oracle still counts 5 classes
 
 
+@pytest.mark.parametrize("d,oracle_runs,certified", [(29, 1, False), (55, 0, True), (197, 0, True)])
+def test_oracle_runs_only_when_h_rel_exceeds_one(d, oracle_runs, certified, monkeypatch):
+    # a search that ends at determinant 1 has proven h = 1 (class_group's
+    # docstring) and skips the oracle, which took 5.5 s at 197; 29's search
+    # ends at h_rel = 2, and only the oracle's merge brings h to 1
+    calls = []
+    oracle = classgroup._oracle_class_number
+
+    def counting(*args):
+        calls.append(args)
+        return oracle(*args)
+
+    monkeypatch.setattr(classgroup, "_oracle_class_number", counting)
+    F = classify(d)
+    assert build_factor_base(F).bound <= classgroup.ORACLE_BOUND_LIMIT
+    cg = class_group(F, budget_seconds=BUDGET_SECONDS)
+    assert (cg.h, cg.divisors, cg.certified, len(calls)) == (1, (), certified, oracle_runs)
+
+
 def test_oracle_inserts_only_true_relations(spied_class_group):
     # with 3L in place of the certified lattice L of d = 7, almost every
     # merge joins two classes of Z^n/3L; each must insert a row of L
-    cg, lattice = spied_class_group(7)
-    assert cg.h == 3
+    _, lattice = spied_class_group(7)
+    assert lattice.determinant() == 3
     F = classify(7)
     fb = build_factor_base(F)
     M = lattice.matrix()
@@ -587,17 +635,16 @@ def test_decide_k_structure_validation():
         decide_k_structure(ClassGroupStructure(7, (9,), 9, 9, (9,), True), u=1)  # 7 is not 1 mod 9
 
 
-def test_honda_three_divides_h_exactly_when_p_is_1_mod_3(monkeypatch):
+def test_honda_three_divides_h_exactly_when_p_is_1_mod_3():
     # Honda (J. Number Theory 3, 1971): for a prime p != 3, 3 | h(Q(cbrt p))
-    # exactly when p = 1 (mod 3).  With the oracle off h_rel is the relation
-    # lattice's determinant, a multiple of h: a p = 1 (mod 3) with 3 not
-    # dividing h_rel would be a false relation, a p = 2 (mod 3) with 3 | h_rel
-    # a missed one.
-    monkeypatch.setattr(classgroup, "ORACLE_BOUND_LIMIT", 0)
+    # exactly when p = 1 (mod 3).  h_rel, the searched lattice's
+    # determinant, is a multiple of h: a p = 1 (mod 3) with 3 not dividing
+    # h_rel would be a false relation, a p = 2 (mod 3) with 3 | h_rel a
+    # missed one.
     primes = [p for p in primerange(2, 500) if p != 3]
     wrong = [
         p for p in primes
-        if (class_group(classify(p), budget_seconds=BUDGET_SECONDS).h % 3 == 0) != (p % 3 == 1)
+        if (spied_search(classify(p))[1].determinant() % 3 == 0) != (p % 3 == 1)
     ]
     assert len(primes) == 94
     assert wrong == []
