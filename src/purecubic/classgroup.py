@@ -63,13 +63,14 @@ ORACLE_SEARCH_BOUND = 12  # the oracle's principality-test box radius
 
 
 class BudgetExhausted(RuntimeError):
-    """Raised when class_group runs out of its time budget.
+    """Raised by each stage of class_group (factor base, relation search,
+    oracle) that finds its time budget spent; none returns part of an answer.
 
     It says how far the run got: `rows` relations found, their lattice of
     rank `rank` out of the factor-base size `n`, and the lattice's
-    determinant `det` once the rank is full (None before).  A run that
-    runs out while building the factor base has no rows yet: `reason`
-    then says how far the base got, and `n` counts its primes so far.
+    determinant `det` once the rank is full (None before).  `reason` names
+    the stage: the factor base, with no rows yet and `n` primes so far, or
+    the oracle, with the ideals it placed and the classes they fill.
     """
 
     def __init__(
@@ -354,7 +355,8 @@ def _relation_search(
 
 def class_group(F: PureCubicField, budget_seconds: float = 600.0) -> ClassGroupStructure:
     """Class group structure by relation search + SNF, certified when
-    proven.
+    proven, or BudgetExhausted from the stage that spends the budget: a
+    budget decides whether there is an answer, never what it is.
 
     h is proven when the search ends at determinant 1, or when the oracle,
     run for small bounds, confirms it.  h_rel = 1 is a proof: the factor
@@ -366,8 +368,7 @@ def class_group(F: PureCubicField, budget_seconds: float = 600.0) -> ClassGroupS
     deadline = time.monotonic() + budget_seconds
     fb = build_factor_base(F, deadline)
     lattice = HNFLattice(len(fb.primes))
-    for _ in _relation_search(F, fb, lattice, deadline):
-        pass
+    rows = sum(1 for _ in _relation_search(F, fb, lattice, deadline))
     # read here, where perfbench's tracer ends the relation phase (at the
     # last snf), and again only if the oracle adds relations
     divisors = lattice.elementary_divisors()
@@ -375,7 +376,7 @@ def class_group(F: PureCubicField, budget_seconds: float = 600.0) -> ClassGroupS
 
     certified = h == 1
     if not certified and fb.bound <= ORACLE_BOUND_LIMIT:
-        oracle_h = _oracle_class_number(F, fb, lattice, deadline)
+        oracle_h = _oracle_class_number(F, fb, lattice, rows, deadline)
         if lattice.determinant() != h:
             # the oracle inserted true relations that the search had missed
             divisors = lattice.elementary_divisors()
@@ -384,7 +385,7 @@ def class_group(F: PureCubicField, budget_seconds: float = 600.0) -> ClassGroupS
         # the oracle count only errs upward (a missed principality test splits
         # one class in two), so oracle > h is inconclusive; oracle < h proves
         # the relation matrix is missing relations
-        if oracle_h is not None and oracle_h < h:
+        if oracle_h < h:
             raise ArithmeticError(
                 f"enumeration oracle shows at most {oracle_h} classes for d={F.d}, "
                 f"relation method stopped at h={h}"
@@ -413,11 +414,12 @@ def _all_ideals_up_to(F: PureCubicField, fb: FactorBase) -> List[Tuple[IdealHNF,
 
 
 def _oracle_class_number(
-    F: PureCubicField, fb: FactorBase, lattice: HNFLattice, deadline: float
-) -> Optional[int]:
+    F: PureCubicField, fb: FactorBase, lattice: HNFLattice, rows: int, deadline: float
+) -> int:
     """Independent class number: enumerate ideals below the bound and merge
     them into classes by principality tests of radius ORACLE_SEARCH_BOUND.
-    Returns None when the deadline cuts the enumeration short.
+    Once per ideal a passed deadline raises BudgetExhausted, with the
+    `rows` the search inserted into `lattice` and the ideals placed so far.
 
     An ideal is tested first against the representatives in its class of
     Z^n/lattice (equal `lattice.residue` of the exponent vectors), then
@@ -435,9 +437,13 @@ def _oracle_class_number(
     n = lattice.ncols
     reps: List[Tuple[IdealHNF, IdealHNF, Dict[int, int]]] = []  # R, N(R)/R, e(R)
     keys: List[Dict[int, int]] = []
-    for I, e in _all_ideals_up_to(F, fb):
-        if time.monotonic() > deadline:
-            return None
+    ideals = _all_ideals_up_to(F, fb)
+    for placed, (I, e) in enumerate(ideals):
+        if time.monotonic() >= deadline:
+            det = lattice.determinant()
+            raise BudgetExhausted(F.d, rows, lattice.rank, n, det, reason=(
+                f"did not finish its oracle in budget: {placed} of {len(ideals)} ideals "
+                f"placed in {len(reps)} classes, lattice determinant {det}"))
         I_inv: Optional[IdealHNF] = None
         key = lattice.residue(_lattice_row(e, n))
         # a stable sort: the representatives with the ideal's key first

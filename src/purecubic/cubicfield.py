@@ -271,8 +271,9 @@ def ring_maps(F: PureCubicField, q: int) -> List[Tuple[int, int]]:
     The kernel of each map, x0 + s*x1 + t*x2 = 0 (mod q), is a prime of
     degree 1 above q, and every such prime is one (Cohen, GTM 138, 6.2).
     For q prime to 3b, theta maps to a root r of x^3 - d (r = 0 when q | d),
-    in the order `_roots_mod` gives, and w2 to its value at r; for q | 3b
-    every (s, t) in F_q^2 is a candidate.  Each candidate is checked
+    in the order `_roots_mod` gives, and w2 to its value at r.  For q | 3b,
+    s^3 = d in F_q fixes s = d mod q (q | d, or cubing is the identity of
+    F_3), and every (d mod q, t) is a candidate.  Each candidate is checked
     against the multiplication table, and one read off a root that fails
     the check is an ArithmeticError.
     """
@@ -285,7 +286,7 @@ def ring_maps(F: PureCubicField, q: int) -> List[Tuple[int, int]]:
         roots = [0] if F.d % q == 0 else _roots_mod(F.d, q)
         candidates = [(r, (n0 + n1 * r + n2 * r * r) * inv % q) for r in roots]
     else:
-        candidates = product(range(q), repeat=2)
+        candidates = [(F.d % q, t) for t in range(q)]
     out = []
     for s, t in candidates:
         im = (1, s, t)

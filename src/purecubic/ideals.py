@@ -174,19 +174,16 @@ def primes_above(field: PureCubicField, q: int) -> List[Tuple[IdealHNF, int, int
     """Prime ideals above q as (ideal, e, f), consistent with split_in_gamma.
 
     The primes of degree 1 are the kernels x0 + s*x1 + t*x2 = 0 (mod q) of
-    the ring maps O -> F_q, in ring-map order (as `ring_maps` gives them),
-    q | 3b included.  When x^3 - d has the single root r mod q, the
-    degree-2 prime is (q, theta^2 + r*theta + r^2); with no root q is
-    inert (Cohen, GTM 138, 6.2).
+    the ring maps O -> F_q, in ring-map order (as `ring_maps` gives them).
+    For q | 3d each e is read off qO by `valuation`.  Otherwise, when x^3 - d
+    has the single root r mod q, the degree-2 prime is
+    (q, theta^2 + r*theta + r^2); with no root q is inert (Cohen, GTM 138, 6.2).
     """
     maps = ring_maps(field, q)  # raises ValueError unless q is prime
     q_ideal = IdealHNF.from_integer(field, q)
     kernels = [IdealHNF(field, _lattice_hnf([(q, 0, 0), (-s, 1, 0), (-t, 0, 1)])) for s, t in maps]
-    index_divisor = (3 * field.b) % q == 0
-    if index_divisor:
+    if (3 * field.d) % q == 0:
         out = [(P, valuation(q_ideal, P), 1) for P in kernels]
-    elif field.d % q == 0:  # x^3 - d = x^3
-        out = [(P, 3, 1) for P in kernels]
     else:
         out = [(P, 1, 1) for P in kernels]
         if len(maps) == 1:  # x^3 - d = (x - r)(x^2 + r*x + r^2)

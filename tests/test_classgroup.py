@@ -506,8 +506,8 @@ def _unordered_oracle(F, fb, search_bound):
 def test_oracle_counts_as_the_unordered_loop(d, classes, spied_class_group):
     F = classify(d)
     fb = build_factor_base(F)
-    lattice = copy.deepcopy(spied_class_group(d)[1])
-    got = classgroup._oracle_class_number(F, fb, lattice, float("inf"))
+    inserts, lattice = spied_class_group(d)
+    got = classgroup._oracle_class_number(F, fb, copy.deepcopy(lattice), len(inserts), float("inf"))
     assert got == _unordered_oracle(F, fb, 12) == classes
 
 
@@ -578,11 +578,44 @@ def test_oracle_inserts_only_true_relations(spied_class_group):
     for i in range(M.rows):
         coarse.insert(sparse([3 * x for x in M.row(i)]))
     before = coarse.determinant()
-    assert classgroup._oracle_class_number(F, fb, coarse, float("inf")) == 3
+    assert classgroup._oracle_class_number(F, fb, coarse, M.rows, float("inf")) == 3
     assert coarse.determinant() < before
     C = coarse.matrix()
     for i in range(C.rows):
         assert not copy.deepcopy(lattice).insert(sparse(C.row(i)))
+
+
+def test_oracle_stops_with_budget_exhausted(spied_class_group):
+    # a passed deadline stops the oracle before its first ideal, with no
+    # count of classes: it reports the searched lattice and how far it got
+    F = classify(29)
+    fb = build_factor_base(F)
+    inserts, lattice = spied_class_group(29)
+    n = len(fb.primes)
+    with pytest.raises(BudgetExhausted) as exc:
+        classgroup._oracle_class_number(
+            F, fb, copy.deepcopy(lattice), len(inserts), deadline=time.monotonic()
+        )
+    e = exc.value
+    assert (e.d, e.rows, e.rank, e.n, e.det) == (29, len(inserts), n, n, 2)
+    total = len(classgroup._all_ideals_up_to(F, fb))
+    assert str(e) == (
+        f"class group for d=29 did not finish its oracle in budget: 0 of {total} ideals "
+        "placed in 0 classes, lattice determinant 2"
+    )
+
+
+@pytest.mark.parametrize("d", [29, 199])
+def test_a_budget_never_changes_the_answer(d):
+    # whichever stage the budget stops, class_group raises; it never returns
+    # a partial answer (29's search alone gives h = 2, its oracle h = 1)
+    full = class_group(classify(d), budget_seconds=BUDGET_SECONDS)
+    for budget in (0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.4):
+        try:
+            cg = class_group(classify(d), budget_seconds=budget)
+        except BudgetExhausted:
+            continue
+        assert cg == full, budget
 
 
 def test_ambiguous_order_examples():

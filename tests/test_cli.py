@@ -17,6 +17,7 @@ from purecubic.cubicfield import SplitPattern
 from purecubic.eisenstein import LAMBDA, Eisenstein, norm, split_primaries
 from purecubic.symbols import cubic_residue, prime_symbols, zeta_norm_test
 from purecubic.galoismodel import ModelConstraints, full_report
+from relation_search import BUDGET_SECONDS
 
 
 def run(capsys, *argv):
@@ -189,12 +190,27 @@ def test_scan_timestamp_is_the_current_utc_second(monkeypatch):
 
 
 def test_table1_predicates_only(capsys):
-    # tiny budget: every row must be predicate-checked but class-group unverified
-    code, doc = run_json(capsys, "--budget", "0.2", "table1")
+    # no budget: every row must be predicate-checked but class-group unverified
+    code, doc = run_json(capsys, "--budget", "0", "table1")
     assert code == 0
     assert len(doc["results"]) == 24
     assert {r["status"] for r in doc["results"]} == {"unverified"}
     assert all(r["ambiguous_order"] == 3 for r in doc["results"])
+
+
+def test_table1_runs_a_row_with_under_a_second_left(capsys, monkeypatch):
+    # a row's class group gets whatever budget is left, however little
+    budgets = []
+
+    def recorder(F, budget_seconds):
+        budgets.append(budget_seconds)
+        return class_group(F, budget_seconds=BUDGET_SECONDS)
+
+    monkeypatch.setattr("purecubic.cli.class_group", recorder)
+    code, doc = run_json(capsys, "--budget", "0.9", "table1", "--primes", "487")
+    assert code == 0
+    assert len(budgets) == 1 and 0 < budgets[0] < 1
+    assert doc["results"][0]["status"] == "ok"
 
 
 def test_table1_negative_control_u(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Pure cubic field construction and splitting laws."""
 
 import random
+import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -439,6 +440,14 @@ def test_ring_maps_match_a_search_over_the_residue_pairs():
             assert sorted(ring_maps(F, q)) == _searched_ring_maps(F, q), (d, q)
             pairs += 1
     assert pairs > 400
+
+
+def test_ring_maps_at_a_large_index_divisor():
+    # q | b fixes theta -> 0, so only the q values of w2 are scanned, not
+    # all of F_q^2: 10007^2 pairs would take minutes
+    start = time.monotonic()
+    assert ring_maps(classify(2 * 10007 ** 2), 10007) == [(0, 0)]
+    assert time.monotonic() - start < 1
 
 
 def test_ring_maps_reject_a_root_that_is_not_one(monkeypatch):

@@ -380,7 +380,7 @@ def test_is_principal_bounded_matches_box_search_on_oracle_ideals(d, monkeypatch
     F = classify(d)
     fb = classgroup.build_factor_base(F)
     lattice = HNFLattice(len(fb.primes))
-    classgroup._oracle_class_number(F, fb, lattice, deadline=float("inf"))
+    classgroup._oracle_class_number(F, fb, lattice, 0, deadline=float("inf"))
     assert len(calls) > 20
     assert any(gen is None for _, _, gen in calls)
     assert any(gen is not None for _, _, gen in calls)
@@ -402,9 +402,10 @@ def test_is_principal_bounded_matches_box_search_on_certified_fields(monkeypatch
         # the oracle as class_group runs it, on the searched lattice; 44 and
         # 242 end their search at h_rel = 1, so class_group no longer runs it
         F = classify(d)
-        _, lattice = spied_search(F)
+        inserts, lattice = spied_search(F)
         fb = classgroup.build_factor_base(F)
-        assert classgroup._oracle_class_number(F, fb, lattice, float("inf")) == lattice.determinant()
+        classes = classgroup._oracle_class_number(F, fb, lattice, len(inserts), float("inf"))
+        assert classes == lattice.determinant()
     assert len(calls) >= 60
     assert any(gen is None for _, _, gen in calls)
     assert any(gen is not None for _, _, gen in calls)

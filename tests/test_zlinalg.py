@@ -463,7 +463,7 @@ def test_lll_matches_gso_recomputation_on_oracle_ideals(d, monkeypatch):
     F = classify(d)
     fb = classgroup.build_factor_base(F)
     lattice = HNFLattice(len(fb.primes))
-    classgroup._oracle_class_number(F, fb, lattice, deadline=float("inf"))
+    classgroup._oracle_class_number(F, fb, lattice, 0, deadline=float("inf"))
     assert len(bases) > 20
     for basis in bases:
         assert lll_reduce(basis) == _gso_lll(basis)
@@ -489,9 +489,10 @@ def test_lll_matches_gso_recomputation_on_certified_fields(monkeypatch):
         # the oracle as class_group runs it, on the searched lattice; 44 and
         # 242 end their search at h_rel = 1, so class_group no longer runs it
         F = classify(d)
-        _, lattice = spied_search(F)
+        inserts, lattice = spied_search(F)
         fb = classgroup.build_factor_base(F)
-        assert classgroup._oracle_class_number(F, fb, lattice, float("inf")) == lattice.determinant()
+        classes = classgroup._oracle_class_number(F, fb, lattice, len(inserts), float("inf"))
+        assert classes == lattice.determinant()
     assert len(bases) == len(found) >= 60
     assert set(found) == {True, False}
     for basis in bases:
