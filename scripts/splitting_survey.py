@@ -8,11 +8,13 @@ of roots there, deg gcd(x^q - x, x^3 - d), and never reads q mod 3 or
 d^((q-1)/3), the facts split_in_gamma decides by.  It also runs
 primes_above for every q, q | 3b included; primes_above raises unless its
 prime ideals have the pattern split_in_gamma gives and the product of the
-P^e is qO.  For
-the primes P, P' above distinct q, q' <= 50 it checks that the general
-product mul(P, P') passes the CRT check is_coprime_product, and for each q <= 50
-that ring_maps(F, q) lists the same ring maps O -> F_q as a search over
-all of F_q^2.
+P^e is qO.  For every q it checks that the two generators (a, gamma) a
+prime carries for `mul` (q prime to 3b) generate it.  For
+the primes P, P' above distinct q, q' <= 50 it checks that the product
+mul(P, P') passes the CRT check is_coprime_product and equals the product
+of the nine basis products, taken with the generators dropped, and for
+each q <= 50 that ring_maps(F, q) lists the same ring maps O -> F_q as a
+search over all of F_q^2.
 Prints each disagreement and exits 1 if there was any.
 
     python scripts/splitting_survey.py --max-d 200 --max-q 200
@@ -25,9 +27,9 @@ from itertools import product
 from sympy import primerange
 
 from purecubic.cubicfield import brute_split, classify, ring_maps, split_in_gamma
-from purecubic.ideals import is_coprime_product, mul, primes_above
+from purecubic.ideals import IdealHNF, is_coprime_product, mul, primes_above
 
-COPRIME_MAX_Q = 50  # the largest q for the is_coprime_product and the ring_maps checks
+COPRIME_MAX_Q = 50  # the largest q for the product and the ring_maps checks
 
 
 def cube_free(d):
@@ -52,12 +54,22 @@ def searched_ring_maps(F, q):
 
 
 def ideals_mismatch(F, q):
-    """(why primes_above(F, q) disagrees with the splitting law or None,
-    the primes it found)."""
+    """(why primes_above(F, q) disagrees with the splitting law, or has a
+    prime its generators do not generate, or None; the primes it found,
+    none on a disagreement)."""
     try:
-        return None, [P for P, _, _ in primes_above(F, q)]
+        primes = [P for P, _, _ in primes_above(F, q)]
     except ArithmeticError as e:
         return str(e), []
+    for P in primes:
+        if P.gens is not None and IdealHNF.from_generators(F, [(P.gens[0], 0, 0), P.gens[1]]) != P:
+            return f"the generators {P.gens} do not generate {P.basis}", []
+    return None, primes
+
+
+def bare(P):
+    """P without its generators, so that `mul` takes the nine basis products."""
+    return IdealHNF(P.field, P.basis)
 
 
 def main():
@@ -96,10 +108,14 @@ def main():
         for i, (q, P) in enumerate(small):
             for q2, P2 in small[i + 1:]:
                 if q2 != q:
-                    total += 1
-                    if not is_coprime_product(mul(P, P2), [P, P2]):
+                    total += 2
+                    PP2 = mul(P, P2)
+                    if not is_coprime_product(PP2, [P, P2]):
                         bad += 1
                         print(f"MISMATCH d={d} q={q} q'={q2}: is_coprime_product vs mul")
+                    if PP2 != mul(bare(P), bare(P2)):
+                        bad += 1
+                        print(f"MISMATCH d={d} q={q} q'={q2}: mul by generators vs the nine products")
     print(f"{total} checks, {bad} mismatches")
     return 1 if bad else 0
 

@@ -274,8 +274,10 @@ def ring_maps(F: PureCubicField, q: int) -> List[Tuple[int, int]]:
     in the order `_roots_mod` gives, and w2 to its value at r.  For q | 3b,
     s^3 = d in F_q fixes s = d mod q (q | d, or cubing is the identity of
     F_3), and every (d mod q, t) is a candidate.  Each candidate is checked
-    against the multiplication table, and one read off a root that fails
-    the check is an ArithmeticError.
+    on the products w1*w1, w1*w2 and w2*w2 of the multiplication table (the
+    others follow from w0 = 1 and commutativity, which `PureCubicField`
+    checks), and one read off a root that fails the check is an
+    ArithmeticError.
     """
     if not isprime(q):
         raise ValueError("q must be prime")
@@ -287,14 +289,14 @@ def ring_maps(F: PureCubicField, q: int) -> List[Tuple[int, int]]:
         candidates = [(r, (n0 + n1 * r + n2 * r * r) * inv % q) for r in roots]
     else:
         candidates = [(F.d % q, t) for t in range(q)]
+    # w0 = 1 and commutativity are checked with the table, so a map with
+    # w0 -> 1 is a ring map when it respects w1*w1, w1*w2 and w2*w2
+    (_, t11, t12), (_, _, t22) = F.table[1], F.table[2]
     out = []
     for s, t in candidates:
-        im = (1, s, t)
         if all(
-            (c[0] + c[1] * s + c[2] * t - im[i] * im[j]) % q == 0
-            for i in range(3)
-            for j, c in enumerate(F.table[i])
-            if i <= j
+            (c0 + c1 * s + c2 * t - x) % q == 0
+            for (c0, c1, c2), x in ((t11, s * s), (t12, s * t), (t22, t * t))
         ):
             out.append((s, t))
         elif from_roots:

@@ -7,6 +7,10 @@ which makes equality, containment and norms trivial to read off.  A
 prime of degree 1 above q is the kernel of a ring map O -> F_q
 (`cubicfield.ring_maps`), and the one prime of degree 2, when q has one,
 is (q, theta^2 + r*theta + r^2) for the root r of x^3 - d mod q.
+For q prime to 3b each such prime keeps its two generators (q, gamma),
+gamma = w1 - s for the degree-1 prime of the map theta -> s, and `mul`
+multiplies by it as q*I + gamma*I, an HNF of six vectors instead of nine
+products; the norm of that lattice proves it is the product.
 A product of ideals of pairwise coprime norm is checked, not computed:
 `is_coprime_product` tests the CRT congruences that tie its HNF entries
 to theirs.
@@ -14,7 +18,7 @@ to theirs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import reduce
 from math import gcd
 from typing import Iterator, List, Optional, Tuple
@@ -75,8 +79,17 @@ def _lattice_hnf(vectors: List[Tuple[int, int, int]]) -> Tuple[Tuple[int, ...], 
 
 @dataclass(frozen=True)
 class IdealHNF:
+    """An integral ideal of `field` as the canonical row HNF of its lattice.
+
+    `gens`, when set, is a pair (a, gamma) with the ideal equal to
+    a*O + gamma*O, which `mul` multiplies by.  `primes_above` sets it on
+    the primes above q prime to 3b, a = q, and checks that q and gamma
+    lie in the prime; it takes no part in equality, hash or repr.
+    """
+
     field: PureCubicField
     basis: Tuple[Tuple[int, ...], ...]  # 3 rows, upper triangular HNF
+    gens: Optional[Tuple[int, Tuple[int, int, int]]] = dc_field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_generators(
@@ -120,13 +133,28 @@ class IdealHNF:
 
 
 def mul(I: IdealHNF, J: IdealHNF) -> IdealHNF:
+    """The product I*J.
+
+    When a factor carries its generators (a, gamma), the product is
+    a*I + gamma*I for I the other factor: a*I's rows are a times I's HNF,
+    already triangular, and gamma*I takes three products.  Since a and
+    gamma lie in J, that lattice lies in I*J, and it is I*J exactly when
+    its norm is N(I)*N(J); anything else is an ArithmeticError.  Without
+    generators the product is spanned by the nine products of the rows.
+    """
     if I.field is not J.field and I.field != J.field:
         raise ValueError("ambient mismatch")
-    vecs = []
-    for u in I.basis:
-        for v in J.basis:
-            vecs.append(I.field.mul_coords(u, v))
-    return IdealHNF(I.field, _lattice_hnf(vecs))
+    mul_coords = I.field.mul_coords
+    if J.gens is None and I.gens is not None:
+        I, J = J, I
+    if J.gens is None:
+        return IdealHNF(I.field, _lattice_hnf([mul_coords(u, v) for u in I.basis for v in J.basis]))
+    a, gamma = J.gens
+    vecs = [(a * x, a * y, a * z) for x, y, z in I.basis]
+    H = IdealHNF(I.field, _lattice_hnf(vecs + [mul_coords(u, gamma) for u in I.basis]))
+    if H.norm() != I.norm() * J.norm():
+        raise ArithmeticError(f"the generators {J.gens} do not give a product with norm N(I)*{J.norm()}")
+    return H
 
 
 def is_coprime_product(H: IdealHNF, parts: List[IdealHNF]) -> bool:
@@ -170,6 +198,19 @@ def ideal_of_element(field: PureCubicField, v: Tuple[int, int, int]) -> IdealHNF
     return IdealHNF.from_generators(field, [v])
 
 
+def _kernel_hnf(q: int, s: int, t: int) -> Tuple[Tuple[int, ...], ...]:
+    """The HNF of the kernel x0 + s*x1 + t*x2 = 0 (mod q) of a ring map,
+    0 <= s, t < q: the HNF of (q, 0, 0), (-s, 1, 0), (-t, 0, 1), written
+    down.  With t invertible, x2 is fixed by x0 and x1; with t = 0 and s
+    invertible, x1 by x0 and x2 is free; with s = t = 0, q | x0 alone."""
+    if t:
+        u = pow(t, -1, q)
+        return ((1, 0, -u % q), (0, 1, -s * u % q), (0, 0, q))
+    if s:
+        return ((1, -pow(s, -1, q) % q, 0), (0, q, 0), (0, 0, 1))
+    return ((q, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
 def primes_above(field: PureCubicField, q: int) -> List[Tuple[IdealHNF, int, int]]:
     """Prime ideals above q as (ideal, e, f), consistent with split_in_gamma.
 
@@ -178,20 +219,29 @@ def primes_above(field: PureCubicField, q: int) -> List[Tuple[IdealHNF, int, int
     For q | 3d each e is read off qO by `valuation`.  Otherwise, when x^3 - d
     has the single root r mod q, the degree-2 prime is
     (q, theta^2 + r*theta + r^2); with no root q is inert (Cohen, GTM 138, 6.2).
+    For q prime to 3b, which the index of Z[theta] divides, the degree-1
+    prime of theta -> s is (q, w1 - s) too (Dedekind-Kummer), and each
+    prime keeps its two generators for `mul`, once checked to lie in it.
     """
     maps = ring_maps(field, q)  # raises ValueError unless q is prime
     q_ideal = IdealHNF.from_integer(field, q)
-    kernels = [IdealHNF(field, _lattice_hnf([(q, 0, 0), (-s, 1, 0), (-t, 0, 1)])) for s, t in maps]
+    with_gens = (3 * field.b) % q != 0
+    primes = [
+        (IdealHNF(field, _kernel_hnf(q, s, t), (q, (-s, 1, 0)) if with_gens else None), 1) for s, t in maps
+    ]
+    if len(maps) == 1 and (3 * field.d) % q:  # x^3 - d = (x - r)(x^2 + r*x + r^2)
+        r = maps[0][0]
+        x, y, z = field.mul_coords((0, 1, 0), (0, 1, 0))  # theta = w1
+        g = (x + r * r % q, y + r, z)
+        P = IdealHNF.from_generators(field, [(q, 0, 0), g])
+        primes.append((IdealHNF(field, P.basis, (q, g)), 2))
+    # `mul` (valuation and the reassembly below) multiplies through the generators
+    if any(P.gens and not (P.contains_vector((q, 0, 0)) and P.contains_vector(P.gens[1])) for P, _ in primes):
+        raise ArithmeticError(f"a generator of a prime above {q} lies outside it")
     if (3 * field.d) % q == 0:
-        out = [(P, valuation(q_ideal, P), 1) for P in kernels]
+        out = [(P, valuation(q_ideal, P), f) for P, f in primes]
     else:
-        out = [(P, 1, 1) for P in kernels]
-        if len(maps) == 1:  # x^3 - d = (x - r)(x^2 + r*x + r^2)
-            r = maps[0][0]
-            x, y, z = field.mul_coords((0, 1, 0), (0, 1, 0))  # theta = w1
-            g = (x + r * r % q, y + r, z)
-            out.append((IdealHNF.from_generators(field, [(q, 0, 0), g]), 1, 2))
-        out = out or [(q_ideal, 1, 3)]
+        out = [(P, 1, f) for P, f in primes] or [(q_ideal, 1, 3)]
     pattern = sorted((e, f) for _, e, f in out)
     expected = list(split_in_gamma(field, q).pairs)
     if pattern != expected:

@@ -457,6 +457,14 @@ def test_ring_maps_reject_a_root_that_is_not_one(monkeypatch):
         ring_maps(classify(2), 5)
 
 
+def test_ring_maps_reject_a_map_that_fails_on_w1_w2_alone(monkeypatch):
+    # theta -> 0 (so w2 -> 0) respects w1*w1 = w2 and w2*w2 = 2*w1 in
+    # Q(cbrt 2), but not w1*w2 = 2, since 2 is not 0 mod 5
+    monkeypatch.setattr(cubicfield, "_roots_mod", lambda d, q: [0])
+    with pytest.raises(ArithmeticError, match="not a ring map"):
+        ring_maps(classify(2), 5)
+
+
 def test_roots_mod_match_sympy_nthroot_mod():
     # every prime q = 1 (mod 3) below 5000, 3^s || q - 1 up to s = 6 (q = 1459),
     # with small d, cubes mod q and large d

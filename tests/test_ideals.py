@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sympy import primerange
 
 from purecubic import classgroup, cubicfield, ideals
-from purecubic.cubicfield import _UNIT_VECTORS, PureCubicField, classify, split_in_gamma
+from purecubic.cubicfield import _UNIT_VECTORS, PureCubicField, classify, ring_maps, split_in_gamma
 from purecubic.ideals import (
     IdealHNF,
     _lattice_hnf,
@@ -63,11 +63,76 @@ def _coprime_pairs(d):
     return pairs
 
 
+def _bare(I):
+    """I without its generators, so that `mul` takes the nine products."""
+    return IdealHNF(I.field, I.basis)
+
+
 # 28 = 7 * 2^2 (2 | b and 7 | a, totally ramified); 10 is of the second kind
 @pytest.mark.parametrize("d", [7, 10, 28, 199, 487])
 def test_is_coprime_product_matches_mul_on_factor_base_powers(d):
     for I, J in _coprime_pairs(d):
-        assert is_coprime_product(mul(I, J), [I, J]), (I.basis, J.basis)
+        IJ = mul(I, J)
+        assert is_coprime_product(IJ, [I, J]), (I.basis, J.basis)
+        assert IJ == mul(_bare(I), _bare(J)), (I.basis, J.basis)
+
+
+# 7 and 12 = 3 * 2^2 are of the first kind, the rest of the second; 2 | b in
+# 12 and 28, where a prime has no generators; q | d for a prime with them in
+# 7, 10 and 28.  Products across distinct q are checked in the test above
+@pytest.mark.parametrize("d", [7, 10, 12, 28, 199, 487])
+def test_mul_by_generators_matches_the_nine_products_above_one_q(d):
+    fb = classgroup.build_factor_base(classify(d))
+    with_gens = [p for p in fb.primes if p.ideal.gens is not None]
+    assert {p.f for p in with_gens} == ({1, 2} if d in (7, 199, 487) else {1})
+    assert any(d % p.q == 0 for p in with_gens) == (d in (7, 10, 28))
+    for cols in fb.columns.values():
+        for p in (fb.primes[j] for j in cols):
+            power = _bare(p.ideal)
+            for k in (1, 2, 3):
+                assert p.power(k) == power, (p.q, k)
+                for P in (fb.primes[j].ideal for j in cols):
+                    assert mul(p.power(k), P) == mul(P, p.power(k)) == mul(power, _bare(P)), (p.q, k)
+                power = mul(power, _bare(p.ideal))
+
+
+def test_primes_above_refuses_a_generator_outside_its_prime(monkeypatch):
+    # each degree-1 prime above 31 gets the next one's kernel, so it
+    # carries another prime's w1 - s'; norms and pattern still agree
+    F = classify(2)
+    maps = ring_maps(F, 31)
+    assert len(maps) == 3
+    nxt = dict(zip(maps, maps[1:] + maps[:1]))
+    real = ideals._kernel_hnf
+    monkeypatch.setattr(ideals, "_kernel_hnf", lambda q, s, t: real(q, *nxt[s, t]))
+    with pytest.raises(ArithmeticError, match="lies outside it"):
+        primes_above(F, 31)
+
+
+def test_mul_refuses_generators_of_the_wrong_norm():
+    # 57 = 2^3 + 7^2, so theta - 2 lies in P^2 for the prime P of theta -> 2
+    # above 7: (49, theta - 2) lies in P but is P^2, and a*I + gamma*I is I*P^2
+    F, gamma = classify(57), (-2, 1, 0)
+    P = next(P for P, _, _ in primes_above(F, 7) if P.gens == (7, gamma))
+    J = IdealHNF(F, P.basis, (49, gamma))
+    assert P.contains_vector((49, 0, 0)) and P.contains_vector(gamma)
+    assert IdealHNF.from_generators(F, [(49, 0, 0), gamma]) == mul(P, P)
+    for I in (IdealHNF.unit_ideal(F), P, primes_above(F, 2)[0][0]):
+        with pytest.raises(ArithmeticError, match="do not give a product"):
+            mul(I, J)
+        with pytest.raises(ArithmeticError, match="do not give a product"):
+            mul(J, _bare(I))
+
+
+def test_kernel_hnf_is_the_hnf_of_the_kernel():
+    cases = set()
+    for F in _cube_free_fields(500):
+        for q in primerange(2, 200):
+            for s, t in ring_maps(F, q):
+                expected = _lattice_hnf([(q, 0, 0), (-s, 1, 0), (-t, 0, 1)])
+                assert ideals._kernel_hnf(q, s, t) == expected, (F.d, q, s, t)
+                cases.add("t" if t else "s" if s else "0")
+    assert cases == {"t", "s", "0"}
 
 
 @given(vec3, vec3, st.sampled_from([2, 10, 28, 199, 487]))
