@@ -10,8 +10,8 @@ a q-part, built once per factor base; the q-parts have coprime norms, so
 the HNF of (alpha) is checked against their CRT congruences rather than
 rebuilt from them.  A relation row is a sparse {column: exponent} map of
 its nonzero exponents, a handful out of up to several hundred columns,
-and the relation lattice takes it in that form, its columns in reverse
-factor-base order so that a row pivots on its largest prime: it is kept
+and the relation lattice takes it as it is: the factor base is numbered
+so that a row pivots on its largest prime.  The lattice is kept
 in Hermite normal form as rows arrive, and once the search stabilizes
 the cokernel is read off the Smith normal form of the basis block whose
 pivots exceed 1.  An element alpha = g*beta whose coordinates share a
@@ -113,14 +113,24 @@ class FactorBase:
     """The primes of norm up to `bound`, with the products of their powers
     above one q built so far.
 
+    `primes` runs in descending q, so that a relation row, whose columns
+    are positions in `primes`, pivots in the relation lattice on its
+    largest prime, which few rows share: the rarest columns are
+    eliminated first (LaMacchia--Odlyzko, CRYPTO '90).  Ascending, nearly
+    every row would pivot on the column of 2 or 3, and each insert would
+    fill in and re-reduce the dense small-prime rows.  No answer reads
+    the order: the rank, whether an insert changes the lattice, the
+    cokernel and the equality of residues are all invariant under a
+    column permutation.
+
     `q_part` keeps each product it builds, so that each is built once per
     factor base and freed with it.
     """
 
     bound: int
     primes: Tuple[FactorBasePrime, ...]
-    #: q -> positions in `primes` of the primes above q, for each rational
-    #: prime q below the base, ascending
+    #: q -> positions in `primes` of the primes above q, in `primes_above`
+    #: order, for each rational prime q below the base, ascending
     columns: Dict[int, Tuple[int, ...]]
     #: the product of the keys of `columns`
     product: int
@@ -166,12 +176,12 @@ def minkowski_bound(F: PureCubicField) -> Fraction:
 
 
 def build_factor_base(F: PureCubicField, deadline: Optional[float] = None) -> FactorBase:
-    """The primes of norm up to the Minkowski bound.  With a `deadline`,
-    it is checked once per rational prime q, before the primes above q."""
+    """The primes of norm up to the Minkowski bound, collected in
+    ascending q and stored in descending q.  With a `deadline`, it is
+    checked once per rational prime q, before the primes above q."""
     bound = minkowski_bound(F)
     top = int(bound) + (0 if bound.denominator == 1 else 1)
     primes: List[FactorBasePrime] = []
-    columns: Dict[int, Tuple[int, ...]] = {}
     for q in primerange(2, top + 1):
         if deadline is not None and time.monotonic() >= deadline:
             raise BudgetExhausted(
@@ -179,11 +189,12 @@ def build_factor_base(F: PureCubicField, deadline: Optional[float] = None) -> Fa
                 reason=f"did not finish its factor base in budget: {len(primes)} prime ideals "
                 f"above the rational primes below {q}, of bound {top}",
             )
-        for P, _, f in primes_above(F, q):
-            if q ** f <= top:
-                columns[q] = columns.get(q, ()) + (len(primes),)
-                primes.append(FactorBasePrime(q, P, f, q ** f))
-    return FactorBase(top, tuple(primes), columns, prod(columns))
+        primes += [FactorBasePrime(q, P, f, q ** f) for P, _, f in primes_above(F, q) if q ** f <= top]
+    n = len(primes)
+    columns: Dict[int, Tuple[int, ...]] = {}
+    for j, p in enumerate(primes):
+        columns[p.q] = columns.get(p.q, ()) + (n - 1 - j,)
+    return FactorBase(top, tuple(reversed(primes)), columns, prod(columns))
 
 
 def _smooth_exponents(n: int, fb: FactorBase) -> Optional[Dict[int, int]]:
@@ -292,27 +303,11 @@ def _three_part(n: int) -> int:
     return h3
 
 
-def _lattice_row(row: Dict[int, int], n: int) -> Dict[int, int]:
-    """A row over the n factor-base columns in the relation lattice's
-    column order: factor-base column j is lattice column n - 1 - j.
-
-    The factor base ascends in q, so under the identity map nearly every
-    row would pivot on the column of 2 or 3, and each insert would fill in
-    and re-reduce the dense small-prime rows.  Reversed, a row pivots on
-    its largest prime, which few rows share: the rarest columns are
-    eliminated first (LaMacchia--Odlyzko, CRYPTO '90).  No answer reads
-    the order: the rank, whether an insert changes the lattice, the
-    cokernel and the equality of residues are all invariant under a
-    column permutation.
-    """
-    return {n - 1 - j: k for j, k in row.items()}
-
-
 def _relation_search(
     F: PureCubicField, fb: FactorBase, lattice: HNFLattice, deadline: float
 ) -> Iterator[Tuple[Tuple[int, int, int], Dict[int, int], bool]]:
     """Insert the element stream's relation rows into `lattice`, yielding
-    (alpha, the row as the lattice took it, changed) after each insert.
+    (alpha, its row, changed) after each insert.
     Below full rank the cokernel is infinite; at full rank the lattice
     changes exactly when its determinant drops, so the search stops after
     STABLE_WINDOW rows without a change."""
@@ -343,7 +338,6 @@ def _relation_search(
             if row is None:
                 continue
             g_rows[g] = {}
-        row = _lattice_row(row, n)
         changed = lattice.insert(row)
         rows += 1
         yield alpha, row, changed
@@ -397,10 +391,11 @@ def class_group(F: PureCubicField, budget_seconds: float = 600.0) -> ClassGroupS
 
 def _all_ideals_up_to(F: PureCubicField, fb: FactorBase) -> List[Tuple[IdealHNF, Dict[int, int]]]:
     """Every integral ideal of norm <= fb.bound (products of factor-base
-    primes), each with its exponents over fb as {column: exponent}."""
+    primes, taken in the order of `fb.columns`), each with its exponents
+    over fb as {column: exponent}."""
     items: List[Tuple[IdealHNF, int, Dict[int, int]]] = [(IdealHNF.unit_ideal(F), 1, {})]
-    for j, p in enumerate(fb.primes):
-        new = []
+    for j in (j for js in fb.columns.values() for j in js):
+        p, new = fb.primes[j], []
         for I, nI, e in items:
             acc, nacc, k = I, nI, 0
             while True:
@@ -445,7 +440,7 @@ def _oracle_class_number(
                 f"did not finish its oracle in budget: {placed} of {len(ideals)} ideals "
                 f"placed in {len(reps)} classes, lattice determinant {det}"))
         I_inv: Optional[IdealHNF] = None
-        key = lattice.residue(_lattice_row(e, n))
+        key = lattice.residue(e)
         # a stable sort: the representatives with the ideal's key first
         for i in sorted(range(len(reps)), key=lambda i: keys[i] != key):
             R, R_inv, e_R = reps[i]
@@ -464,8 +459,8 @@ def _oracle_class_number(
                     raise ArithmeticError(f"oracle witness {alpha} does not generate its ideal")
                 # (alpha) is I/R or R/I times a rational integer
                 diff = {j: e.get(j, 0) - e_R.get(j, 0) for j in e.keys() | e_R.keys()}
-                lattice.insert(_lattice_row(diff, n))
-                keys = [lattice.residue(_lattice_row(r[2], n)) for r in reps]
+                lattice.insert(diff)
+                keys = [lattice.residue(r[2]) for r in reps]
             break
         else:
             if I_inv is None:

@@ -254,12 +254,17 @@ def primes_above(field: PureCubicField, q: int) -> List[Tuple[IdealHNF, int, int
 
 
 def valuation(I: IdealHNF, P: IdealHNF) -> int:
-    """Largest k with I contained in P^k (P prime)."""
-    if P.norm() == 1:
+    """Largest k with I contained in P^k (P prime).
+
+    P^k containing I makes N(P)^k divide N(I), so the powers tried stop
+    there: a P that is not an ideal cannot make the loop run forever."""
+    m = P.norm()
+    if m == 1:
         raise ValueError("unit ideal is not prime")
+    n = I.norm()
     k = 0
     power = P
-    while power.contains(I):
+    while n % m ** (k + 1) == 0 and power.contains(I):
         k += 1
         power = mul(power, P)
     return k

@@ -35,7 +35,7 @@ from purecubic.ideals import (
     valuation,
 )
 from purecubic.zlinalg import HNFLattice, snf
-from relation_search import BUDGET_SECONDS, reference_search, spied_search
+from relation_search import BUDGET_SECONDS, ascending_base, reference_search, spied_search
 from sparse_rows import dense, sparse
 
 
@@ -64,7 +64,8 @@ def test_factor_base_complete():
             assert p.norm <= fb.bound
         qs = {p.q for p in fb.primes}
         assert 2 in qs and 3 in qs
-        assert (fb.primes[0].q, fb.primes[0].norm) == (2, 2)
+        p = fb.primes[fb.columns[2][0]]
+        assert (p.q, p.norm) == (2, 2)
 
 
 def test_relation_rows_reassemble():
@@ -354,8 +355,9 @@ def test_class_group_reads_no_order_of_the_primes_above_q(d, h, divisors, certif
 def test_class_group_reads_no_lattice_column_order(d, monkeypatch):
     # the rank, whether an insert changes the lattice, the cokernel and the
     # equality of residues are invariant under a column permutation, so the
-    # structure, the stopping row and the oracle's tests are the same in the
-    # factor base's own order; at 29 the oracle inserts a relation
+    # structure, the stopping row and the oracle's tests are the same with
+    # the factor base numbered by ascending q; at 29 the oracle inserts a
+    # relation
     def run():
         counts = {"rows": 0, "tests": 0}
 
@@ -373,9 +375,11 @@ def test_class_group_reads_no_lattice_column_order(d, monkeypatch):
             m.setattr(classgroup, "is_principal_bounded", test)
             return class_group(classify(d), budget_seconds=BUDGET_SECONDS), counts
 
-    reversed_order = run()
-    monkeypatch.setattr(classgroup, "_lattice_row", lambda row, n: row)
-    assert run() == reversed_order
+    descending = run()
+    monkeypatch.setattr(
+        classgroup, "build_factor_base", lambda F, deadline=None: ascending_base(build_factor_base(F, deadline))
+    )
+    assert run() == descending
 
 
 @pytest.fixture(scope="module")
@@ -425,7 +429,6 @@ def test_search_takes_the_rows_of_the_loop_that_computes_every_element(d, changi
     # every row the lattice takes is the row of a primitive element met, or
     # of gO for a non-primitive one that is a row itself
     fb = build_factor_base(F)
-    n = lattice.ncols
     got = 0
     for alpha, row, changed, _ in inserts:
         g = gcd(*alpha)
@@ -433,8 +436,20 @@ def test_search_takes_the_rows_of_the_loop_that_computes_every_element(d, changi
         got += g > 1 and changed
         if row:
             source = (g, 0, 0) if g > 1 else alpha
-            assert row == classgroup._lattice_row(relation_row(F, fb, source), n), alpha
+            assert row == relation_row(F, fb, source), alpha
     assert got == changing
+
+
+@pytest.mark.parametrize("d", [199, 487])
+def test_rows_pivot_on_their_largest_prime(d, spied_class_group):
+    # the factor base runs in descending q, so the lowest column of a row,
+    # its pivot in the lattice, is a prime above the row's largest q
+    inserts, _ = spied_class_group(d)
+    fb = build_factor_base(classify(d))
+    rows = [row for _, row, _, _ in inserts if row]
+    assert rows
+    for row in rows:
+        assert fb.primes[min(row)].q == max(fb.primes[j].q for j in row), row
 
 
 # the number of pivots above 1 in each field's final HNF

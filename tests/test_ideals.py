@@ -1,5 +1,6 @@
 """Ideal arithmetic in HNF representation: primes above q, valuations, inverses."""
 
+import signal
 from functools import reduce
 from itertools import product as iproduct
 from math import gcd
@@ -381,6 +382,31 @@ def test_valuation():
     assert valuation(IdealHNF.from_integer(F, 3), P3) == 3
     assert valuation(IdealHNF.from_integer(F, 9), P3) == 6
     assert valuation(IdealHNF.unit_ideal(F), P3) == 0
+
+
+@pytest.mark.parametrize("d", [10, 28, 199])
+def test_valuation_of_a_kernel_that_is_no_ideal_ends(d, monkeypatch):
+    # with the sign of the t = 0 != s kernel flipped, a "prime" above 3 is a
+    # lattice that is no ideal, whose powers can contain 3O for every k;
+    # valuation stops at N(P)^k | 3^3, so primes_above raises instead of
+    # hanging, which the alarm turns into a failure
+    def flipped(q, s, t):
+        return ((1, pow(s, -1, q), 0), (0, q, 0), (0, 0, 1)) if s and not t else real(q, s, t)
+
+    def timeout(signum, frame):
+        raise TimeoutError("primes_above did not return in 5 s")
+
+    real = ideals._kernel_hnf
+    monkeypatch.setattr(ideals, "_kernel_hnf", flipped)
+    F = classify(d)
+    handler = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ArithmeticError):
+            primes_above(F, 3)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
 
 
 def test_is_principal_finds_generator():
